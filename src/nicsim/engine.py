@@ -25,18 +25,15 @@ class Engine:
         heapq.heappush(self._heap, (ts_ns, self._seq, fn))
         self._seq += 1
 
-    def trace_txn(self, txn) -> None:
-        if self.trace is not None:
-            self.trace.append(txn)
-
     def ended(self, ts_ns: float) -> bool:
         return ts_ns >= self.end_ns
 
     def run_until(self, end_ns: float) -> None:
         """Dispatch every event with timestamp <= end_ns."""
         self.end_ns = end_ns
-        while self._heap and self._heap[0][0] <= end_ns:
-            ts, _, fn = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        while heap and heap[0][0] <= end_ns:
+            ts, _, fn = pop(heap)
             self.now = ts
             self.events_processed += 1
             fn()

@@ -65,20 +65,18 @@ class _TxIssuer:
     def _publish(self, slot: int, entry: RpcEntry) -> None:
         block = protocol.encode_entry(entry)
         now = self.engine.now
-        host = f"host{self.nic.nic_id}"
+        trace = self.engine.trace
         if self.nic.config.tx_mode == ic.MODE_MMIO:
             # the AVX store into device I/O space is itself the publication
-            self.engine.trace_txn(
-                ic.Transaction(now, host, ic.KIND_MMIO_STORE, 1, self.conn_id,
-                               entry.rpc_id, critical=True)
-            )
+            if trace is not None:
+                trace.append(ic.Transaction(now, f"host{self.nic.nic_id}", ic.KIND_MMIO_STORE, 1,
+                                            self.conn_id, entry.rpc_id, critical=True))
             self.tx.tx_publish(slot, block)
             self.nic.on_tx_publish(self.conn_id)
         else:
-            self.engine.trace_txn(
-                ic.Transaction(now, host, ic.KIND_HOST_MEMCPY, 1, self.conn_id,
-                               entry.rpc_id, critical=True)
-            )
+            if trace is not None:
+                trace.append(ic.Transaction(now, f"host{self.nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
+                                            self.conn_id, entry.rpc_id, critical=True))
             self.engine.schedule(
                 now + self.nic.params.t_memcpy, lambda: self._finish_publish(slot, block)
             )
@@ -111,6 +109,7 @@ class ClientEndpoint:
         self.issuer = _TxIssuer(engine, nic, record.connection_id, self.rings.tx)
         self.cq = CompletionQueue() if self.threading_model == "async" else None
         self.pending: dict[int, float] = {}  # rpc_id -> issue timestamp
+        self.abandoned: set[int] = set()  # timed-out rpc ids whose response is still due
         self.blocked_on: int | None = None  # sync: rpc id the caller waits for
         self.on_complete = None  # harness hook: (rpc, issue, complete, payload, kind)
         self.completed = 0
@@ -172,19 +171,26 @@ class ClientEndpoint:
     # -- NIC-driven delivery path -----------------------------------------
 
     def on_rx_visible(self, conn_id: int, ts: float) -> None:
-        self.engine.trace_txn(
-            ic.Transaction(ts, f"host{self.nic.nic_id}", ic.KIND_HOST_MEMCPY, 1, conn_id)
-        )
+        trace = self.engine.trace
+        if trace is not None:
+            trace.append(ic.Transaction(ts, f"host{self.nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
+                                        conn_id))
         self.engine.schedule(ts + self.nic.params.t_memcpy, self._pickup)
 
     def _pickup(self) -> None:
         polled = self.rings.rx.rx_poll()
-        assert polled is not None, "delivery event without a dirty RX slot"
+        if polled is None:
+            raise ContractViolation(
+                f"delivery event without a dirty RX slot on connection {self.connection_id}"
+            )
         slot, block = polled
         entry = protocol.decode_entry(block)
         self.rings.rx.rx_release(slot)
         self.nic.on_rx_slot_freed(self.connection_id)
         if entry.rpc_id not in self.pending:
+            if entry.rpc_id in self.abandoned:
+                self.abandoned.remove(entry.rpc_id)  # late response to a timed-out call
+                return
             raise ContractViolation(
                 f"completion for unknown rpc {entry.rpc_id} on connection {self.connection_id}"
             )
@@ -198,11 +204,18 @@ class ClientEndpoint:
         if self.on_complete is not None:
             self.on_complete(entry.rpc_id, issue_ts, now, entry.payload, entry.kind)
 
+    def abandon(self, rpc_id: int) -> None:
+        """Give up waiting for a call; its response is discarded on arrival."""
+        del self.pending[rpc_id]
+        self.abandoned.add(rpc_id)
+        if self.blocked_on == rpc_id:
+            self.blocked_on = None
+
     def on_tx_free(self, conn_id: int, ts: float) -> None:
         self.issuer.on_tx_free()
 
     def outstanding(self) -> int:
-        return len(self.pending) + self.issuer.blocked_count()
+        return len(self.pending) + len(self.abandoned) + self.issuer.blocked_count()
 
 
 class ServerEndpoint:
@@ -228,15 +241,17 @@ class ServerEndpoint:
         )
 
     def on_rx_visible(self, conn_id: int, ts: float) -> None:
-        self.engine.trace_txn(
-            ic.Transaction(ts, f"host{self.nic.nic_id}", ic.KIND_HOST_MEMCPY, 1, conn_id)
-        )
+        trace = self.engine.trace
+        if trace is not None:
+            trace.append(ic.Transaction(ts, f"host{self.nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
+                                        conn_id))
         self.engine.schedule(ts + self.nic.params.t_memcpy, lambda: self._pickup(conn_id))
 
     def _pickup(self, conn_id: int) -> None:
         rings = self.rings_by_conn[conn_id]
         polled = rings.rx.rx_poll()
-        assert polled is not None, "delivery event without a dirty RX slot"
+        if polled is None:
+            raise ContractViolation(f"delivery event without a dirty RX slot on connection {conn_id}")
         slot, block = polled
         request = protocol.decode_entry(block)
         rings.rx.rx_release(slot)
@@ -336,6 +351,9 @@ def call_sync(client: ClientEndpoint, function_id: int, payload: bytes,
     """Blocking call: runs the engine until the response arrives.
 
     Returns the response payload; raises RpcCallError on an error response.
+    limit_ns is virtual time from now. On timeout the call is abandoned
+    (ContractViolation): the endpoint is free for the next call and the
+    late response, when it arrives, is discarded.
     """
     if client.threading_model != "sync":
         raise ContractViolation("call_sync needs a sync endpoint")
@@ -349,11 +367,13 @@ def call_sync(client: ClientEndpoint, function_id: int, payload: bytes,
             prev_hook(rpc, issue, complete, payload, kind)
 
     client.on_complete = hook
-    client.start_call(function_id, payload)
-    finished = client.engine.run_while(lambda: "value" not in result, limit_ns)
+    rpc_id = client.start_call(function_id, payload)
+    deadline = client.engine.now + limit_ns
+    finished = client.engine.run_while(lambda: "value" not in result, deadline)
     client.on_complete = prev_hook
     if not finished:
-        raise ContractViolation("sync call did not complete within the time limit")
+        client.abandon(rpc_id)
+        raise ContractViolation(f"sync call did not complete within {limit_ns} ns")
     reply, kind = result["value"]
     if kind == protocol.KIND_ERROR:
         raise RpcCallError(reply.decode(errors="replace"))

@@ -281,14 +281,21 @@ class BusArbiter:
 
     def __init__(self, issuers, bus_cap_rps: float):
         self.issuers = list(issuers)
+        if len(set(self.issuers)) != len(self.issuers):
+            raise ValueError(f"arbiter issuers must be distinct, got {self.issuers}")
         self.slot_ns = 1e9 / bus_cap_rps
         self._queues = {i: 0 for i in self.issuers}  # pending transaction counts
+        self._pending = 0  # sum of _queues
+        self._next_cursor = {i: (k + 1) % len(self.issuers) for k, i in enumerate(self.issuers)}
         self._cursor = 0
         self._free_at = 0.0
         self.grant_counts = {i: 0 for i in self.issuers}
 
     def submit(self, issuer, count: int) -> None:
+        if count < 0:
+            raise ValueError(f"transaction count must be >= 0, got {count}")
         self._queues[issuer] += count
+        self._pending += count
 
     def drain(self, now: float):
         """Grant everything pending; yields (completion_ns, issuer) rows."""
@@ -308,18 +315,31 @@ class BusArbiter:
             self.grant_counts[issuer] += 1
             self._free_at = t
             schedule.append((t, issuer))
+        self._pending = 0
         return schedule
 
     def request(self, issuer, count: int, now: float) -> float:
         """Queue `count` transactions and return the completion time of the
         last one. The simulation engine calls this in event order, so grants
         interleave at fetch-batch granularity."""
-        self.submit(issuer, count)
-        schedule = self.drain(now)
-        for t, who in reversed(schedule):
-            if who == issuer:
-                return t
-        return now
+        if self._pending or count < 1:
+            self.submit(issuer, count)
+            schedule = self.drain(now)
+            for t, who in reversed(schedule):
+                if who == issuer:
+                    return t
+            return now
+        # Nothing else is queued, so drain() would grant all `count` units to
+        # the issuer back to back. Grant times accumulate one slot at a time,
+        # exactly as drain() adds them (t + count * slot_ns rounds differently).
+        self.grant_counts[issuer] += count
+        self._cursor = self._next_cursor[issuer]
+        t = max(self._free_at, now)
+        slot_ns = self.slot_ns
+        for _ in range(count):
+            t += slot_ns
+        self._free_at = t
+        return t
 
 
 def arbiter_grant(arbiter: BusArbiter, pending: dict, now: float = 0.0):

@@ -7,7 +7,7 @@ into the RX ring, round-robin balanced across the NIC's connections).
 Hard config fields (tx_mode, threading_model) require a drained rebuild;
 soft fields (batch size, poll threshold, adaptive batching, rate window)
 may change at runtime. Two controllers run per NIC, evaluated once per
-rate window with a 10% hysteresis band:
+rate window with a +/-5% hysteresis band (HYSTERESIS):
 
 - coherent submode: invalidation-driven at low request rates, direct LLC
   polling above the programmable threshold;
@@ -16,12 +16,14 @@ rate window with a 10% hysteresis band:
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from . import interconnect as ic
 from .errors import (
     ConfigInvalid,
+    ContractViolation,
     HardFieldViolation,
     InvalidValue,
     TransitionError,
@@ -100,11 +102,17 @@ class TxState(Enum):
     FORWARD = "Forward"
     BOOKKEEP = "Bookkeep"
 
+    # members are singletons, so identity hashing is sound; it keeps the
+    # edge checks below at C speed instead of Enum's Python-level __hash__
+    __hash__ = object.__hash__
+
 
 class RxState(Enum):
     AWAIT_WIRE = "AwaitWire"
     DELIVER_DMA = "DeliverDma"
     BOOKKEEP = "Bookkeep"
+
+    __hash__ = object.__hash__
 
 
 TX_EDGES = {
@@ -136,8 +144,7 @@ class _ConnEndpoint:
         self.busy_until = 0.0
         self.inval_known = 0  # publish notifications seen (inval submode)
         self.poll_scheduled = False
-        self.rx_backlog = []  # wire arrivals awaiting a free RX slot
-        self.fsm_trace = []
+        self.rx_backlog = deque()  # wire arrivals awaiting a free RX slot
 
     def set_tx(self, new: TxState) -> None:
         if (self.tx_state, new) not in TX_EDGES:
@@ -163,13 +170,14 @@ class Wire:
 
     def send(self, src_nic_id: int, dst_nic_id: int, conn_id: int, block: bytes,
              rpc: int, extra_ns: float = 0.0) -> None:
-        if dst_nic_id not in self.nics:
+        dst = self.nics.get(dst_nic_id)
+        if dst is None:
             raise UnknownDestination(f"nic {dst_nic_id} is not attached to the wire")
         now = self.engine.now
-        self.engine.trace_txn(
-            ic.Transaction(now, f"nic{src_nic_id}", ic.KIND_WIRE_HOP, 1, conn_id, rpc, critical=True)
-        )
-        dst = self.nics[dst_nic_id]
+        trace = self.engine.trace
+        if trace is not None:
+            trace.append(ic.Transaction(now, f"nic{src_nic_id}", ic.KIND_WIRE_HOP, 1, conn_id,
+                                        rpc, critical=True))
         self.engine.schedule(
             now + extra_ns + self.params.t_wire, lambda: dst.rx_arrival(conn_id, block, rpc)
         )
@@ -187,6 +195,7 @@ class Nic:
         self.wire = wire
         wire.attach(self)
         self.conns: dict[int, _ConnEndpoint] = {}
+        self._endpoints: list[_ConnEndpoint] = []  # conns.values() in RX round-robin order
         self.submode = ic.SUBMODE_INVAL  # startup: poll local cache, rely on invalidations
         self.effective_B = config.batch_B
         self.settle_until = 0.0  # post-reconfiguration window with partial flushes
@@ -202,6 +211,7 @@ class Nic:
     def attach_connection(self, conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb):
         ep = _ConnEndpoint(conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb)
         self.conns[conn_id] = ep
+        self._endpoints = list(self.conns.values())
         self.rx_service_counts[conn_id] = 0
         if not self._controller_started:
             self._controller_started = True
@@ -212,6 +222,7 @@ class Nic:
 
     def detach_connection(self, conn_id) -> None:
         self.conns.pop(conn_id, None)
+        self._endpoints = list(self.conns.values())
 
     # -- TX path ------------------------------------------------------------
 
@@ -224,9 +235,10 @@ class Nic:
         if mode == ic.MODE_COHERENT:
             if self.submode == ic.SUBMODE_INVAL:
                 # a publish invalidates exactly the published line
-                self.engine.trace_txn(
-                    ic.Transaction(now, f"host{self.nic_id}", ic.KIND_INVALIDATION, 1, conn_id)
-                )
+                trace = self.engine.trace
+                if trace is not None:
+                    trace.append(ic.Transaction(now, f"host{self.nic_id}", ic.KIND_INVALIDATION,
+                                                1, conn_id))
                 self.engine.schedule(now + self.params.t_inval, lambda: self._on_inval(ep))
             else:
                 # direct polling discovers the entry half a poll period later
@@ -274,18 +286,21 @@ class Nic:
         mode = self.config.tx_mode
         ep.set_tx(TxState.FETCH)
         entries = ep.rings.tx.nic_fetch(k)
-        assert len(entries) == k, "trigger said k entries were dirty"
+        if len(entries) != k:
+            raise ContractViolation(
+                f"nic {self.nic_id} connection {ep.conn_id}: fetch returned "
+                f"{len(entries)} entries, trigger said {k} were dirty"
+            )
         if mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_INVAL:
             ep.inval_known -= k
+        trace = self.engine.trace
         units = 0
         for kind, count in ic.tx_batch_transactions(mode, k):
             units += count
-            if kind == ic.KIND_MMIO_STORE:
-                continue  # the CPU store was traced at publish time
-            self.engine.trace_txn(
-                ic.Transaction(now, f"nic{self.nic_id}", kind, count, ep.conn_id,
-                               critical=(kind != ic.KIND_DOORBELL))
-            )
+            # the CPU store of mmio mode was traced at publish time
+            if trace is not None and kind != ic.KIND_MMIO_STORE:
+                trace.append(ic.Transaction(now, f"nic{self.nic_id}", kind, count, ep.conn_id,
+                                            critical=(kind != ic.KIND_DOORBELL)))
         granted = self.arbiter.request(self.nic_id, units, now)
         occ_end = max(now + ic.tx_occupancy_ns(self.params, mode, k), granted)
         ep.busy_until = occ_end
@@ -343,9 +358,9 @@ class Nic:
             self._arm_poll(ep, now + self.params.t_poll)
             return
         # empty poll: consumes bus budget
-        self.engine.trace_txn(
-            ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_POLL_MISS, 1, ep.conn_id)
-        )
+        trace = self.engine.trace
+        if trace is not None:
+            trace.append(ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_POLL_MISS, 1, ep.conn_id))
         granted = self.arbiter.request(self.nic_id, 1, now)
         self._arm_poll(ep, max(now + self.params.t_poll, granted))
 
@@ -361,27 +376,21 @@ class Nic:
     def _rx_dispatch(self) -> None:
         """Round-robin across connections with pending arrivals; a full RX
         ring stalls only its own connection (head-of-line isolation)."""
-        conn_ids = list(self.conns)
-        n = len(conn_ids)
+        eps = self._endpoints
+        n = len(eps)
         stalled = set()
         while True:
-            progressed = False
             for step in range(n):
                 idx = (self._rx_cursor + step) % n
-                cid = conn_ids[idx]
-                ep = self.conns[cid]
-                if not ep.rx_backlog or cid in stalled:
-                    continue
-                if self._rx_deliver_one(ep):
-                    self._rx_cursor = (idx + 1) % n
-                    progressed = True
-                else:
-                    stalled.add(cid)
-                break
+                ep = eps[idx]
+                if ep.rx_backlog and ep not in stalled:
+                    break
             else:
                 return
-            if not progressed and len(stalled) == n:
-                return
+            if self._rx_deliver_one(ep):
+                self._rx_cursor = (idx + 1) % n
+            else:
+                stalled.add(ep)
 
     def _rx_deliver_one(self, ep: _ConnEndpoint) -> bool:
         now = self.engine.now
@@ -391,12 +400,12 @@ class Nic:
             # backpressure: stay queued, FSM returns to waiting
             ep.set_rx(RxState.AWAIT_WIRE)
             return False
-        ep.rx_backlog.pop(0)
+        ep.rx_backlog.popleft()
         self.rx_service_counts[ep.conn_id] += 1
-        self.engine.trace_txn(
-            ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_DMA_WRITE, 1, ep.conn_id, rpc,
-                           critical=True)
-        )
+        trace = self.engine.trace
+        if trace is not None:
+            trace.append(ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_DMA_WRITE, 1, ep.conn_id,
+                                        rpc, critical=True))
         ep.set_rx(RxState.BOOKKEEP)
         ep.set_rx(RxState.AWAIT_WIRE)
         self.engine.schedule(

@@ -39,6 +39,8 @@ _KINDS = (KIND_REQUEST, KIND_RESPONSE, KIND_ERROR)
 _HEADER_FMT = "<BBHIHB5s"
 _ENTRY_FMT = _HEADER_FMT + "48s"
 assert struct.calcsize(_ENTRY_FMT) == ENTRY_SIZE
+_ENTRY = struct.Struct(_ENTRY_FMT)
+_RESERVED = bytes(5)
 
 RPC_ID_MODULUS = 1 << 32
 
@@ -67,15 +69,14 @@ def encode_entry(entry: RpcEntry) -> bytes:
         raise PayloadTooLarge(
             f"payload is {len(entry.payload)} bytes, limit {MAX_PAYLOAD}"
         )
-    return struct.pack(
-        _ENTRY_FMT,
+    return _ENTRY.pack(
         entry.valid_flag,
         entry.kind,
         entry.connection_id,
         entry.rpc_id % RPC_ID_MODULUS,
         entry.function_id,
         len(entry.payload),
-        b"\x00" * 5,
+        _RESERVED,
         entry.payload,
     )
 
@@ -88,9 +89,7 @@ def decode_entry(block: bytes) -> RpcEntry:
     """
     if len(block) != ENTRY_SIZE:
         raise MalformedEntry(f"expected {ENTRY_SIZE} bytes, got {len(block)}")
-    valid, kind, conn, rpc, fn, plen, _reserved, payload = struct.unpack(
-        _ENTRY_FMT, block
-    )
+    valid, kind, conn, rpc, fn, plen, _reserved, payload = _ENTRY.unpack(block)
     if plen > MAX_PAYLOAD:
         raise MalformedEntry(f"payload_len {plen} exceeds {MAX_PAYLOAD}")
     if kind not in _KINDS:

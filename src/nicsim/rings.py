@@ -22,6 +22,7 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import deque
+from itertools import islice
 
 from . import protocol
 from .errors import ContractViolation
@@ -38,21 +39,15 @@ def _require_pow2(depth: int) -> int:
     return depth
 
 
-class _SideGuard:
-    """Records the owning thread of one ring side on first use."""
+_get_ident = threading.get_ident
 
-    __slots__ = ("name", "ident")
 
-    def __init__(self, name: str):
-        self.name = name
-        self.ident = None
-
-    def check(self) -> None:
-        me = threading.get_ident()
-        if self.ident is None:
-            self.ident = me
-        elif self.ident != me:
-            raise ContractViolation(f"{self.name} side used from two threads")
+def _claim_side(ring, attr: str, name: str) -> None:
+    """Slow path of the side-ownership check: bind the side to the calling
+    thread on first use, or reject a second thread."""
+    if getattr(ring, attr) is not None:
+        raise ContractViolation(f"{name} side used from two threads")
+    setattr(ring, attr, _get_ident())
 
 
 class TxRing:
@@ -61,6 +56,9 @@ class TxRing:
     Slot lifecycle: free -> acquired -> published(dirty) -> fetched -> free.
     The host may write a slot only if it was never used or its index came
     back through the completion ring; the NIC fetches only dirty slots.
+    Fetches follow the circular cursor and releases free the oldest fetched
+    entries, so the fetched-but-unreleased slots are always the
+    len(_fetched) slots just behind the cursor.
     """
 
     def __init__(self, depth: int = DEFAULT_DEPTH):
@@ -73,16 +71,17 @@ class TxRing:
         self._comp_wr = self.depth  # advanced by the NIC side only
         self._comp_rd = 0  # advanced by the host side only
         self.nic_fetch_cursor = 0
-        self._acquired: list[int] = []  # acquire order; published as a FIFO prefix
-        self._fetched: list[int] = []  # fetch order; released as a FIFO prefix
-        self._host = _SideGuard("TxRing host")
-        self._nic = _SideGuard("TxRing nic")
+        self._acquired: deque[int] = deque()  # acquire order; published as a FIFO prefix
+        self._fetched: deque[int] = deque()  # fetch order; released as a FIFO prefix
+        self._host_thread = None  # owning thread of each side, bound on first use
+        self._nic_thread = None
 
     # -- host side -------------------------------------------------------
 
     def tx_acquire(self):
         """Take ownership of a free slot; None when all slots outstanding."""
-        self._host.check()
+        if self._host_thread != _get_ident():
+            _claim_side(self, "_host_thread", "TxRing host")
         if self._comp_rd >= self._comp_wr:
             return None
         idx = self._comp[self._comp_rd % self.depth]
@@ -97,17 +96,19 @@ class TxRing:
         which keeps publish order aligned with the NIC's circular cursor.
         The flag byte is stored last; the caller's flag byte is ignored.
         """
-        self._host.check()
-        if not self._acquired or self._acquired[0] != slot:
+        if self._host_thread != _get_ident():
+            _claim_side(self, "_host_thread", "TxRing host")
+        acquired = self._acquired
+        if not acquired or acquired[0] != slot:
             raise ContractViolation(
                 f"publish of slot {slot} out of acquire order "
-                f"(oldest acquired: {self._acquired[:1]})"
+                f"(oldest acquired: {list(islice(acquired, 1))})"
             )
         if len(block) != _SLOT:
             raise ContractViolation(f"publish needs {_SLOT} bytes, got {len(block)}")
         base = slot * _SLOT
         self.slab[base + 1 : base + _SLOT] = block[1:]
-        self._acquired.pop(0)
+        acquired.popleft()
         self.slab[base] = 1  # publication point
 
     def free_slots(self) -> int:
@@ -117,13 +118,12 @@ class TxRing:
 
     def dirty_run(self) -> int:
         """Length of the consecutive dirty run at the fetch cursor."""
-        self._nic.check()
-        fetched = set(self._fetched)
+        if self._nic_thread != _get_ident():
+            _claim_side(self, "_nic_thread", "TxRing nic")
+        slab, depth, cursor = self.slab, self.depth, self.nic_fetch_cursor
+        limit = depth - len(self._fetched)  # the scan stops short of fetched slots
         n = 0
-        while n < self.depth:
-            idx = (self.nic_fetch_cursor + n) % self.depth
-            if self.slab[idx * _SLOT] != 1 or idx in fetched:
-                break
+        while n < limit and slab[((cursor + n) % depth) * _SLOT] == 1:
             n += 1
         return n
 
@@ -133,20 +133,21 @@ class TxRing:
         Returns a list of (slot index, 64-byte copy); empty when nothing is
         dirty.
         """
-        self._nic.check()
+        if self._nic_thread != _get_ident():
+            _claim_side(self, "_nic_thread", "TxRing nic")
         if max_batch < 1:
             raise ContractViolation("max_batch must be >= 1")
-        fetched = set(self._fetched)
+        slab, depth, fetched = self.slab, self.depth, self._fetched
+        idx = self.nic_fetch_cursor
         out = []
-        while len(out) < max_batch:
-            idx = self.nic_fetch_cursor
+        for _ in range(min(max_batch, depth - len(fetched))):
             base = idx * _SLOT
-            if self.slab[base] != 1 or idx in fetched:
+            if slab[base] != 1:
                 break
-            out.append((idx, bytes(self.slab[base : base + _SLOT])))
-            self._fetched.append(idx)
-            fetched.add(idx)
-            self.nic_fetch_cursor = (idx + 1) % self.depth
+            out.append((idx, bytes(slab[base : base + _SLOT])))
+            fetched.append(idx)
+            idx = (idx + 1) % depth
+        self.nic_fetch_cursor = idx
         return out
 
     def nic_release(self, slots) -> None:
@@ -155,18 +156,25 @@ class TxRing:
         Bookkeeping follows fetch order: the released set must be the oldest
         fetched entries (the NIC FSM frees what it just forwarded).
         """
-        self._nic.check()
+        if self._nic_thread != _get_ident():
+            _claim_side(self, "_nic_thread", "TxRing nic")
         slots = list(slots)
-        prefix = self._fetched[: len(slots)]
-        if sorted(slots) != sorted(prefix) or len(set(slots)) != len(slots):
+        fetched = self._fetched
+        prefix = list(islice(fetched, len(slots)))
+        if slots != prefix and (
+            sorted(slots) != sorted(prefix) or len(set(slots)) != len(slots)
+        ):
             raise ContractViolation(
                 f"release {slots} is not the oldest fetched prefix {prefix}"
             )
-        del self._fetched[: len(slots)]
+        slab, comp, depth = self.slab, self._comp, self.depth
+        wr = self._comp_wr
         for idx in prefix:  # completion ring keeps circular order
-            self.slab[idx * _SLOT] = 0
-            self._comp[self._comp_wr % self.depth] = idx
-            self._comp_wr += 1
+            fetched.popleft()
+            slab[idx * _SLOT] = 0
+            comp[wr % depth] = idx
+            wr += 1
+        self._comp_wr = wr  # publish the freed indices to the host side
 
     # -- diagnostics -----------------------------------------------------
 
@@ -193,8 +201,8 @@ class TxRing:
         self._comp_wr = state["comp_wr"]
         self._comp_rd = state["comp_rd"]
         self.nic_fetch_cursor = state["fetch_cursor"]
-        self._acquired = list(state["acquired"])
-        self._fetched = list(state["fetched"])
+        self._acquired = deque(state["acquired"])
+        self._fetched = deque(state["fetched"])
 
 
 class RxRing:
@@ -208,12 +216,13 @@ class RxRing:
         self.slab = bytearray(_SLOT * self.depth)
         self.nic_free_cursor = 0
         self.host_poll_cursor = 0
-        self._host = _SideGuard("RxRing host")
-        self._nic = _SideGuard("RxRing nic")
+        self._host_thread = None  # owning thread of each side, bound on first use
+        self._nic_thread = None
 
     def rx_deliver(self, block: bytes) -> bool:
         """NIC side: write one entry; False signals backpressure (ring full)."""
-        self._nic.check()
+        if self._nic_thread != _get_ident():
+            _claim_side(self, "_nic_thread", "RxRing nic")
         idx = self.nic_free_cursor
         base = idx * _SLOT
         if self.slab[base] == 1:
@@ -225,7 +234,8 @@ class RxRing:
 
     def rx_poll(self):
         """Host side: next delivered entry as (slot, bytes), or None."""
-        self._host.check()
+        if self._host_thread != _get_ident():
+            _claim_side(self, "_host_thread", "RxRing host")
         idx = self.host_poll_cursor
         base = idx * _SLOT
         if self.slab[base] != 1:
@@ -235,7 +245,8 @@ class RxRing:
 
     def rx_release(self, slot: int) -> None:
         """Host side: mark a consumed slot free for the NIC again."""
-        self._host.check()
+        if self._host_thread != _get_ident():
+            _claim_side(self, "_host_thread", "RxRing host")
         self.slab[slot * _SLOT] = 0
 
     def dump_csv(self) -> str:

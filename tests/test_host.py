@@ -45,6 +45,26 @@ def test_sync_rtt_idle_system():
     assert 1.9 <= rtt_us <= 2.3  # best-mode round trip on an idle stack
 
 
+def test_sync_call_after_long_virtual_time():
+    # the time limit runs from the current virtual time, not from zero
+    engine, client, *_ = _stack("sync")
+    engine.run_until(1.5e9)
+    assert call_sync(client, ECHO_FN, b"late") == b"late"
+    assert not client.pending and client.blocked_on is None
+
+
+def test_sync_timeout_abandons_the_call():
+    engine, client, *_ = _stack("sync")
+    with pytest.raises(ContractViolation):
+        call_sync(client, ECHO_FN, b"slow", limit_ns=100.0)  # an RTT is ~2 us
+    assert not client.pending and client.blocked_on is None
+    assert client.outstanding() == 1  # the abandoned request is still in flight
+    # the endpoint takes the next call; the stale response is dropped on arrival
+    assert call_sync(client, ECHO_FN, b"next") == b"next"
+    engine.run_until(engine.now + 10_000.0)
+    assert client.outstanding() == 0
+
+
 def test_hundred_connections_distinct_ring_pairs():
     engine = Engine()
     arbiter = BusArbiter([0, 1], P.bus_cap_rps)

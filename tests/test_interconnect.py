@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nicsim.interconnect as ic
 from nicsim.errors import ConfigInvalid, UnderdeterminedFit
@@ -189,6 +191,50 @@ def test_arbiter_caps_aggregate_rate():
     schedule = arbiter_grant(arb, {0: 50_000, 1: 50_000})
     within_window = sum(1 for t, _ in schedule if t <= 1e6)
     assert within_window / 1e6 * 1e3 == pytest.approx(80.0, rel=0.01)  # Mrps
+
+
+def _request_via_drain(arb, issuer, count, now):
+    """BusArbiter.request spelled out as submit + drain."""
+    arb.submit(issuer, count)
+    schedule = arb.drain(now)
+    return next((t for t, who in reversed(schedule) if who == issuer), now)
+
+
+_ARBITER_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["request", "submit"]),
+        st.sampled_from([0, 1, 7]),
+        st.integers(1, 40),
+        st.floats(0.0, 50.0, allow_nan=False),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(ops=_ARBITER_OPS, bus_cap=st.sampled_from([80e6, 30e6]))
+def test_arbiter_request_matches_submit_drain(ops, bus_cap):
+    # a 33.3 ns slot is inexact in binary, so any shortcut in the grant
+    # time arithmetic shows up as a last-bit difference
+    fast, twin = BusArbiter([0, 1, 7], bus_cap), BusArbiter([0, 1, 7], bus_cap)
+    now = 0.0
+    for op, issuer, count, gap in ops:
+        now += gap
+        if op == "submit":  # leaves a backlog, so the next request must share the bus
+            fast.submit(issuer, count)
+            twin.submit(issuer, count)
+            continue
+        assert fast.request(issuer, count, now) == _request_via_drain(twin, issuer, count, now)
+        assert fast.grant_counts == twin.grant_counts
+        assert fast._cursor == twin._cursor
+        assert fast._free_at == twin._free_at
+
+
+def test_arbiter_rejects_duplicate_issuers_and_negative_counts():
+    with pytest.raises(ValueError):
+        BusArbiter([0, 0], 80e6)
+    with pytest.raises(ValueError):
+        BusArbiter([0, 1], 80e6).submit(0, -1)
 
 
 def test_bandwidth_headroom_ratio():

@@ -7,6 +7,7 @@ import nicsim.interconnect as ic
 from nicsim.engine import Engine
 from nicsim.errors import (
     ConfigInvalid,
+    ContractViolation,
     DrainTimeout,
     HardFieldViolation,
     InvalidValue,
@@ -185,6 +186,26 @@ def test_fsm_edges_are_enforced():
         ep.set_tx(TxState.IDLE_POLL)
     with pytest.raises(TransitionError):
         ep.set_rx(RxState.BOOKKEEP)
+
+
+def test_short_fetch_is_reported_explicitly():
+    # a ring that yields fewer entries than the trigger promised is a
+    # contract breach, reported even under python -O
+    engine, wire, nic0, nic1 = _rig()
+    ep = nic0.attach_connection(0, RingPair(64), 1, _noop, _noop)
+    ep.rings.tx.nic_fetch = lambda k: []
+    with pytest.raises(ContractViolation):
+        nic0._fetch(ep, 1)
+
+
+def test_delivery_without_dirty_slot_is_reported_explicitly():
+    engine, wire, nic0, nic1 = _rig()
+    server = host_mod.ServerEndpoint(engine, nic1)
+    client = host_mod.connect(engine, wire, nic0, nic1, server)
+    with pytest.raises(ContractViolation):
+        client._pickup()
+    with pytest.raises(ContractViolation):
+        server._pickup(client.connection_id)
 
 
 def test_fsm_cycle_via_echo_smoke():

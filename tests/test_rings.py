@@ -5,13 +5,16 @@ acquire/publish/fetch/release protocol on a depth-2 TX ring, checked in
 lockstep against an abstract specification machine (slot states FREE ->
 ACQ -> PUB -> FETCHED -> FREE plus a publish-order FIFO). The abstract
 machine is the oracle; the implementation must agree with it on every
-reachable state.
+reachable state. Random operation sequences (hypothesis) carry the same
+check to depths 4 and 8.
 """
 
 import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicsim import protocol
 from nicsim.errors import ContractViolation
@@ -180,6 +183,77 @@ def test_exhaustive_state_space_depth2():
 
     # the enforced-FIFO protocol graph for two slots closes at 30 states
     assert explored == 30
+
+
+# --------------------------------------------------------------------------
+# random operation sequences at depths 4 and 8, against the same oracle
+# --------------------------------------------------------------------------
+
+_OPS = st.one_of(
+    st.just(("acquire", 0)),
+    st.just(("publish", 0)),
+    st.tuples(st.just("fill"), st.integers(1, 8)),  # acquire + publish, to reach full rings
+    st.tuples(st.just("fetch"), st.integers(1, 9)),
+    st.tuples(st.just("release"), st.integers(1, 8)),
+    st.tuples(st.just("bad_release"), st.integers(0, 7)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(depth=st.sampled_from([4, 8]), ops=st.lists(_OPS, max_size=80), shuffle=st.randoms())
+def test_random_sequences_match_abstract_ring(depth, ops, shuffle):
+    ring, model = TxRing(depth), AbstractRing(depth)
+    rpc_of_slot = {}
+    next_rpc = 0
+    def acquire():
+        idx = ring.tx_acquire()
+        if model.can_acquire():
+            model.on_acquire(idx)
+        else:
+            assert idx is None, "acquire succeeded with no free slot"
+
+    def publish():
+        nonlocal next_rpc
+        slot = ring._acquired[0]
+        ring.tx_publish(slot, _entry_block(next_rpc))
+        model.on_publish(slot)
+        rpc_of_slot[slot] = next_rpc
+        next_rpc += 1
+
+    for op, arg in ops:
+        if op == "acquire":
+            acquire()
+        elif op == "publish" and ring._acquired:
+            publish()
+        elif op == "fill":
+            for _ in range(arg):
+                acquire()
+                if ring._acquired:
+                    publish()
+        elif op == "fetch":
+            # the dirty run at the cursor is exactly the published, unfetched FIFO
+            assert ring.dirty_run() == len(model.fifo)
+            got = ring.nic_fetch(arg)
+            model.on_fetch([idx for idx, _ in got], arg)
+            for idx, block in got:
+                assert protocol.decode_entry(block).rpc_id == rpc_of_slot[idx]
+        elif op == "release" and ring._fetched:
+            # any order of the oldest fetched prefix is a legal release
+            slots = list(ring._fetched)[:arg]
+            shuffle.shuffle(slots)
+            ring.nic_release(slots)
+            for idx in slots:
+                model.on_release(idx)
+        elif op == "bad_release":
+            prefix = list(ring._fetched)[:1]
+            if [arg % depth] != prefix:
+                before = ring.snapshot()
+                with pytest.raises(ContractViolation):
+                    ring.nic_release([arg % depth])
+                assert ring.snapshot() == before
+        _check_invariants(ring, model)
+        assert _clone(ring).snapshot() == ring.snapshot()
+    assert ring.dirty_run() == len(model.fifo)
 
 
 # --------------------------------------------------------------------------

@@ -4,14 +4,17 @@ import json
 
 import pytest
 
+from nicsim import protocol
 from nicsim.engine import Engine
-from nicsim.errors import ConfigInvalid
+from nicsim.errors import ConfigInvalid, ContractViolation
 from nicsim.interconnect import CostParams
 from nicsim.sim import (
     LoadGenSpec,
+    _Harness,
     Scenario,
     default_cost_params,
     default_scenario,
+    make_payload,
     metrics_csv,
     run,
     saturation_point,
@@ -165,6 +168,62 @@ def test_trace_conservation_per_rpc():
     completed_rpcs = len(result.samples)
     full = [r for r in per_rpc.values() if r == {"pub": 2, "wire": 2, "dma": 2}]
     assert len(full) >= completed_rpcs  # one publication, hop and DMA per direction
+
+
+# Summed transaction counts per kind of the traced short runs below, as the
+# model produced them before trace records were built only with tracing on.
+TRACED_KIND_COUNTS = {
+    "coherent": {"CoherentPollHit": 2396, "CoherentPollMiss": 3198, "DmaWrite64": 2392,
+                 "HostMemcpy64": 4788, "Invalidation": 796, "WireHop": 2395},
+    "doorbell": {"DmaReadBatch": 1952, "DmaWrite64": 1936, "DoorbellMmio": 488,
+                 "HostMemcpy64": 3888, "WireHop": 1948},
+    "mmio": {"DmaWrite64": 1192, "HostMemcpy64": 1190, "MmioStore64": 1198, "WireHop": 1196},
+}
+TRACED_CASES = {
+    "coherent": dict(tx_mode="coherent", batch=1,
+                     loadgen=LoadGenSpec(mode="open_loop", rate_mrps=4.0)),
+    "doorbell": dict(tx_mode="doorbell", batch=4,
+                     loadgen=LoadGenSpec(mode="closed_loop", window=16)),
+    "mmio": dict(tx_mode="mmio", batch=1, loadgen=LoadGenSpec(mode="open_loop", rate_mrps=2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRACED_CASES))
+def test_tracing_changes_no_result_and_pins_kind_counts(case):
+    s = default_scenario(duration_us=300, warmup_us=30, **TRACED_CASES[case])
+    plain, traced = run(s), run(s, collect_trace=True)
+    assert plain.trace is None
+    assert traced.samples == plain.samples
+    assert traced.metrics == plain.metrics
+    assert traced.engine_events == plain.engine_events
+    assert traced.controller_logs == plain.controller_logs
+    counts = {}
+    for t in traced.trace:
+        counts[t.kind] = counts.get(t.kind, 0) + t.count
+    assert counts == TRACED_KIND_COUNTS[case]
+
+
+def test_harness_fifo_and_payload_checks_fire():
+    s = default_scenario(loadgen=LoadGenSpec(mode="closed_loop", window=1),
+                         duration_us=100, warmup_us=10)
+    harness = _Harness(s, collect_trace=False)
+    client = harness.clients[0]
+    conn = client.connection_id
+    with pytest.raises(AssertionError, match="out of order"):
+        client.on_complete(1, 0.0, 1.0, make_payload(conn, 1), protocol.KIND_RESPONSE)
+    with pytest.raises(AssertionError, match="corrupted"):
+        client.on_complete(0, 0.0, 1.0, b"not the echo", protocol.KIND_RESPONSE)
+
+
+def test_harness_completion_queue_check_is_explicit():
+    # the harness cross-checks each completion against the CQ, even under python -O
+    s = default_scenario(loadgen=LoadGenSpec(mode="closed_loop", window=1),
+                         duration_us=100, warmup_us=10)
+    harness = _Harness(s, collect_trace=False)
+    harness.clients[0].poll_completions = lambda: []
+    harness.start_load()
+    with pytest.raises(ContractViolation):
+        harness.engine.run_until(100_000.0)
 
 
 def test_scenario_json_roundtrip(tmp_path):
