@@ -84,6 +84,8 @@ def _apply_overrides(scenario_data: dict, params: CostParams, overrides):
         node = scenario_data
         for part in parts[:-1]:
             node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigInvalid(f"override {key!r}: {part} does not hold an object")
         node[parts[-1]] = value
     return scenario_data, params
 

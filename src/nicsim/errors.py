@@ -30,10 +30,6 @@ class WouldBlock(NicSimError):
     """Non-blocking call could not make progress (ring or window full)."""
 
 
-class Backpressure(NicSimError):
-    """RX ring full; the NIC stalls instead of dropping."""
-
-
 class ContractViolation(NicSimError):
     """Ring ownership protocol misuse (publish without acquire, double release, ...)."""
 

@@ -112,7 +112,9 @@ class ClientEndpoint:
         self.abandoned: set[int] = set()  # timed-out rpc ids whose response is still due
         self.blocked_on: int | None = None  # sync: rpc id the caller waits for
         self.on_complete = None  # harness hook: (rpc, issue, complete, payload, kind)
+        self.issued = 0
         self.completed = 0
+        self.abandoned_total = 0  # calls ever abandoned, late response dropped or not
 
     @property
     def connection_id(self) -> int:
@@ -129,6 +131,7 @@ class ClientEndpoint:
         if self.threading_model == "sync" and self.pending:
             raise ContractViolation("sync endpoint already has a call in flight")
         rpc_id = self.record.take_rpc_id()
+        self.issued += 1
         self.pending[rpc_id] = self.engine.now if issue_ts is None else issue_ts
         if self.threading_model == "sync":
             self.blocked_on = rpc_id
@@ -159,6 +162,7 @@ class ClientEndpoint:
         except WouldBlock:
             self.record.next_rpc_id = rpc_id  # roll back the id we took
             raise
+        self.issued += 1
         self.pending[rpc_id] = self.engine.now
         return rpc_id
 
@@ -208,6 +212,7 @@ class ClientEndpoint:
         """Give up waiting for a call; its response is discarded on arrival."""
         del self.pending[rpc_id]
         self.abandoned.add(rpc_id)
+        self.abandoned_total += 1
         if self.blocked_on == rpc_id:
             self.blocked_on = None
 
@@ -215,7 +220,18 @@ class ClientEndpoint:
         self.issuer.on_tx_free()
 
     def outstanding(self) -> int:
-        return len(self.pending) + len(self.abandoned) + self.issuer.blocked_count()
+        # a call blocked on a full TX ring is already in pending
+        return len(self.pending) + len(self.abandoned)
+
+    def check_conservation(self) -> None:
+        """issued = completed + pending + abandoned, or ContractViolation."""
+        accounted = self.completed + len(self.pending) + self.abandoned_total
+        if self.issued != accounted:
+            raise ContractViolation(
+                f"connection {self.connection_id}: {self.issued} calls issued, but "
+                f"{self.completed} completed + {len(self.pending)} pending + "
+                f"{self.abandoned_total} abandoned = {accounted}"
+            )
 
 
 class ServerEndpoint:

@@ -74,6 +74,16 @@ _FIELDS = (
 )
 
 
+def is_number(value) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_int(value) -> bool:
+    """A JSON integer: int, but not bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Per-transaction virtual-nanosecond costs plus the bus capacity.
@@ -107,7 +117,7 @@ class CostParams:
         unknown = set(data) - set(_FIELDS)
         if unknown:
             raise ConfigInvalid([f"unknown cost parameter '{k}'" for k in sorted(unknown)])
-        bad = [k for k, v in data.items() if not isinstance(v, (int, float)) or isinstance(v, bool)]
+        bad = [k for k, v in data.items() if not is_number(v)]
         if bad:
             raise ConfigInvalid([f"{k} must be a number" for k in sorted(bad)])
         return cls(**{k: float(v) for k, v in data.items()}).validate()
@@ -127,7 +137,7 @@ class CostParams:
     def replace(self, **kw) -> "CostParams":
         data = {k: getattr(self, k) for k in _FIELDS}
         data.update(kw)
-        return CostParams(**data).validate()
+        return CostParams.from_dict(data)
 
 
 @dataclass

@@ -45,12 +45,31 @@ class AdaptiveBatching:
     high_B: int = 4
     switch_rate_rps: float = 7e6
 
+    def type_errors(self) -> list[str]:
+        errors = []
+        if not isinstance(self.enabled, bool):
+            errors.append(f"adaptive_batching.enabled must be true or false, got {self.enabled!r}")
+        for name in ("low_B", "high_B"):
+            value = getattr(self, name)
+            if not ic.is_int(value):
+                errors.append(f"adaptive_batching.{name} must be an integer, got {value!r}")
+        if not ic.is_number(self.switch_rate_rps):
+            errors.append(f"adaptive_batching.switch_rate_rps must be a number, "
+                          f"got {self.switch_rate_rps!r}")
+        return errors
+
     @classmethod
     def from_dict(cls, data: dict) -> "AdaptiveBatching":
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"adaptive_batching must be an object, got {data!r}")
         unknown = set(data) - {"enabled", "low_B", "high_B", "switch_rate_rps"}
         if unknown:
             raise ConfigInvalid([f"adaptive_batching: unknown key '{k}'" for k in sorted(unknown)])
-        return cls(**data)
+        ab = cls(**data)
+        errors = ab.type_errors()
+        if errors:
+            raise ConfigInvalid(errors)
+        return ab
 
 
 @dataclass
@@ -68,14 +87,21 @@ class NicConfig:
             errors.append(f"tx_mode must be one of {ic.TX_MODES}, got {self.tx_mode!r}")
         if self.threading_model not in ("sync", "async"):
             errors.append(f"threading_model must be sync|async, got {self.threading_model!r}")
-        if not 1 <= self.batch_B <= ring_depth:
+        if not ic.is_int(self.batch_B):
+            errors.append(f"batch_B must be an integer, got {self.batch_B!r}")
+        elif not 1 <= self.batch_B <= ring_depth:
             errors.append(f"batch_B must be in 1..{ring_depth}, got {self.batch_B}")
-        if self.poll_threshold_rps <= 0:
-            errors.append("poll_threshold_rps must be > 0")
-        if self.rate_window_us <= 0:
-            errors.append("rate_window_us must be > 0")
+        for name in ("poll_threshold_rps", "rate_window_us"):
+            value = getattr(self, name)
+            if not ic.is_number(value):
+                errors.append(f"{name} must be a number, got {value!r}")
+            elif value <= 0:
+                errors.append(f"{name} must be > 0")
         ab = self.adaptive_batching
-        if ab.enabled:
+        ab_errors = (ab.type_errors() if isinstance(ab, AdaptiveBatching)
+                     else [f"adaptive_batching must be an object, got {ab!r}"])
+        errors.extend(ab_errors)
+        if not ab_errors and ab.enabled:
             if not 1 <= ab.low_B <= ab.high_B <= ring_depth:
                 errors.append("adaptive_batching needs 1 <= low_B <= high_B <= ring depth")
             if ab.switch_rate_rps <= 0:
@@ -86,12 +112,14 @@ class NicConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "NicConfig":
+        if not isinstance(data, dict):
+            raise ConfigInvalid(f"NicConfig must be an object, got {data!r}")
         fields_ok = set(HARD_FIELDS) | set(SOFT_FIELDS)
         unknown = set(data) - fields_ok
         if unknown:
             raise ConfigInvalid([f"unknown NicConfig key '{k}'" for k in sorted(unknown)])
         kw = dict(data)
-        if "adaptive_batching" in kw and isinstance(kw["adaptive_batching"], dict):
+        if "adaptive_batching" in kw:
             kw["adaptive_batching"] = AdaptiveBatching.from_dict(kw["adaptive_batching"])
         return cls(**kw).validate()
 
@@ -144,6 +172,8 @@ class _ConnEndpoint:
         self.busy_until = 0.0
         self.inval_known = 0  # publish notifications seen (inval submode)
         self.poll_scheduled = False
+        self.poll_event = None  # bound by the NIC: one callback for every poll
+        self.rx_index = 0  # position in the NIC's RX round-robin
         self.rx_backlog = deque()  # wire arrivals awaiting a free RX slot
 
     def set_tx(self, new: TxState) -> None:
@@ -203,6 +233,7 @@ class Nic:
         self.measured_rate = 0.0
         self.controller_log = []  # (ts_ns, controller, old, new)
         self._rx_cursor = 0
+        self._rx_queued = 0  # entries across all rx_backlogs
         self._controller_started = False
         self.rx_service_counts: dict[int, int] = {}
 
@@ -210,8 +241,9 @@ class Nic:
 
     def attach_connection(self, conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb):
         ep = _ConnEndpoint(conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb)
+        ep.poll_event = lambda: self._poll(ep)
         self.conns[conn_id] = ep
-        self._endpoints = list(self.conns.values())
+        self._index_endpoints()
         self.rx_service_counts[conn_id] = 0
         if not self._controller_started:
             self._controller_started = True
@@ -221,8 +253,15 @@ class Nic:
         return ep
 
     def detach_connection(self, conn_id) -> None:
-        self.conns.pop(conn_id, None)
+        ep = self.conns.pop(conn_id, None)
+        if ep is not None:
+            self._rx_queued -= len(ep.rx_backlog)
+        self._index_endpoints()
+
+    def _index_endpoints(self) -> None:
         self._endpoints = list(self.conns.values())
+        for i, ep in enumerate(self._endpoints):
+            ep.rx_index = i
 
     # -- TX path ------------------------------------------------------------
 
@@ -274,9 +313,10 @@ class Nic:
         return 0
 
     def _try_fetch(self, ep: _ConnEndpoint) -> None:
-        now = self.engine.now
-        if ep.busy_until > now:
-            return  # channel busy; re-checked at busy end
+        if ep.busy_until > self.engine.now or ep.tx_state is not TxState.IDLE_POLL:
+            # channel busy, or a finished fetch still awaits its _forward
+            # (a publish can land at exactly fetch end); re-checked from there
+            return
         k = self._trigger_batch(ep)
         if k:
             self._fetch(ep, k)
@@ -339,7 +379,7 @@ class Nic:
     def _arm_poll(self, ep: _ConnEndpoint, ts: float) -> None:
         if not ep.poll_scheduled and not self.engine.ended(ts):
             ep.poll_scheduled = True
-            self.engine.schedule(ts, lambda: self._poll(ep))
+            self.engine.schedule(ts, ep.poll_event)
 
     def _poll(self, ep: _ConnEndpoint) -> None:
         """Idle spin of the direct-polling FSM. Empty polls consume bus
@@ -370,8 +410,16 @@ class Nic:
         ep = self.conns.get(conn_id)
         if ep is None:
             raise UnknownDestination(f"nic {self.nic_id} has no connection {conn_id}")
-        ep.rx_backlog.append((block, rpc))
-        self._rx_dispatch()
+        if self._rx_queued:
+            ep.rx_backlog.append((block, rpc))
+            self._rx_queued += 1
+            self._rx_dispatch()
+        elif self._rx_deliver(ep, block, rpc):
+            # nothing else waits, so round-robin would have picked ep too
+            self._rx_cursor = (ep.rx_index + 1) % len(self._endpoints)
+        else:
+            ep.rx_backlog.append((block, rpc))
+            self._rx_queued += 1
 
     def _rx_dispatch(self) -> None:
         """Round-robin across connections with pending arrivals; a full RX
@@ -387,20 +435,21 @@ class Nic:
                     break
             else:
                 return
-            if self._rx_deliver_one(ep):
+            if self._rx_deliver(ep, *ep.rx_backlog[0]):
+                ep.rx_backlog.popleft()
+                self._rx_queued -= 1
                 self._rx_cursor = (idx + 1) % n
             else:
                 stalled.add(ep)
 
-    def _rx_deliver_one(self, ep: _ConnEndpoint) -> bool:
+    def _rx_deliver(self, ep: _ConnEndpoint, block: bytes, rpc: int) -> bool:
+        """DMA-write one arrival into ep's RX ring; False on backpressure."""
         now = self.engine.now
-        block, rpc = ep.rx_backlog[0]
         ep.set_rx(RxState.DELIVER_DMA)
         if not ep.rings.rx.rx_deliver(block):
             # backpressure: stay queued, FSM returns to waiting
             ep.set_rx(RxState.AWAIT_WIRE)
             return False
-        ep.rx_backlog.popleft()
         self.rx_service_counts[ep.conn_id] += 1
         trace = self.engine.trace
         if trace is not None:
@@ -519,13 +568,3 @@ class Nic:
             ep.rx_state = RxState.AWAIT_WIRE
             ep.busy_until = self.engine.now
             ep.inval_known = 0
-
-    @property
-    def state(self) -> dict:
-        return {
-            "submode": self.submode,
-            "effective_B": self.effective_B,
-            "measured_rate": self.measured_rate,
-            "tx_states": {c: ep.tx_state.value for c, ep in self.conns.items()},
-            "rx_states": {c: ep.rx_state.value for c, ep in self.conns.items()},
-        }

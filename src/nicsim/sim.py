@@ -18,7 +18,8 @@ from __future__ import annotations
 import json
 import random
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from importlib import resources
 
 from . import host as host_mod
 from . import interconnect as ic
@@ -28,11 +29,6 @@ from .errors import ConfigInvalid, ContractViolation, DrainTimeout
 from .interconnect import BusArbiter, CostParams
 from .nic import Nic, NicConfig, Wire
 
-try:
-    from importlib import resources as _resources
-except ImportError:  # pragma: no cover
-    _resources = None
-
 METRICS_CSV_HEADER = "load_mrps,achieved_mrps,median_us,p99_us,saturated"
 SATURATION_EPSILON = 0.01
 
@@ -41,7 +37,7 @@ DEFAULT_WARMUP_US = 200.0
 
 
 def default_cost_params() -> CostParams:
-    with _resources.files("nicsim.data").joinpath("broadwell_a10.json").open() as fh:
+    with resources.files("nicsim.data").joinpath("broadwell_a10.json").open() as fh:
         return CostParams.from_dict(json.load(fh))
 
 
@@ -56,11 +52,15 @@ class LoadGenSpec:
         errors = []
         if self.mode not in ("open_loop", "closed_loop"):
             errors.append(f"loadgen.mode must be open_loop|closed_loop, got {self.mode!r}")
-        if self.mode == "open_loop" and self.rate_mrps <= 0:
+        if not ic.is_number(self.rate_mrps):
+            errors.append(f"loadgen.rate_mrps must be a number, got {self.rate_mrps!r}")
+        elif self.mode == "open_loop" and self.rate_mrps <= 0:
             errors.append("loadgen.rate_mrps must be > 0")
         if self.arrival not in ("deterministic", "poisson"):
             errors.append(f"loadgen.arrival must be deterministic|poisson, got {self.arrival!r}")
-        if self.mode == "closed_loop" and self.window < 1:
+        if not ic.is_int(self.window):
+            errors.append(f"loadgen.window must be an integer, got {self.window!r}")
+        elif self.mode == "closed_loop" and self.window < 1:
             errors.append("loadgen.window must be >= 1")
         return errors
 
@@ -111,42 +111,65 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict, cost_params: CostParams | None = None) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ConfigInvalid("scenario must be a JSON object")
         errors = []
         known = {"nics", "connections", "loadgen", "cost_params_path",
                  "duration_us", "warmup_us", "seed", "ring_depth"}
         for key in set(data) - known:
             errors.append(f"unknown scenario key '{key}'")
+
+        def typed(key, default, check, kind):
+            value = data.get(key, default)
+            if check(value):
+                return value
+            errors.append(f"{key} must be {kind}, got {value!r}")
+            return default
+
+        def rows(key, fields):
+            """The list under key, keeping only objects whose fields are integers."""
+            out = []
+            value = data.get(key, [])
+            if not isinstance(value, list):
+                errors.append(f"{key} must be a list, got {value!r}")
+                return out
+            for i, row in enumerate(value):
+                if not isinstance(row, dict):
+                    errors.append(f"{key}[{i}] must be an object, got {row!r}")
+                    continue
+                bad = [f for f in fields if not ic.is_int(row.get(f))]
+                errors.extend(f"{key}[{i}]: {f} must be an integer, got {row.get(f)!r}"
+                              for f in bad)
+                if not bad:
+                    out.append((i, row))
+            return out
+
         nic_configs = {}
-        for i, row in enumerate(data.get("nics", [])):
+        for i, row in rows("nics", ("id",)):
             try:
-                nic_configs[int(row["id"])] = NicConfig.from_dict(row.get("config", {}))
-            except (KeyError, TypeError) as exc:
-                errors.append(f"nics[{i}]: {exc}")
+                nic_configs[row["id"]] = NicConfig.from_dict(row.get("config", {}))
             except ConfigInvalid as exc:
                 errors.extend(f"nics[{i}]: {e}" for e in exc.errors)
-        connections = []
-        for i, row in enumerate(data.get("connections", [])):
-            try:
-                connections.append((int(row["client_nic"]), int(row["server_nic"])))
-            except (KeyError, TypeError) as exc:
-                errors.append(f"connections[{i}]: {exc}")
-        lg = data.get("loadgen", {})
+        connections = [(row["client_nic"], row["server_nic"])
+                       for _, row in rows("connections", ("client_nic", "server_nic"))]
+        lg = typed("loadgen", {}, lambda v: isinstance(v, dict), "an object")
         lg_known = {"mode", "rate_mrps", "arrival", "window"}
         for key in set(lg) - lg_known:
             errors.append(f"loadgen: unknown key '{key}'")
         loadgen = LoadGenSpec(**{k: v for k, v in lg.items() if k in lg_known})
         if cost_params is None:
-            path = data.get("cost_params_path")
+            path = typed("cost_params_path", None, lambda v: v is None or isinstance(v, str),
+                         "a path")
             cost_params = CostParams.load(path) if path else default_cost_params()
         scenario = cls(
             nic_configs=nic_configs,
             connections=connections,
             loadgen=loadgen,
             cost_params=cost_params,
-            duration_us=float(data.get("duration_us", DEFAULT_DURATION_US)),
-            warmup_us=float(data.get("warmup_us", DEFAULT_WARMUP_US)),
-            seed=int(data.get("seed", 1)),
-            ring_depth=int(data.get("ring_depth", 64)),
+            duration_us=float(typed("duration_us", DEFAULT_DURATION_US, ic.is_number, "a number")),
+            warmup_us=float(typed("warmup_us", DEFAULT_WARMUP_US, ic.is_number, "a number")),
+            seed=typed("seed", 1, ic.is_int, "an integer"),
+            ring_depth=typed("ring_depth", 64, ic.is_int, "an integer"),
         )
         try:
             scenario.validate()
@@ -328,6 +351,8 @@ def run(scenario: Scenario, collect_trace: bool = False) -> RunResult:
     duration_ns = scenario.duration_us * 1e3
     warmup_ns = scenario.warmup_us * 1e3
     harness.engine.run_until(duration_ns)
+    for client in harness.clients:
+        client.check_conservation()
 
     window_us = scenario.duration_us - scenario.warmup_us
     # throughput counts completions inside the window (flux balance at

@@ -120,3 +120,29 @@ def test_invalid_scenario_gives_config_exit(tmp_path):
     spath.write_text(json.dumps({"nics": [], "connections": []}))
     rc = run_cli(["sweep", "--scenario", str(spath), "--loads", "2"])
     assert rc == 1
+
+
+BAD_OVERRIDES = {
+    "rate_not_a_number": (["sweep", "--loads", "2"], 'loadgen.rate_mrps="abc"',
+                          "loadgen.rate_mrps must be a number"),
+    "nics_not_a_list": (["sweep", "--loads", "2"], "nics=5", "nics must be a list"),
+    "window_not_an_integer": (["scale", "--threads", "1"], "loadgen.window=1.5",
+                              "loadgen.window must be an integer"),
+    "batch_not_an_integer": (["scale", "--threads", "1"],
+                             'nics=[{"id": 0, "config": {"batch_B": 2.5}}, {"id": 1}]',
+                             "nics[0]: batch_B must be an integer"),
+    "unknown_cost_param": (["rawbus", "--threads", "1"], "cost_params.bogus=1",
+                           "unknown cost parameter 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_OVERRIDES))
+def test_bad_override_exits_1_with_a_field_message(case):
+    args, override, message = BAD_OVERRIDES[case]
+    proc = subprocess.run(
+        [sys.executable, "-m", "nicsim.cli", *args, "--override", override],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr

@@ -176,3 +176,36 @@ def test_exactly_once_bulk():
     issues = [i for i, _ in result.samples]
     assert len(issues) == len(set(issues))  # one completion per issue
     assert result.total_completed >= 10_000
+
+
+def test_outstanding_counts_a_blocked_call_once():
+    engine = Engine()
+    arbiter = BusArbiter([0, 1], P.bus_cap_rps)
+    wire = Wire(engine, P)
+    nic0 = Nic(0, NicConfig(), P, engine, arbiter, wire)
+    nic1 = Nic(1, NicConfig(), P, engine, arbiter, wire)
+    server = ServerEndpoint(engine, nic1)
+    server.register_handler(ECHO_FN, echo_handler)
+    client = connect(engine, wire, nic0, nic1, server, ring_depth=4)
+    for _ in range(10):
+        client.start_call(ECHO_FN, b"x")
+    assert client.issuer.blocked_count() == 6  # the ring holds 4
+    assert client.outstanding() == 10
+    client.check_conservation()
+    engine.run_until(1e6)
+    assert client.outstanding() == 0 and client.completed == 10
+    client.check_conservation()
+
+
+def test_conservation_holds_after_an_abandoned_call():
+    engine, client, *_ = _stack("sync")
+    with pytest.raises(ContractViolation):
+        call_sync(client, ECHO_FN, b"slow", limit_ns=100.0)
+    client.check_conservation()
+    call_sync(client, ECHO_FN, b"next")
+    engine.run_until(engine.now + 10_000.0)  # the late response is dropped
+    assert client.issued == 2 and client.completed == 1
+    client.check_conservation()
+    client.completed += 1
+    with pytest.raises(ContractViolation, match="2 calls issued"):
+        client.check_conservation()

@@ -395,3 +395,24 @@ def test_zero_load_submode_bus_behavior():
     late = [t for t in engine.trace if t.kind == ic.KIND_POLL_MISS and t.ts_ns >= 50_000]
     assert not early  # invalidation-driven mode is silent when quiescent
     assert len(late) > 500  # ~one empty poll per t_poll
+
+
+@pytest.mark.parametrize("field_name,value", [
+    ("batch_B", 2.5), ("batch_B", True), ("batch_B", "4"),
+    ("poll_threshold_rps", "fast"), ("rate_window_us", None),
+    ("adaptive_batching", 3),
+])
+def test_nicconfig_rejects_wrong_types(field_name, value):
+    with pytest.raises(ConfigInvalid, match=field_name):
+        NicConfig(**{field_name: value}).validate()
+
+
+def test_adaptive_batching_from_dict_rejects_wrong_types():
+    with pytest.raises(ConfigInvalid, match="low_B must be an integer"):
+        AdaptiveBatching.from_dict({"enabled": True, "low_B": 1.5})
+    with pytest.raises(ConfigInvalid, match="enabled must be true or false"):
+        AdaptiveBatching.from_dict({"enabled": "yes"})
+    with pytest.raises(ConfigInvalid, match="switch_rate_rps must be a number"):
+        AdaptiveBatching.from_dict({"switch_rate_rps": [7e6]})
+    with pytest.raises(ConfigInvalid, match="must be an object"):
+        NicConfig.from_dict({"adaptive_batching": [1, 4]})

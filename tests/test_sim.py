@@ -267,3 +267,37 @@ def test_scenario_validation_field_messages():
 def test_scenario_duration_warmup_ratio_enforced():
     with pytest.raises(ConfigInvalid, match="10x"):
         default_scenario(duration_us=500, warmup_us=100)
+
+
+# Cost parameters at which a publish lands exactly at fetch end, before that
+# fetch's forward step has run; the NIC used to start a second fetch from
+# the Fetch state there ("TX Fetch -> Fetch").
+FETCH_END_CASES = {
+    "mmio_t_mmio_80": dict(tx_mode="mmio", cost=dict(t_mmio=80.0)),
+    "coherent_t_poll_t_cl_20": dict(tx_mode="coherent", cost=dict(t_poll=20.0, t_cl=20.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FETCH_END_CASES))
+def test_publish_at_fetch_end_waits_for_forward(case):
+    c = FETCH_END_CASES[case]
+    s = default_scenario(tx_mode=c["tx_mode"], cost_params=P.replace(**c["cost"]),
+                         loadgen=LoadGenSpec(mode="closed_loop", window=8),
+                         duration_us=300, warmup_us=30)
+    result = run(s)  # the harness checks FIFO order and payloads on every completion
+    assert result.metrics.n_samples > 500
+    assert not result.metrics.saturated
+
+
+def test_run_checks_conservation_per_connection(monkeypatch):
+    start_load = _Harness.start_load
+
+    def start_and_tamper(self):
+        start_load(self)
+        self.clients[0].pending[10**6] = 0.0  # a call nobody issued
+
+    monkeypatch.setattr(_Harness, "start_load", start_and_tamper)
+    s = default_scenario(loadgen=LoadGenSpec(mode="closed_loop", window=4),
+                         duration_us=100, warmup_us=10)
+    with pytest.raises(ContractViolation, match="issued"):
+        run(s)
