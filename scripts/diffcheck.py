@@ -58,7 +58,8 @@ def random_scenario(rng: random.Random) -> dict:
     else:
         loadgen = {"mode": "open_loop", "rate_mrps": round(rng.uniform(0.5, 14.0), 2),
                    "arrival": rng.choice(("deterministic", "poisson"))}
-    # a third NIC is a second server: connection ids are unique per client NIC only
+    # a third NIC is a second server, never a second client: the set stays the
+    # same for trees whose connect() takes ids from the client NIC only
     n_nics = 3 if rng.random() < 0.2 else 2
     connections = [{"client_nic": 0, "server_nic": rng.randrange(1, n_nics)}
                    for _ in range(rng.randint(1, 8))]
@@ -99,10 +100,10 @@ def _sha(data: bytes) -> str:
 
 
 def outcome(sim, spec: dict) -> dict:
-    params = sim.default_cost_params().replace(**spec["cost"])
     try:
-        result = sim.run(sim.Scenario.from_dict(spec["scenario"], cost_params=params),
-                         collect_trace=True)
+        scenario = sim.Scenario.from_dict(spec["scenario"])  # the tree's default params
+        scenario.cost_params = scenario.cost_params.replace(**spec["cost"])
+        result = sim.run(scenario, collect_trace=True)
     except Exception as exc:  # a crash is an outcome too; both trees must agree on it
         return {"error": f"{type(exc).__name__}: {exc}"}
     samples = array("d", (t for sample in result.samples for t in sample))

@@ -21,11 +21,12 @@ Run it after changing the latency composition to re-pick t_inval:
 
 import sys
 
-from nicsim.sim import LoadGenSpec, default_cost_params, default_scenario, run
+from nicsim.interconnect import CostParams
+from nicsim.sim import LoadGenSpec, default_scenario, run
 
 
 def sync_rtt_us(t_inval: float) -> float:
-    params = default_cost_params().replace(t_inval=t_inval)
+    params = CostParams().replace(t_inval=t_inval)
     scenario = default_scenario(
         tx_mode="coherent", batch=1, threading_model="sync",
         loadgen=LoadGenSpec(mode="closed_loop", window=1),

@@ -9,9 +9,12 @@ Subcommands:
     compare    simulated round-trip/throughput next to published systems
     validate   run the acceptance suite; nonzero exit on any failure
 
-All files are JSON in, CSV out. `--override section.key=value` patches the
-scenario (or `cost_params.*`) after loading, so parameter studies need no
-file editing. Every subcommand is deterministic given its inputs and seed.
+All files are JSON in, CSV out. bars, sweep, scale and compare build every
+row from one scenario dict: the standard two-NIC echo setup, or the
+`--scenario` file, with the row's TX interface and load written onto it.
+`--override section.key=value` then patches the scenario (or
+`cost_params.*`), so parameter studies need no file editing. Every
+subcommand is deterministic given its inputs and seed.
 """
 
 from __future__ import annotations
@@ -22,11 +25,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import interconnect as ic
 from . import sim
 from .errors import ConfigInvalid, NicSimError, UnderdeterminedFit
 from .interconnect import CostParams, calibrate, load_datapoints
-from .sim import LoadGenSpec, default_cost_params, default_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -67,9 +68,9 @@ def _pow2_at_least(n: int) -> int:
     return p
 
 
-def _apply_overrides(scenario_data: dict, params: CostParams, overrides):
+def _apply_overrides(scenario_data: dict | None, params: CostParams, overrides):
     """Dotted-path patches: cost_params.* hit the cost model, everything
-    else lands in the scenario dict."""
+    else lands in the scenario dict (None: the subcommand has no scenario)."""
     for item in overrides or []:
         if "=" not in item:
             raise ConfigInvalid(f"override {item!r} is not key=value")
@@ -81,45 +82,35 @@ def _apply_overrides(scenario_data: dict, params: CostParams, overrides):
                 raise ConfigInvalid(f"override {key!r}: expected cost_params.<field>")
             params = params.replace(**{parts[1]: value})
             continue
+        if scenario_data is None:
+            raise ConfigInvalid(f"override {key!r}: this subcommand runs no scenario; "
+                                f"only cost_params.<field> applies")
         node = scenario_data
         for part in parts[:-1]:
             node = node.setdefault(part, {})
             if not isinstance(node, dict):
                 raise ConfigInvalid(f"override {key!r}: {part} does not hold an object")
         node[parts[-1]] = value
-    return scenario_data, params
+    return params
 
 
 def _load_params(args) -> CostParams:
-    return CostParams.load(args.params) if args.params else default_cost_params()
+    return CostParams.load(args.params) if args.params else CostParams()
 
 
-def _scenario_data(args, tx_mode: str, batch: int, loadgen: dict,
-                   adaptive: bool = False) -> dict:
-    if args.scenario:
-        data = json.loads(Path(args.scenario).read_text())
+def _build_scenario(args, tx_mode: str, batch: int, loadgen: dict, adaptive: bool = False,
+                    threading_model: str | None = None) -> sim.Scenario:
+    """One row's scenario: the --scenario file (or the standard echo setup)
+    with the row's interface and load written onto it, then --override."""
+    scenario_file = getattr(args, "scenario", None)
+    if scenario_file:
+        data = json.loads(Path(scenario_file).read_text())
+        if not isinstance(data, dict):
+            raise ConfigInvalid("scenario must be a JSON object")
     else:
-        config = {"tx_mode": tx_mode, "batch_B": batch}
-        if adaptive:
-            config["adaptive_batching"] = {"enabled": True, "low_B": 1, "high_B": 4,
-                                           "switch_rate_rps": 7e6}
-            config["rate_window_us"] = 20.0
-        data = {
-            "nics": [{"id": 0, "config": dict(config)}, {"id": 1, "config": dict(config)}],
-            "connections": [{"client_nic": 0, "server_nic": 1}],
-            "loadgen": loadgen,
-            "seed": args.seed,
-        }
-        if adaptive:
-            data["ring_depth"] = 256
-    return data
-
-
-def _build_scenario(args, tx_mode: str, batch: int, loadgen: dict,
-                    adaptive: bool = False) -> sim.Scenario:
-    data = _scenario_data(args, tx_mode, batch, loadgen, adaptive)
-    params = _load_params(args)
-    data, params = _apply_overrides(data, params, args.override)
+        data = sim.echo_scenario_data(seed=args.seed)
+    sim.set_interface(data, tx_mode, batch, threading_model, adaptive, loadgen)
+    params = _apply_overrides(data, _load_params(args), args.override)
     return sim.Scenario.from_dict(data, cost_params=params)
 
 
@@ -157,6 +148,15 @@ def cmd_bars(args) -> int:
     return EXIT_OK
 
 
+def _parse_number(flag: str, spec: str, kind, text: str):
+    """One item of a list flag, or ConfigInvalid naming the flag."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ConfigInvalid(f"{flag} {spec!r}: {text.strip()!r} is not "
+                            f"{'an integer' if kind is int else 'a number'}") from None
+
+
 def _parse_modes(spec: str, adaptive_flag: bool):
     modes = []
     for token in spec.split(","):
@@ -167,7 +167,7 @@ def _parse_modes(spec: str, adaptive_flag: bool):
             modes.append(("adaptive", 1, True))
         elif ":" in token:
             mode, b = token.split(":", 1)
-            modes.append((mode, int(b.lstrip("B")), False))
+            modes.append((mode, _parse_number("--modes", spec, int, b.lstrip("B")), False))
         else:
             modes.append((token, 1, False))
     if adaptive_flag and not any(m[2] for m in modes):
@@ -176,7 +176,7 @@ def _parse_modes(spec: str, adaptive_flag: bool):
 
 
 def cmd_sweep(args) -> int:
-    loads = [float(x) for x in args.loads.split(",") if x]
+    loads = [_parse_number("--loads", args.loads, float, x) for x in args.loads.split(",") if x]
     lines = ["mode,B,load_mrps,achieved_mrps,median_us,p99_us,saturated"]
     for label, batch, adaptive in _parse_modes(args.modes, args.adaptive):
         mode = "coherent" if adaptive else label
@@ -186,8 +186,9 @@ def cmd_sweep(args) -> int:
              "arrival": "deterministic"},
             adaptive=adaptive,
         )
+        ab = next(iter(scenario.nic_configs.values())).adaptive_batching
+        b_label = f"{ab.low_B}-{ab.high_B}" if adaptive else str(batch)
         for metrics in sim.sweep_load(scenario, loads):
-            b_label = "1-4" if adaptive else str(batch)
             lines.append(f"{label},{b_label},{metrics.csv_row()}")
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -199,9 +200,12 @@ def _parse_threads(spec: str):
         token = token.strip()
         if ".." in token:
             lo, hi = token.split("..", 1)
-            out.extend(range(int(lo), int(hi) + 1))
+            out.extend(range(_parse_number("--threads", spec, int, lo),
+                             _parse_number("--threads", spec, int, hi) + 1))
         elif token:
-            out.append(int(token))
+            out.append(_parse_number("--threads", spec, int, token))
+    if any(t < 1 for t in out):
+        raise ConfigInvalid(f"--threads {spec!r}: thread counts must be >= 1")
     return out
 
 
@@ -217,8 +221,7 @@ def cmd_scale(args) -> int:
 
 def cmd_rawbus(args) -> int:
     counts = _parse_threads(args.threads)
-    params = _load_params(args)
-    _, params = _apply_overrides({}, params, args.override)
+    params = _apply_overrides(None, _load_params(args), args.override)
     lines = ["threads,achieved_mrps"]
     for t, mrps in sim.raw_bus_benchmark(params, counts):
         lines.append(f"{t},{mrps:.4f}")
@@ -234,7 +237,7 @@ def cmd_calibrate(args) -> int:
     else:
         with resources.files("nicsim.data").joinpath("calibration_points.json").open() as fh:
             points = [(r["mode"], int(r["B"]), float(r["mrps"])) for r in json.load(fh)]
-    base = CostParams.load(args.params) if args.params else CostParams()
+    base = _apply_overrides(None, _load_params(args), args.override)
     params, residuals = calibrate(points, base=base)
     out = args.out or "calibrated_params.json"
     params.save(out)
@@ -254,23 +257,19 @@ def cmd_compare(args) -> int:
 
     with resources.files("nicsim.data").joinpath("related_work.json").open() as fh:
         reference = json.load(fh)
-    params = _load_params(args)
-    _, params = _apply_overrides({}, params, args.override)
-    if args.tor is not None:
-        params = params.replace(t_wire=args.tor * 1000.0)
 
-    sync_scenario = default_scenario(
-        tx_mode="coherent", batch=1, threading_model="sync",
-        loadgen=LoadGenSpec(mode="closed_loop", window=1),
-        cost_params=params, seed=args.seed,
-    )
-    rtt_us = sim.run(sync_scenario).metrics.median_us
-    sat_scenario = default_scenario(
-        tx_mode="coherent", batch=4,
-        loadgen=LoadGenSpec(mode="closed_loop", window=64),
-        cost_params=params, seed=args.seed,
-    )
-    mrps = sim.run(sat_scenario).metrics.achieved_mrps
+    def measure(batch: int, threading_model: str, window: int):
+        scenario = _build_scenario(args, "coherent", batch,
+                                   {"mode": "closed_loop", "window": window},
+                                   threading_model=threading_model)
+        if args.tor is not None:
+            scenario = replace(scenario, cost_params=scenario.cost_params.replace(
+                t_wire=args.tor * 1000.0))
+        return scenario.cost_params, sim.run(scenario).metrics
+
+    params, sync = measure(1, "sync", 1)
+    _, sat = measure(4, "async", 64)
+    rtt_us, mrps = sync.median_us, sat.achieved_mrps
 
     lines = ["system,objects,tor_delay_us,rtt_us,mrps"]
     for row in reference["rows"]:

@@ -25,7 +25,7 @@ from .errors import (
     UnknownDestination,
     WouldBlock,
 )
-from .protocol import ConnectionRecord, FlowTable, RpcEntry
+from .protocol import ConnectionRecord, RpcEntry
 from .rings import CompletionQueue, RingPair
 
 ECHO_FN = 0
@@ -44,19 +44,19 @@ class _TxIssuer:
         self.tx = tx_ring
         self._blocked = deque()
 
-    def submit(self, entry: RpcEntry, meta=None) -> bool:
+    def submit(self, entry: RpcEntry) -> bool:
         """Publish an entry, or queue it until a TX slot frees up.
 
         Returns True if the entry went out immediately.
         """
         slot = self.tx.tx_acquire()
         if slot is None:
-            self._blocked.append((entry, meta))
+            self._blocked.append(entry)
             return False
         self._publish(slot, entry)
         return True
 
-    def try_submit(self, entry: RpcEntry, meta=None) -> None:
+    def try_submit(self, entry: RpcEntry) -> None:
         slot = self.tx.tx_acquire()
         if slot is None:
             raise WouldBlock("TX ring full")
@@ -90,8 +90,7 @@ class _TxIssuer:
             slot = self.tx.tx_acquire()
             if slot is None:
                 return
-            entry, _meta = self._blocked.popleft()
-            self._publish(slot, entry)
+            self._publish(slot, self._blocked.popleft())
 
     def blocked_count(self) -> int:
         return len(self._blocked)
@@ -306,26 +305,18 @@ def echo_handler(payload: bytes) -> bytes:
 
 
 def connect(engine, wire, client_nic, server_nic, server_endpoint,
-            threading_model: str = "async", conn_id: int | None = None,
-            ring_depth: int | None = None, flow_tables: dict | None = None) -> ClientEndpoint:
+            threading_model: str = "async", ring_depth: int | None = None) -> ClientEndpoint:
     """Install a connection on both NICs and hand back the client endpoint.
 
     Allocates a fresh ring pair per side (per-connection provisioning) and
-    registers flow-table records at both ends.
+    registers flow-table records at both ends, under an id that is new to
+    both NICs.
     """
     if server_nic.nic_id not in wire.nics or client_nic.nic_id not in wire.nics:
         raise UnknownDestination("both NICs must be attached to the wire")
-    if flow_tables is not None:
-        client_table = flow_tables.setdefault(client_nic.nic_id, FlowTable())
-        server_table = flow_tables.setdefault(server_nic.nic_id, FlowTable())
-    else:
-        client_table = getattr(client_nic, "flow_table", None) or FlowTable()
-        client_nic.flow_table = client_table
-        server_table = getattr(server_nic, "flow_table", None) or FlowTable()
-        server_nic.flow_table = server_table
-
-    if conn_id is None:
-        conn_id = max((r.connection_id for r in client_table), default=-1) + 1
+    client_table, server_table = client_nic.flow_table, server_nic.flow_table
+    conn_id = max((r.connection_id for table in (client_table, server_table) for r in table),
+                  default=-1) + 1
     depth = ring_depth or 64
     try:
         client_rings = RingPair(depth)

@@ -1,10 +1,10 @@
 """Transaction-level cost model of the host<->NIC channel.
 
-Three TX modes (mmio, doorbell, coherent) are modeled as a single-server
-queue per connection: every fetch batch occupies the channel for its
-occupancy time (which fixes throughput) and reaches the NIC after its
-transfer latency (which fixes the latency contribution). Closed forms for
-steady-state single-core throughput:
+Per-fetch costs of the three TX modes (mmio, doorbell, coherent), which
+the NIC's TX path in nic.py charges: every fetch batch occupies its
+connection's channel for its occupancy time (which fixes throughput) and
+reaches the peer after its transfer latency (which fixes the latency
+contribution). Closed forms for steady-state single-core throughput:
 
     mmio                 1 / t_mmio
     doorbell, batch B    B / (t_doorbell + B * t_entry)
@@ -31,7 +31,7 @@ already-optimized write path and are traced but not budgeted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,14 +89,16 @@ class CostParams:
     """Per-transaction virtual-nanosecond costs plus the bus capacity.
 
     All latency fields are ns; bus_cap_rps is 64B transactions per second.
-    Values are calibration outputs, not measurements.
+    Values are calibration outputs, not measurements: the five rate fields
+    are the fit of data/calibration_points.json (`nicsim calibrate`), the
+    latency fields are tuned against the 4 Mrps latency points.
     """
 
-    t_mmio: float = 238.095  # one 64B MMIO store (issue occupancy)
-    t_doorbell: float = 153.79  # doorbell ring + DMA setup, per batch
-    t_entry: float = 78.05  # per-entry DMA fetch occupancy
-    t_poll: float = 57.08  # per-batch coherent poll overhead
-    t_cl: float = 66.37  # per-cache-line coherent transfer
+    t_mmio: float = 238.09523809523807  # one 64B MMIO store (issue occupancy)
+    t_doorbell: float = 153.8058970789823  # doorbell ring + DMA setup, per batch
+    t_entry: float = 78.04817118767431  # per-entry DMA fetch occupancy
+    t_poll: float = 57.08217177751229  # per-batch coherent poll overhead
+    t_cl: float = 66.3746183459445  # per-cache-line coherent transfer
     t_inval: float = 120.0  # invalidation message latency (tuned)
     t_dma_write: float = 300.0  # NIC->host 64B DMA write / one traversal
     t_memcpy: float = 100.0  # host-side 64B copy (publish, delivery)
@@ -206,76 +208,6 @@ def bandwidth_headroom_ratio(rate_rps: float, peak_gbytes_per_s: float) -> float
     """How many times the peak link bandwidth exceeds a 64B request stream."""
     consumed = rate_rps * 64 / 1e9
     return peak_gbytes_per_s / consumed
-
-
-# -- standalone channel model --------------------------------------------
-
-
-def _simulate_tx_channel(params: CostParams, mode: str, batch: int, publish_ns,
-                         notify_delay_ns: float = 0.0, discovery_ns: float = 0.0):
-    """Single-connection TX channel: publish times in, visible times out.
-
-    Entries accumulate until `batch` are pending, then one fetch occupies
-    the channel and delivers the whole batch after its transfer latency.
-    notify_delay_ns models the invalidation message (inval submode);
-    discovery_ns models waiting for the next poll iteration (direct
-    submode at the fetch trigger).
-    """
-    if batch < 1:
-        raise ConfigInvalid("batch must be >= 1")
-    transactions = []
-    visible = []
-    channel_free = 0.0
-    pending = []
-    extra = tx_extra_latency_ns(params, mode)
-    for t in sorted(publish_ns):
-        pending.append(t + notify_delay_ns)
-        if len(pending) < batch:
-            continue
-        start = max(pending[-1] + discovery_ns, channel_free)
-        occ = tx_occupancy_ns(params, mode, batch)
-        for kind, count in tx_batch_transactions(mode, batch):
-            transactions.append(Transaction(start, "channel", kind, count))
-        done = start + occ
-        channel_free = done
-        visible.extend([done + extra] * batch)
-        pending = []
-    return transactions, visible
-
-
-def tx_mmio_submit(params: CostParams, publish_ns):
-    """MMIO mode: one 64B store per entry, serialized at t_mmio."""
-    params.validate()
-    return _simulate_tx_channel(params, MODE_MMIO, 1, publish_ns)
-
-
-def tx_doorbell_submit(params: CostParams, publish_ns, batch: int):
-    """Doorbell mode: entries wait for a full batch (no timeout), then one
-    doorbell ring plus one batched DMA read."""
-    params.validate()
-    return _simulate_tx_channel(params, MODE_DOORBELL, batch, publish_ns)
-
-
-def tx_coherent_submit(params: CostParams, publish_ns, batch: int,
-                       submode: str = SUBMODE_DIRECT):
-    """Coherent mode: invalidation-notified at low rate, direct LLC polling
-    at high rate (the poll cost is part of each fetch)."""
-    params.validate()
-    if submode == SUBMODE_INVAL:
-        return _simulate_tx_channel(params, MODE_COHERENT, batch, publish_ns,
-                                    notify_delay_ns=params.t_inval)
-    if submode == SUBMODE_DIRECT:
-        return _simulate_tx_channel(params, MODE_COHERENT, batch, publish_ns,
-                                    discovery_ns=params.t_poll / 2)
-    raise ConfigInvalid(f"unknown coherent submode {submode!r}")
-
-
-def steady_rate_mrps(visible_ns, publish_ns) -> float:
-    """Achieved throughput of a channel simulation, in Mrps."""
-    if len(visible_ns) < 2:
-        return 0.0
-    span = max(visible_ns) - min(publish_ns)
-    return (len(visible_ns) / span) * 1e3 if span > 0 else float("inf")
 
 
 # -- bus arbiter -------------------------------------------------------------

@@ -29,7 +29,8 @@ from .errors import (
     TransitionError,
     UnknownDestination,
 )
-from .rings import DEFAULT_DEPTH, RingPair
+from .protocol import FlowTable
+from .rings import DEFAULT_DEPTH
 
 HARD_FIELDS = ("tx_mode", "threading_model")
 SOFT_FIELDS = ("batch_B", "poll_threshold_rps", "adaptive_batching", "rate_window_us")
@@ -111,7 +112,7 @@ class NicConfig:
         return self
 
     @classmethod
-    def from_dict(cls, data: dict) -> "NicConfig":
+    def from_dict(cls, data: dict, ring_depth: int = DEFAULT_DEPTH) -> "NicConfig":
         if not isinstance(data, dict):
             raise ConfigInvalid(f"NicConfig must be an object, got {data!r}")
         fields_ok = set(HARD_FIELDS) | set(SOFT_FIELDS)
@@ -121,7 +122,7 @@ class NicConfig:
         kw = dict(data)
         if "adaptive_batching" in kw:
             kw["adaptive_batching"] = AdaptiveBatching.from_dict(kw["adaptive_batching"])
-        return cls(**kw).validate()
+        return cls(**kw).validate(ring_depth)
 
 
 class TxState(Enum):
@@ -224,6 +225,7 @@ class Nic:
         self.arbiter = arbiter
         self.wire = wire
         wire.attach(self)
+        self.flow_table = FlowTable()  # connection records, filled by host.connect
         self.conns: dict[int, _ConnEndpoint] = {}
         self._endpoints: list[_ConnEndpoint] = []  # conns.values() in RX round-robin order
         self.submode = ic.SUBMODE_INVAL  # startup: poll local cache, rely on invalidations
@@ -251,12 +253,6 @@ class Nic:
         if self.config.tx_mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_DIRECT:
             self._start_poll_loop(ep)
         return ep
-
-    def detach_connection(self, conn_id) -> None:
-        ep = self.conns.pop(conn_id, None)
-        if ep is not None:
-            self._rx_queued -= len(ep.rx_backlog)
-        self._index_endpoints()
 
     def _index_endpoints(self) -> None:
         self._endpoints = list(self.conns.values())

@@ -56,9 +56,6 @@ class RpcEntry:
     payload: bytes
     valid_flag: int = 1
 
-    def is_request(self) -> bool:
-        return self.kind == KIND_REQUEST
-
 
 def encode_entry(entry: RpcEntry) -> bytes:
     """Pack an entry into its 64-byte wire form.
@@ -124,7 +121,7 @@ class ConnectionRecord:
 class FlowTable:
     """connection_id -> ConnectionRecord, insertion-ordered.
 
-    Mutated only during connection setup/teardown; ring pairs are never
+    Mutated only during connection setup; ring pairs are never
     shared between records.
     """
 
@@ -150,12 +147,6 @@ class FlowTable:
             return self._records[connection_id]
         except KeyError:
             raise ConnectionNotFound(f"connection {connection_id} not registered") from None
-
-    def remove(self, connection_id: int) -> None:
-        self._records.pop(connection_id, None)
-
-    def __contains__(self, connection_id: int) -> bool:
-        return connection_id in self._records
 
     def __iter__(self):
         return iter(self._records.values())

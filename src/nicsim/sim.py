@@ -15,11 +15,9 @@ issued during warmup are excluded from the reduced metrics.
 
 from __future__ import annotations
 
-import json
 import random
 import struct
-from dataclasses import dataclass, replace
-from importlib import resources
+from dataclasses import asdict, dataclass, replace
 
 from . import host as host_mod
 from . import interconnect as ic
@@ -34,11 +32,6 @@ SATURATION_EPSILON = 0.01
 
 DEFAULT_DURATION_US = 2000.0
 DEFAULT_WARMUP_US = 200.0
-
-
-def default_cost_params() -> CostParams:
-    with resources.files("nicsim.data").joinpath("broadwell_a10.json").open() as fh:
-        return CostParams.from_dict(json.load(fh))
 
 
 @dataclass
@@ -144,10 +137,11 @@ class Scenario:
                     out.append((i, row))
             return out
 
+        ring_depth = typed("ring_depth", 64, ic.is_int, "an integer")
         nic_configs = {}
         for i, row in rows("nics", ("id",)):
             try:
-                nic_configs[row["id"]] = NicConfig.from_dict(row.get("config", {}))
+                nic_configs[row["id"]] = NicConfig.from_dict(row.get("config", {}), ring_depth)
             except ConfigInvalid as exc:
                 errors.extend(f"nics[{i}]: {e}" for e in exc.errors)
         connections = [(row["client_nic"], row["server_nic"])
@@ -160,7 +154,7 @@ class Scenario:
         if cost_params is None:
             path = typed("cost_params_path", None, lambda v: v is None or isinstance(v, str),
                          "a path")
-            cost_params = CostParams.load(path) if path else default_cost_params()
+            cost_params = CostParams.load(path) if path else CostParams()
         scenario = cls(
             nic_configs=nic_configs,
             connections=connections,
@@ -169,7 +163,7 @@ class Scenario:
             duration_us=float(typed("duration_us", DEFAULT_DURATION_US, ic.is_number, "a number")),
             warmup_us=float(typed("warmup_us", DEFAULT_WARMUP_US, ic.is_number, "a number")),
             seed=typed("seed", 1, ic.is_int, "an integer"),
-            ring_depth=typed("ring_depth", 64, ic.is_int, "an integer"),
+            ring_depth=ring_depth,
         )
         try:
             scenario.validate()
@@ -178,6 +172,52 @@ class Scenario:
         if errors:
             raise ConfigInvalid(errors)
         return scenario
+
+
+def echo_scenario_data(n_connections: int = 1, duration_us: float = DEFAULT_DURATION_US,
+                       warmup_us: float = DEFAULT_WARMUP_US, seed: int = 1,
+                       ring_depth: int = 64) -> dict:
+    """The standard two-NIC echo setup, in Scenario.from_dict form; its NICs
+    run the NicConfig defaults until set_interface writes a row onto them."""
+    return {
+        "nics": [{"id": 0, "config": {}}, {"id": 1, "config": {}}],
+        "connections": [{"client_nic": 0, "server_nic": 1} for _ in range(n_connections)],
+        "duration_us": duration_us,
+        "warmup_us": warmup_us,
+        "seed": seed,
+        "ring_depth": ring_depth,
+    }
+
+
+def set_interface(data: dict, tx_mode: str, batch: int, threading_model: str | None = None,
+                  adaptive: bool = False, loadgen: dict | None = None) -> None:
+    """Write one TX interface onto every NIC of a scenario dict, in place.
+
+    The adaptive-batching controller is switched on (at its defaults) or
+    off; a threading model or a loadgen, when given, replaces the dict's.
+    Adaptive scenarios use a faster controller window and deeper rings so
+    the cold-start transient (the spell spent at the low batch size under
+    high offered load) drains inside the warmup window. Values of the wrong
+    shape are left alone for Scenario.from_dict to report.
+    """
+    nics = data.get("nics")
+    for nic in nics if isinstance(nics, list) else ():
+        config = nic.setdefault("config", {}) if isinstance(nic, dict) else None
+        if not isinstance(config, dict):
+            continue
+        config["tx_mode"] = tx_mode
+        config["batch_B"] = batch
+        if threading_model is not None:
+            config["threading_model"] = threading_model
+        config.pop("adaptive_batching", None)
+        if adaptive:
+            config["adaptive_batching"] = {"enabled": True}
+            config["rate_window_us"] = 20.0
+    depth = data.get("ring_depth", 64)
+    if adaptive and ic.is_int(depth):
+        data["ring_depth"] = max(depth, 256)
+    if loadgen is not None:
+        data["loadgen"] = dict(loadgen)
 
 
 def default_scenario(tx_mode: str = ic.MODE_COHERENT, batch: int = 1,
@@ -190,31 +230,11 @@ def default_scenario(tx_mode: str = ic.MODE_COHERENT, batch: int = 1,
                      warmup_us: float = DEFAULT_WARMUP_US,
                      seed: int = 1,
                      ring_depth: int = 64) -> Scenario:
-    """The standard two-NIC echo setup used by the command-line front end.
-
-    Adaptive scenarios use a faster controller window and deeper rings so
-    the cold-start transient (the spell spent at the low batch size under
-    high offered load) drains inside the warmup window.
-    """
-    cfg = NicConfig(
-        tx_mode=tx_mode,
-        threading_model=threading_model,
-        batch_B=batch,
-    )
-    if adaptive:
-        cfg.adaptive_batching = replace(cfg.adaptive_batching, enabled=True)
-        cfg.rate_window_us = 20.0
-        ring_depth = max(ring_depth, 256)
-    return Scenario(
-        nic_configs={0: cfg, 1: replace(cfg)},
-        connections=[(0, 1)] * n_connections,
-        loadgen=loadgen or LoadGenSpec(),
-        cost_params=cost_params or default_cost_params(),
-        duration_us=duration_us,
-        warmup_us=warmup_us,
-        seed=seed,
-        ring_depth=ring_depth,
-    ).validate()
+    """The standard two-NIC echo setup running one TX interface."""
+    data = echo_scenario_data(n_connections, duration_us, warmup_us, seed, ring_depth)
+    set_interface(data, tx_mode, batch, threading_model, adaptive,
+                  asdict(loadgen) if loadgen is not None else None)
+    return Scenario.from_dict(data, cost_params=cost_params)
 
 
 @dataclass

@@ -15,7 +15,6 @@ from nicsim.interconnect import CostParams, bandwidth_headroom_ratio, calibrate
 from nicsim.realthreads import run_echo_stress
 from nicsim.sim import (
     LoadGenSpec,
-    default_cost_params,
     default_scenario,
     metrics_csv,
     raw_bus_benchmark,
@@ -59,7 +58,7 @@ def test_criterion_1_calibrated_throughput_reproduction():
     fitted, _ = calibrate(
         [("mmio", 1, 4.2), ("doorbell", 1, 4.3), ("doorbell", 32, 12.0),
          ("coherent", 1, 8.1), ("coherent", 4, 12.4)],
-        base=default_cost_params(),
+        base=CostParams(),
     )
     checks = []
     for batch, target in [(3, 7.9), (7, 9.9), (11, 10.8)]:  # held out of the fit
@@ -119,7 +118,7 @@ def test_criterion_4_scaling_and_raw_bus():
     linear_ok = all(abs(scaling[t] - t * 12.4) / (t * 12.4) <= 0.10 for t in (1, 2, 3))
     plateau_ok = all(40.0 - MEASURE_EPS <= scaling[t] <= 42.0 + MEASURE_EPS
                      for t in (4, 5, 6, 7, 8))
-    raw = dict(raw_bus_benchmark(default_cost_params(), [1, 2, 3, 4, 5, 6, 7, 8]))
+    raw = dict(raw_bus_benchmark(CostParams(), [1, 2, 3, 4, 5, 6, 7, 8]))
     raw_ok = abs(raw[8] - 80.0) / 80.0 <= 0.05 and abs(raw[7] - 80.0) / 80.0 <= 0.05
     ratio = bandwidth_headroom_ratio(84e6, 41.6)
     ratio_ok = abs(ratio - 7.74) <= 0.01

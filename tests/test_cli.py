@@ -133,6 +133,13 @@ BAD_OVERRIDES = {
                              "nics[0]: batch_B must be an integer"),
     "unknown_cost_param": (["rawbus", "--threads", "1"], "cost_params.bogus=1",
                            "unknown cost parameter 'bogus'"),
+    "compare_nics_not_a_list": (["compare"], "nics=5", "nics must be a list"),
+    "compare_duration_below_warmup": (["compare"], "duration_us=50",
+                                      "duration_us must be >= 10x warmup_us"),
+    "rawbus_scenario_key": (["rawbus", "--threads", "1"], "duration_us=x",
+                            "override 'duration_us': this subcommand runs no scenario"),
+    "calibrate_scenario_key": (["calibrate", "--out", "/dev/null"], "loadgen.window=2",
+                               "override 'loadgen.window': this subcommand runs no scenario"),
 }
 
 
@@ -146,3 +153,56 @@ def test_bad_override_exits_1_with_a_field_message(case):
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr
+
+
+BAD_LIST_FLAGS = {
+    "sweep_modes": (["sweep", "--modes", "coherent:Bx"], "--modes 'coherent:Bx'"),
+    "sweep_loads": (["sweep", "--loads", "a"], "--loads 'a'"),
+    "scale_threads": (["scale", "--threads", "x"], "--threads 'x'"),
+    "rawbus_threads_range": (["rawbus", "--threads", "1..x"], "--threads '1..x'"),
+    "rawbus_threads_zero": (["rawbus", "--threads", "0"], "thread counts must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LIST_FLAGS))
+def test_bad_list_flag_exits_1_with_the_flag_name(case):
+    args, message = BAD_LIST_FLAGS[case]
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_calibrate_applies_cost_param_overrides(tmp_path):
+    out = tmp_path / "fit.json"
+    rc = run_cli(["calibrate", "--out", str(out), "--residuals", str(tmp_path / "r.csv"),
+                  "--override", "cost_params.t_wire=1"])
+    assert rc == 0
+    fitted = json.loads(out.read_text())
+    assert fitted["t_wire"] == 1.0
+    assert fitted["t_poll"] == pytest.approx(57.08, abs=0.1)  # fitted fields still fitted
+
+
+SCENARIO_FILE = Path(__file__).parent.parent / "scenarios" / "echo_64b.json"
+SHORT = ["--override", "duration_us=500", "--override", "warmup_us=50"]
+
+
+def test_bars_runs_its_rows_on_a_scenario_file(tmp_path):
+    # the file is coherent B=1 at 4 Mrps open loop; every row replaces that
+    out = tmp_path / "bars.csv"
+    assert run_cli(["bars", "--scenario", str(SCENARIO_FILE), *SHORT, "--out", str(out)]) == 0
+    rows = {(r[0], int(r[1])): float(r[2])
+            for r in (line.split(",") for line in out.read_text().strip().split("\n")[1:])}
+    assert rows[("mmio", 1)] == pytest.approx(4.2, rel=0.05)
+    assert rows[("coherent", 4)] == pytest.approx(12.4, rel=0.05)
+
+
+def test_sweep_labels_match_the_rows_run_on_a_scenario_file(tmp_path):
+    out_file, out_default = tmp_path / "file.csv", tmp_path / "default.csv"
+    args = ["sweep", "--modes", "coherent:B4", "--loads", "11", *SHORT]
+    assert run_cli([*args, "--scenario", str(SCENARIO_FILE), "--out", str(out_file)]) == 0
+    assert run_cli([*args, "--out", str(out_default)]) == 0
+    # the file differs from the standard setup only in what each row replaces
+    assert out_file.read_text() == out_default.read_text()
+    assert out_file.read_text().split("\n")[1].startswith("coherent,4,11.0000,")

@@ -15,7 +15,7 @@ from nicsim.errors import (
 from nicsim.host import ECHO_FN, ServerEndpoint, call_sync, connect, echo_handler
 from nicsim.interconnect import BusArbiter, CostParams
 from nicsim.nic import Nic, NicConfig, Wire
-from nicsim.sim import LoadGenSpec, default_scenario, run
+from nicsim.sim import LoadGenSpec, Scenario, _Harness, default_scenario, run
 
 P = CostParams()
 
@@ -78,6 +78,21 @@ def test_hundred_connections_distinct_ring_pairs():
     assert len(ring_ids) == 100
     assert len(nic0.flow_table) == 100
     assert sorted(c.connection_id for c in clients) == list(range(100))
+
+
+def test_two_client_nics_into_one_server_nic():
+    # connection ids must be new on the shared server NIC, not only per client
+    scenario = Scenario.from_dict({
+        "nics": [{"id": i} for i in range(3)],
+        "connections": [{"client_nic": 0, "server_nic": 2}, {"client_nic": 1, "server_nic": 2}],
+        "loadgen": {"mode": "closed_loop", "window": 4},
+        "duration_us": 100, "warmup_us": 10,
+    })
+    harness = _Harness(scenario, collect_trace=False)
+    assert [c.connection_id for c in harness.clients] == [0, 1]
+    assert [len(harness.nics[i].flow_table) for i in range(3)] == [1, 1, 2]
+    result = run(scenario)  # ends with check_conservation on every connection
+    assert result.total_completed > 0
 
 
 def test_connect_unattached_nic_rejected():

@@ -1,12 +1,16 @@
-"""Cost-model unit tests: closed forms, channel simulation, arbiter, fit."""
+"""Cost-model unit tests: closed forms (checked on the NIC's TX path),
+cost params, arbiter, fit."""
 
 import json
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nicsim.interconnect as ic
+from nicsim import protocol
+from nicsim.cli import _pow2_at_least, saturation_window
 from nicsim.errors import ConfigInvalid, UnderdeterminedFit
 from nicsim.interconnect import (
     BusArbiter,
@@ -16,20 +20,47 @@ from nicsim.interconnect import (
     bandwidth_headroom_ratio,
     calibrate,
     closed_form_rate,
-    steady_rate_mrps,
-    tx_coherent_submit,
-    tx_doorbell_submit,
-    tx_mmio_submit,
 )
+from nicsim.nic import NicConfig, TxState
+from nicsim.rings import RingPair
+from nicsim.sim import LoadGenSpec, default_scenario, run
+from test_nic import _noop, _rig
 
 P = CostParams()
 
 
-def _dense_publishes(n=20_000, gap_ns=5.0):
-    return [i * gap_ns for i in range(n)]
+def _saturated_mrps(mode, batch):
+    """Closed-loop echo throughput of the full NIC path, in Mrps."""
+    window = saturation_window(batch)
+    scenario = default_scenario(
+        tx_mode=mode, batch=batch, loadgen=LoadGenSpec(mode="closed_loop", window=window),
+        duration_us=1000, warmup_us=100, ring_depth=_pow2_at_least(2 * window))
+    return run(scenario).metrics.achieved_mrps
 
 
-# -- closed forms vs channel simulation (dual route, within 2%) -------------
+def _publish_on_rig(config, n, direct_poll=False):
+    """Publish n entries on connection 0 of NIC 0 of the two-NIC rig.
+
+    Returns the times at which each entry became visible on NIC 1, NIC 0
+    and NIC 0's trace records.
+    """
+    engine, wire, nic0, nic1 = _rig(config, trace=True)
+    if direct_poll:  # one rate sample above the poll threshold
+        nic0.adaptive_controllers_step(2 * nic0.config.poll_threshold_rps)
+        assert nic0.submode == ic.SUBMODE_DIRECT
+    pair = RingPair(64)
+    nic0.attach_connection(0, pair, 1, _noop, _noop)
+    visible = []
+    nic1.attach_connection(0, RingPair(64), 0, lambda conn, ts: visible.append(ts), _noop)
+    for rpc in range(n):
+        slot = pair.tx.tx_acquire()
+        pair.tx.tx_publish(slot, protocol.encode_entry(protocol.RpcEntry(0, 0, rpc, 0, b"")))
+        nic0.on_tx_publish(0)
+    engine.run_until(50_000.0)
+    return visible, nic0, [t for t in engine.trace if t.issuer == "nic0"]
+
+
+# -- closed forms vs the NIC path (dual route, within 2%) -------------------
 
 
 @pytest.mark.parametrize(
@@ -39,28 +70,21 @@ def _dense_publishes(n=20_000, gap_ns=5.0):
      ("coherent", 1), ("coherent", 4)],
 )
 def test_channel_sim_matches_closed_form(mode, batch):
-    pubs = _dense_publishes()
-    if mode == "mmio":
-        _, visible = tx_mmio_submit(P, pubs)
-    elif mode == "doorbell":
-        _, visible = tx_doorbell_submit(P, pubs, batch)
-    else:
-        _, visible = tx_coherent_submit(P, pubs, batch)
-    simulated = steady_rate_mrps(visible, pubs)
     expected = closed_form_rate(P, mode, batch) / 1e6
-    assert simulated == pytest.approx(expected, rel=0.02)
+    assert _saturated_mrps(mode, batch) == pytest.approx(expected, rel=0.02)
 
 
 def test_saturated_mmio_rate_hits_published_bar():
-    _, visible = tx_mmio_submit(P, _dense_publishes())
-    assert steady_rate_mrps(visible, _dense_publishes()) == pytest.approx(4.2, rel=0.05)
+    assert _saturated_mrps("mmio", 1) == pytest.approx(4.2, rel=0.05)
 
 
 def test_single_mmio_store_visibility():
-    txns, visible = tx_mmio_submit(P, [0.0])
-    assert [t.kind for t in txns] == [ic.KIND_MMIO_STORE]
-    # issue occupancy plus the calibrated interconnect traversals
-    assert visible[0] == pytest.approx(P.t_mmio + 3 * P.t_dma_write)
+    visible, nic0, trace = _publish_on_rig(NicConfig(tx_mode="mmio"), 1)
+    assert nic0.arbiter.grant_counts[0] == 1  # the store is one bus transaction
+    assert [t.kind for t in trace] == [ic.KIND_WIRE_HOP]
+    # issue occupancy plus the calibrated interconnect traversals, then the
+    # wire hop and the peer's DMA write
+    assert visible == [pytest.approx(P.t_mmio + 3 * P.t_dma_write + P.t_wire + P.t_dma_write)]
 
 
 def test_doorbell_published_bars():
@@ -70,8 +94,11 @@ def test_doorbell_published_bars():
 
 
 def test_doorbell_waits_for_full_batch():
-    txns, visible = tx_doorbell_submit(P, [0.0, 10.0], batch=4)
-    assert txns == [] and visible == []  # no timeout: two pending, four needed
+    visible, nic0, trace = _publish_on_rig(NicConfig(tx_mode="doorbell", batch_B=4), 2)
+    # no timeout: two pending, four needed
+    ep = nic0.conns[0]
+    assert visible == [] and trace == [] and nic0.arbiter.grant_counts[0] == 0
+    assert ep.tx_state is TxState.IDLE_POLL and ep.rings.tx.dirty_run() == 2
 
 
 def test_coherent_published_bars():
@@ -80,10 +107,11 @@ def test_coherent_published_bars():
 
 
 def test_coherent_submodes_latency_split():
-    _, inval_vis = tx_coherent_submit(P, [0.0], 1, submode=ic.SUBMODE_INVAL)
-    _, direct_vis = tx_coherent_submit(P, [0.0], 1, submode=ic.SUBMODE_DIRECT)
-    assert inval_vis[0] == pytest.approx(P.t_inval + P.t_poll + P.t_cl)
-    assert direct_vis[0] == pytest.approx(P.t_poll / 2 + P.t_poll + P.t_cl)
+    inval_vis, _, _ = _publish_on_rig(NicConfig(), 1)
+    direct_vis, _, _ = _publish_on_rig(NicConfig(), 1, direct_poll=True)
+    hop = P.t_wire + P.t_dma_write
+    assert inval_vis == [pytest.approx(P.t_inval + P.t_poll + P.t_cl + hop)]
+    assert direct_vis == [pytest.approx(P.t_poll / 2 + P.t_poll + P.t_cl + hop)]
 
 
 def test_throughput_monotone_in_batch():
@@ -146,20 +174,11 @@ def test_calibrate_empty_and_underdetermined():
 
 
 def test_shipped_defaults_match_calibration_of_shipped_datapoints():
-    from nicsim.interconnect import load_datapoints
-    from importlib import resources
-
     with resources.files("nicsim.data").joinpath("calibration_points.json").open() as fh:
-        import json as _json
-
-        raw = _json.load(fh)
-    points = [(r["mode"], r["B"], r["mrps"]) for r in raw]
+        points = [(r["mode"], r["B"], r["mrps"]) for r in json.load(fh)]
     fitted, _ = calibrate(points)
-    from nicsim.sim import default_cost_params
-
-    shipped = default_cost_params()
     for name in ("t_mmio", "t_doorbell", "t_entry", "t_poll", "t_cl"):
-        assert getattr(fitted, name) == pytest.approx(getattr(shipped, name), rel=1e-9)
+        assert getattr(fitted, name) == pytest.approx(getattr(P, name), rel=1e-9)
 
 
 # -- arbiter -----------------------------------------------------------------

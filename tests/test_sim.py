@@ -12,7 +12,6 @@ from nicsim.sim import (
     LoadGenSpec,
     _Harness,
     Scenario,
-    default_cost_params,
     default_scenario,
     make_payload,
     metrics_csv,
@@ -23,7 +22,7 @@ from nicsim.sim import (
     trace_csv,
 )
 
-P = default_cost_params()
+P = CostParams()
 
 
 def test_event_order_and_clock():
@@ -301,3 +300,16 @@ def test_run_checks_conservation_per_connection(monkeypatch):
                          duration_us=100, warmup_us=10)
     with pytest.raises(ContractViolation, match="issued"):
         run(s)
+
+
+def test_batch_bound_follows_the_scenario_ring_depth():
+    data = {
+        "nics": [{"id": i, "config": {"tx_mode": "doorbell", "batch_B": 128}} for i in (0, 1)],
+        "connections": [{"client_nic": 0, "server_nic": 1}],
+        "ring_depth": 256,
+    }
+    assert Scenario.from_dict(data).nic_configs[0].batch_B == 128
+    assert default_scenario(tx_mode="doorbell", batch=128, ring_depth=256).ring_depth == 256
+    data["ring_depth"] = 64
+    with pytest.raises(ConfigInvalid, match=r"batch_B must be in 1\.\.64"):
+        Scenario.from_dict(data)
