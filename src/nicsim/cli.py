@@ -235,8 +235,9 @@ def cmd_calibrate(args) -> int:
     if args.datapoints:
         points = load_datapoints(args.datapoints)
     else:
-        with resources.files("nicsim.data").joinpath("calibration_points.json").open() as fh:
-            points = [(r["mode"], int(r["B"]), float(r["mrps"])) for r in json.load(fh)]
+        packaged = resources.files("nicsim.data").joinpath("calibration_points.json")
+        with resources.as_file(packaged) as path:
+            points = load_datapoints(path)
     base = _apply_overrides(None, _load_params(args), args.override)
     params, residuals = calibrate(points, base=base)
     out = args.out or "calibrated_params.json"

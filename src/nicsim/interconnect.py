@@ -31,9 +31,8 @@ already-optimized write path and are traced but not budgeted.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConfigInvalid, UnderdeterminedFit
 
@@ -75,8 +74,13 @@ _FIELDS = (
 
 
 def is_number(value) -> bool:
-    """A JSON number: int or float, but not bool."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number: int or float, but not bool, nan or +-inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def is_int(value) -> bool:
@@ -106,7 +110,9 @@ class CostParams:
     bus_cap_rps: float = 80e6  # shared endpoint capacity
 
     def validate(self) -> "CostParams":
-        errors = [f"{name} must be > 0" for name in _FIELDS if getattr(self, name) <= 0]
+        values = {name: getattr(self, name) for name in _FIELDS}
+        errors = [f"{name} must be a number > 0, got {v!r}" for name, v in values.items()
+                  if not (is_number(v) and v > 0)]
         if errors:
             raise ConfigInvalid(errors)
         return self
@@ -121,7 +127,7 @@ class CostParams:
             raise ConfigInvalid([f"unknown cost parameter '{k}'" for k in sorted(unknown)])
         bad = [k for k, v in data.items() if not is_number(v)]
         if bad:
-            raise ConfigInvalid([f"{k} must be a number" for k in sorted(bad)])
+            raise ConfigInvalid([f"{k} must be a number, got {data[k]!r}" for k in sorted(bad)])
         return cls(**{k: float(v) for k, v in data.items()}).validate()
 
     @classmethod
@@ -303,6 +309,8 @@ def _fit_two_param(points):
         raise UnderdeterminedFit(
             f"need >= 2 datapoints to fit two parameters, got {len(points)}"
         )
+    import numpy as np  # only calibration needs numpy; keep it off the import path
+
     x = np.array([1.0 / b for b, _ in points])
     y = np.array([1000.0 / r for _, r in points])  # Mrps -> ns per request
     design = np.stack([x, np.ones_like(x)], axis=1)
@@ -322,10 +330,11 @@ def calibrate(datapoints, base: CostParams | None = None):
     """
     base = base or CostParams()
     by_mode: dict[str, list] = {m: [] for m in TX_MODES}
-    for mode, batch, mrps in datapoints:
-        if mode not in by_mode:
-            raise ConfigInvalid(f"unknown mode {mode!r} in datapoints")
-        by_mode[mode].append((int(batch), float(mrps)))
+    for i, (mode, batch, mrps) in enumerate(datapoints):
+        errors = _datapoint_errors(mode, batch, mrps)
+        if errors:
+            raise ConfigInvalid([f"datapoint {i}: {e}" for e in errors])
+        by_mode[mode].append((batch, float(mrps)))
 
     kw = {}
     if by_mode[MODE_MMIO]:
@@ -347,16 +356,39 @@ def calibrate(datapoints, base: CostParams | None = None):
     return params, residuals
 
 
+def _datapoint_errors(mode, batch, mrps) -> list[str]:
+    """What is wrong with one (mode, B, mrps) datapoint; empty when valid."""
+    errors = []
+    if mode not in TX_MODES:
+        errors.append(f"mode must be one of {TX_MODES}, got {mode!r}")
+    if not (is_int(batch) and batch >= 1):
+        errors.append(f"B must be a positive integer, got {batch!r}")
+    if not (is_number(mrps) and mrps > 0):
+        errors.append(f"mrps must be a number > 0, got {mrps!r}")
+    return errors
+
+
 def load_datapoints(path):
-    """Read calibration datapoints: a JSON list of {mode, B, mrps} objects."""
+    """Read calibration datapoints: a JSON list of {mode, B, mrps} objects.
+
+    Returns (mode, B, mrps) tuples; every bad row is reported by its index.
+    """
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
         raise ConfigInvalid("datapoint file must hold a JSON list")
-    points = []
+    points, errors = [], []
     for i, row in enumerate(raw):
-        try:
-            points.append((row["mode"], int(row["B"]), float(row["mrps"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigInvalid(f"datapoint {i}: {exc}") from None
+        if not isinstance(row, dict):
+            errors.append(f"datapoint {i} must be an object, got {row!r}")
+            continue
+        missing = [k for k in ("mode", "B", "mrps") if k not in row]
+        if missing:
+            errors.append(f"datapoint {i}: missing {', '.join(missing)}")
+            continue
+        point = (row["mode"], row["B"], row["mrps"])
+        errors.extend(f"datapoint {i}: {e}" for e in _datapoint_errors(*point))
+        points.append(point)
+    if errors:
+        raise ConfigInvalid(errors)
     return points

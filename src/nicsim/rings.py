@@ -209,6 +209,11 @@ class RxRing:
     """NIC-to-host ring. The NIC writes arrivals in order to the next free
     slot; a dirty slot at the write cursor means the host has not caught up
     and the NIC must stall (backpressure, never drop).
+
+    Each slot's flag byte is its state: 0 free, 1 delivered, 2 polled by
+    the host and not yet released. The NIC writes only free slots and the
+    host polls only delivered ones, so a poll cursor that laps onto a slot
+    the host still holds reads an empty ring, not the same entry twice.
     """
 
     def __init__(self, depth: int = DEFAULT_DEPTH):
@@ -225,7 +230,7 @@ class RxRing:
             _claim_side(self, "_nic_thread", "RxRing nic")
         idx = self.nic_free_cursor
         base = idx * _SLOT
-        if self.slab[base] == 1:
+        if self.slab[base] != 0:
             return False
         self.slab[base + 1 : base + _SLOT] = block[1:]
         self.slab[base] = 1
@@ -238,16 +243,23 @@ class RxRing:
             _claim_side(self, "_host_thread", "RxRing host")
         idx = self.host_poll_cursor
         base = idx * _SLOT
-        if self.slab[base] != 1:
+        slab = self.slab
+        if slab[base] != 1:
             return None
+        block = bytes(slab[base : base + _SLOT])
+        slab[base] = 2  # held until rx_release
         self.host_poll_cursor = (idx + 1) % self.depth
-        return idx, bytes(self.slab[base : base + _SLOT])
+        return idx, block
 
     def rx_release(self, slot: int) -> None:
-        """Host side: mark a consumed slot free for the NIC again."""
+        """Host side: mark a polled slot free for the NIC again."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "RxRing host")
-        self.slab[slot * _SLOT] = 0
+        base = slot * _SLOT
+        if self.slab[base] != 2:
+            raise ContractViolation(f"release of RX slot {slot}, which the host "
+                                    f"has not polled")
+        self.slab[base] = 0
 
     def dump_csv(self) -> str:
         return _dump_slab(self.slab, self.depth)

@@ -83,12 +83,17 @@ class Scenario:
             if s not in self.nic_configs:
                 errors.append(f"connections[{i}]: server nic {s} not defined")
         errors.extend(self.loadgen.validate())
-        if self.duration_us <= 0:
-            errors.append("duration_us must be > 0")
-        if self.warmup_us < 0:
-            errors.append("warmup_us must be >= 0")
-        if self.duration_us < 10 * self.warmup_us:
-            errors.append("duration_us must be >= 10x warmup_us")
+        bad_spans = [f"{name} must be a number, got {getattr(self, name)!r}"
+                     for name in ("duration_us", "warmup_us")
+                     if not ic.is_number(getattr(self, name))]
+        errors.extend(bad_spans)
+        if not bad_spans:
+            if self.duration_us <= 0:
+                errors.append("duration_us must be > 0")
+            if self.warmup_us < 0:
+                errors.append("warmup_us must be >= 0")
+            if self.duration_us < 10 * self.warmup_us:
+                errors.append("duration_us must be >= 10x warmup_us")
         try:
             self.cost_params.validate()
         except ConfigInvalid as exc:

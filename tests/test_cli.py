@@ -174,6 +174,59 @@ def test_bad_list_flag_exits_1_with_the_flag_name(case):
     assert message in proc.stderr
 
 
+NON_FINITE = {
+    "sweep_loads_nan": (["sweep", "--modes", "coherent:B1", "--loads", "nan"],
+                        "loadgen.rate_mrps must be a number, got nan"),
+    "sweep_loads_inf": (["sweep", "--modes", "coherent:B1", "--loads", "inf"],
+                        "loadgen.rate_mrps must be a number, got inf"),
+    "bars_cost_param_nan": (["bars", "--override", "cost_params.t_wire=NaN"],
+                            "t_wire must be a number, got nan"),
+    "scale_duration_infinity": (["scale", "--threads", "1", "--override", "duration_us=Infinity"],
+                                "duration_us must be a number, got inf"),
+    "compare_tor_inf": (["compare", "--tor", "inf"], "t_wire must be a number, got inf"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_number_exits_1_with_the_field_name(case):
+    args, message = NON_FINITE[case]
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize("row, message", [
+    ({"mode": "doorbell", "B": 4, "mrps": float("nan")}, "mrps must be a number > 0, got nan"),
+    ({"mode": "doorbell", "B": 0, "mrps": 9.0}, "B must be a positive integer, got 0"),
+    ({"mode": "doorbell", "B": 2.5, "mrps": 9.0}, "B must be a positive integer, got 2.5"),
+], ids=["mrps_nan", "batch_zero", "batch_not_an_integer"])
+def test_calibrate_bad_datapoint_exits_1_with_its_index(tmp_path, row, message):
+    points = tmp_path / "points.json"
+    points.write_text(json.dumps([{"mode": "doorbell", "B": 1, "mrps": 4.3}, row]))
+    out = tmp_path / "fit.json"
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", "calibrate", "--datapoints",
+                           str(points), "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"datapoint 1: {message}" in proc.stderr
+    assert not out.exists()
+
+
+def test_importing_nicsim_loads_no_numpy():
+    # numpy is for the calibration fit only; the probe sees it once the fit runs
+    code = ("import sys, nicsim, nicsim.sim, nicsim.host, nicsim.cli\n"
+            "print('numpy' in sys.modules)\n"
+            "nicsim.calibrate([('coherent', 1, 8.1), ('coherent', 4, 12.4)])\n"
+            "print('numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_calibrate_applies_cost_param_overrides(tmp_path):
     out = tmp_path / "fit.json"
     rc = run_cli(["calibrate", "--out", str(out), "--residuals", str(tmp_path / "r.csv"),

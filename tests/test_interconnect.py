@@ -174,11 +174,53 @@ def test_calibrate_empty_and_underdetermined():
 
 
 def test_shipped_defaults_match_calibration_of_shipped_datapoints():
-    with resources.files("nicsim.data").joinpath("calibration_points.json").open() as fh:
-        points = [(r["mode"], r["B"], r["mrps"]) for r in json.load(fh)]
+    with resources.as_file(resources.files("nicsim.data") / "calibration_points.json") as path:
+        points = ic.load_datapoints(path)
     fitted, _ = calibrate(points)
     for name in ("t_mmio", "t_doorbell", "t_entry", "t_poll", "t_cl"):
         assert getattr(fitted, name) == pytest.approx(getattr(P, name), rel=1e-9)
+
+
+BAD_DATAPOINTS = {
+    "mrps_nan": ({"mode": "doorbell", "B": 4, "mrps": float("nan")},
+                 "datapoint 1: mrps must be a number > 0, got nan"),
+    "mrps_inf": ({"mode": "doorbell", "B": 4, "mrps": float("inf")},
+                 "datapoint 1: mrps must be a number > 0, got inf"),
+    "mrps_zero": ({"mode": "doorbell", "B": 4, "mrps": 0}, "datapoint 1: mrps must be a number > 0"),
+    "mrps_text": ({"mode": "doorbell", "B": 4, "mrps": "9"}, "datapoint 1: mrps must be a number"),
+    "batch_zero": ({"mode": "doorbell", "B": 0, "mrps": 9.0},
+                   "datapoint 1: B must be a positive integer, got 0"),
+    "batch_fraction": ({"mode": "doorbell", "B": 2.5, "mrps": 9.0},
+                       "datapoint 1: B must be a positive integer, got 2.5"),
+    "batch_bool": ({"mode": "doorbell", "B": True, "mrps": 9.0},
+                   "datapoint 1: B must be a positive integer, got True"),
+    "unknown_mode": ({"mode": "pigeon", "B": 1, "mrps": 9.0},
+                     "datapoint 1: mode must be one of"),
+    "missing_field": ({"mode": "doorbell", "B": 4}, "datapoint 1: missing mrps"),
+    "not_an_object": ([4, 9.0], "datapoint 1 must be an object"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DATAPOINTS))
+def test_load_datapoints_rejects_a_bad_row_by_index(tmp_path, case):
+    row, message = BAD_DATAPOINTS[case]
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps([{"mode": "doorbell", "B": 1, "mrps": 4.3}, row]))
+    with pytest.raises(ConfigInvalid) as exc:
+        ic.load_datapoints(path)
+    assert any(e.startswith(message) for e in exc.value.errors), exc.value.errors
+
+
+def test_calibrate_rejects_a_bad_point_by_index():
+    with pytest.raises(ConfigInvalid, match="datapoint 1: B must be a positive integer"):
+        calibrate([("doorbell", 1, 4.3), ("doorbell", 0, 9.0), ("doorbell", 32, 12.0)])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400,
+                                   True, "1", None],
+                         ids=["nan", "inf", "-inf", "int_beyond_float", "bool", "str", "None"])
+def test_is_number_takes_only_finite_numbers(value):
+    assert not ic.is_number(value)
 
 
 # -- arbiter -----------------------------------------------------------------

@@ -10,6 +10,8 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nicsim import protocol
 from nicsim.errors import ConnectionNotFound, DuplicateConnection, MalformedEntry, PayloadTooLarge
@@ -135,6 +137,33 @@ def test_decode_rejects_bad_kind_and_size():
         protocol.decode_entry(bytes(block))
     with pytest.raises(MalformedEntry):
         protocol.decode_entry(b"\x00" * 63)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(
+    kind=st.sampled_from([protocol.KIND_REQUEST, protocol.KIND_RESPONSE, protocol.KIND_ERROR]),
+    conn=st.integers(0, 0xFFFF),
+    rpc=st.integers(0, 1 << 40),
+    fn=st.integers(0, 0xFFFF),
+    payload=st.binary(max_size=protocol.MAX_PAYLOAD),
+)
+def test_decode_inverts_encode(kind, conn, rpc, fn, payload):
+    entry = RpcEntry(kind=kind, connection_id=conn, rpc_id=rpc, function_id=fn, payload=payload)
+    decoded = protocol.decode_entry(protocol.encode_entry(entry))
+    assert decoded == RpcEntry(kind=kind, connection_id=conn, rpc_id=rpc % (1 << 32),
+                               function_id=fn, payload=payload)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(block=st.one_of(st.binary(min_size=64, max_size=64), st.binary(max_size=80)))
+def test_any_block_decodes_or_is_malformed(block):
+    try:
+        entry = protocol.decode_entry(block)
+    except MalformedEntry:
+        return
+    assert len(block) == 64
+    assert protocol.encode_entry(entry)[:16] == block[:11] + bytes(5)
+    assert entry.payload == block[16 : 16 + block[10]]
 
 
 class _FakeRings:

@@ -11,6 +11,7 @@ check to depths 4 and 8.
 
 import random
 import threading
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -450,6 +451,75 @@ def test_rx_roundtrip_many():
         received.append(protocol.decode_entry(block).rpc_id)
         rx.rx_release(slot)
     assert received == sent
+
+
+class RxModel:
+    """Reference RX ring: delivered entries wait in a FIFO for the host; the
+    NIC writes slot after slot and is refused at a slot that is not free."""
+
+    def __init__(self, depth):
+        self.depth = depth
+        self.fifo = deque()  # (slot, block) delivered, not yet polled
+        self.held = set()  # polled, not yet released
+        self.next_slot = 0
+
+    def deliver(self, block) -> bool:
+        slot = self.next_slot
+        if slot in self.held or any(s == slot for s, _ in self.fifo):
+            return False
+        self.fifo.append((slot, block))
+        self.next_slot = (slot + 1) % self.depth
+        return True
+
+    def poll(self):
+        if not self.fifo:
+            return None
+        slot, block = self.fifo.popleft()
+        self.held.add(slot)
+        return slot, block
+
+
+_RX_OPS = st.one_of(
+    st.tuples(st.just("deliver"), st.integers(1, 9)),  # up to 9 delivers, to overrun a ring
+    st.tuples(st.just("poll"), st.integers(1, 9)),
+    st.tuples(st.just("release"), st.integers(0, 7)),  # the i-th held slot, oldest first
+    st.tuples(st.just("bad_release"), st.integers(0, 7)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(depth=st.sampled_from([4, 8]), ops=st.lists(_RX_OPS, max_size=80))
+def test_rx_random_sequences_match_fifo_model(depth, ops):
+    rx, model = RxRing(depth), RxModel(depth)
+    next_rpc = 0
+    for op, arg in ops:
+        if op == "deliver":
+            for _ in range(arg):
+                block = _entry_block(next_rpc)
+                accepted = rx.rx_deliver(block)
+                assert accepted == model.deliver(block)
+                next_rpc += accepted
+        elif op == "poll":
+            for _ in range(arg):
+                assert rx.rx_poll() == model.poll()  # None once the FIFO is empty
+        elif op == "release" and model.held:
+            slot = sorted(model.held)[arg % len(model.held)]
+            rx.rx_release(slot)
+            model.held.remove(slot)
+        elif op == "bad_release" and arg % depth not in model.held:
+            before = rx.snapshot()
+            with pytest.raises(ContractViolation):
+                rx.rx_release(arg % depth)
+            assert rx.snapshot() == before
+    # what is left comes out in delivery order, then the ring reads empty;
+    # a ring restored from a snapshot drains the same
+    expected = [protocol.decode_entry(block).rpc_id for _, block in model.fifo]
+    clone = RxRing(depth)
+    clone.restore(rx.snapshot())
+    for ring in (rx, clone):
+        polled = [ring.rx_poll() for _ in range(depth + 1)]
+        assert [protocol.decode_entry(p[1]).rpc_id for p in polled if p] == expected
+        assert polled[len(expected):] == [None] * (depth + 1 - len(expected))
 
 
 def test_completion_queue_fifo_and_overflow():

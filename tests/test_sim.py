@@ -1,6 +1,7 @@
 """Engine and scenario-runner tests: determinism, physics sanity, config."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -313,3 +314,15 @@ def test_batch_bound_follows_the_scenario_ring_depth():
     data["ring_depth"] = 64
     with pytest.raises(ConfigInvalid, match=r"batch_B must be in 1\.\.64"):
         Scenario.from_dict(data)
+
+
+@pytest.mark.parametrize("field, value", [("duration_us", float("inf")),
+                                          ("warmup_us", float("nan"))])
+def test_validate_rejects_a_non_finite_run_span(field, value):
+    with pytest.raises(ConfigInvalid, match=f"{field} must be a number, got {value}"):
+        replace(default_scenario(), **{field: value}).validate()
+
+
+def test_cost_params_validate_rejects_nan():
+    with pytest.raises(ConfigInvalid, match="t_wire must be a number > 0, got nan"):
+        CostParams(t_wire=float("nan")).validate()
