@@ -8,6 +8,11 @@ flight and hands the response straight back to the blocked caller instead
 of a completion queue. The response payload copy to the application is
 paid either way; what the sync model drops is the completion-queue and
 TX-bookkeeping machinery, which is off the critical path.
+
+Entries travel through the host path as packed 64-byte blocks: a request
+is packed straight from the call's arguments, a pickup unpacks a block
+into locals, and the server packs its response from those same locals
+(protocol.pack_entry/unpack_entry). No decoded entry object is built.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import (
     UnknownDestination,
     WouldBlock,
 )
-from .protocol import ConnectionRecord, RpcEntry
+from .protocol import ConnectionRecord, pack_entry, unpack_entry
 from .rings import CompletionQueue, RingPair
 
 ECHO_FN = 0
@@ -44,42 +49,41 @@ class _TxIssuer:
         self.tx = tx_ring
         self._blocked = deque()
 
-    def submit(self, entry: RpcEntry) -> bool:
-        """Publish an entry, or queue it until a TX slot frees up.
+    def submit(self, block: bytes, rpc: int) -> bool:
+        """Publish a packed entry, or queue it until a TX slot frees up.
 
-        Returns True if the entry went out immediately.
+        rpc is the entry's rpc id, for trace records. Returns True if the
+        entry went out immediately.
         """
         slot = self.tx.tx_acquire()
         if slot is None:
-            self._blocked.append(entry)
+            self._blocked.append((block, rpc))
             return False
-        self._publish(slot, entry)
+        self._publish(slot, block, rpc)
         return True
 
-    def try_submit(self, entry: RpcEntry) -> None:
+    def try_submit(self, block: bytes, rpc: int) -> None:
         slot = self.tx.tx_acquire()
         if slot is None:
             raise WouldBlock("TX ring full")
-        self._publish(slot, entry)
+        self._publish(slot, block, rpc)
 
-    def _publish(self, slot: int, entry: RpcEntry) -> None:
-        block = protocol.encode_entry(entry)
-        now = self.engine.now
-        trace = self.engine.trace
-        if self.nic.config.tx_mode == ic.MODE_MMIO:
+    def _publish(self, slot: int, block: bytes, rpc: int) -> None:
+        engine, nic = self.engine, self.nic
+        now = engine.now
+        trace = engine.trace
+        if nic.config.tx_mode == ic.MODE_MMIO:
             # the AVX store into device I/O space is itself the publication
             if trace is not None:
-                trace.append(ic.Transaction(now, f"host{self.nic.nic_id}", ic.KIND_MMIO_STORE, 1,
-                                            self.conn_id, entry.rpc_id, critical=True))
+                trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_MMIO_STORE, 1,
+                                            self.conn_id, rpc, critical=True))
             self.tx.tx_publish(slot, block)
-            self.nic.on_tx_publish(self.conn_id)
+            nic.on_tx_publish(self.conn_id)
         else:
             if trace is not None:
-                trace.append(ic.Transaction(now, f"host{self.nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
-                                            self.conn_id, entry.rpc_id, critical=True))
-            self.engine.schedule(
-                now + self.nic.params.t_memcpy, lambda: self._finish_publish(slot, block)
-            )
+                trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
+                                            self.conn_id, rpc, critical=True))
+            engine.schedule(now + nic.params.t_memcpy, lambda: self._finish_publish(slot, block))
 
     def _finish_publish(self, slot: int, block: bytes) -> None:
         self.tx.tx_publish(slot, block)
@@ -90,7 +94,8 @@ class _TxIssuer:
             slot = self.tx.tx_acquire()
             if slot is None:
                 return
-            self._publish(slot, self._blocked.popleft())
+            block, rpc = self._blocked.popleft()
+            self._publish(slot, block, rpc)
 
     def blocked_count(self) -> int:
         return len(self._blocked)
@@ -103,6 +108,7 @@ class ClientEndpoint:
         self.engine = engine
         self.nic = nic
         self.record = record
+        self.connection_id = record.connection_id
         self.threading_model = record.threading_model
         self.rings: RingPair = record.ring_pair
         self.issuer = _TxIssuer(engine, nic, record.connection_id, self.rings.tx)
@@ -114,10 +120,6 @@ class ClientEndpoint:
         self.issued = 0
         self.completed = 0
         self.abandoned_total = 0  # calls ever abandoned, late response dropped or not
-
-    @property
-    def connection_id(self) -> int:
-        return self.record.connection_id
 
     def start_call(self, function_id: int, payload: bytes, issue_ts: float | None = None) -> int:
         """Issue one RPC; blocks virtually (queues) when the TX ring is full.
@@ -134,14 +136,10 @@ class ClientEndpoint:
         self.pending[rpc_id] = self.engine.now if issue_ts is None else issue_ts
         if self.threading_model == "sync":
             self.blocked_on = rpc_id
-        entry = RpcEntry(
-            kind=protocol.KIND_REQUEST,
-            connection_id=self.connection_id,
-            rpc_id=rpc_id,
-            function_id=function_id,
-            payload=payload,
+        self.issuer.submit(
+            pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload),
+            rpc_id,
         )
-        self.issuer.submit(entry)
         return rpc_id
 
     def try_call_async(self, function_id: int, payload: bytes) -> int:
@@ -149,15 +147,9 @@ class ClientEndpoint:
         if len(payload) > protocol.MAX_PAYLOAD:
             raise PayloadTooLarge(f"payload {len(payload)} > {protocol.MAX_PAYLOAD}")
         rpc_id = self.record.take_rpc_id()
-        entry = RpcEntry(
-            kind=protocol.KIND_REQUEST,
-            connection_id=self.connection_id,
-            rpc_id=rpc_id,
-            function_id=function_id,
-            payload=payload,
-        )
+        block = pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload)
         try:
-            self.issuer.try_submit(entry)
+            self.issuer.try_submit(block, rpc_id)
         except WouldBlock:
             self.record.next_rpc_id = rpc_id  # roll back the id we took
             raise
@@ -181,31 +173,31 @@ class ClientEndpoint:
         self.engine.schedule(ts + self.nic.params.t_memcpy, self._pickup)
 
     def _pickup(self) -> None:
-        polled = self.rings.rx.rx_poll()
+        rx = self.rings.rx
+        polled = rx.rx_poll()
         if polled is None:
             raise ContractViolation(
                 f"delivery event without a dirty RX slot on connection {self.connection_id}"
             )
         slot, block = polled
-        entry = protocol.decode_entry(block)
-        self.rings.rx.rx_release(slot)
+        kind, _conn, rpc_id, _fn, payload = unpack_entry(block)
+        rx.rx_release(slot)
         self.nic.on_rx_slot_freed(self.connection_id)
-        if entry.rpc_id not in self.pending:
-            if entry.rpc_id in self.abandoned:
-                self.abandoned.remove(entry.rpc_id)  # late response to a timed-out call
+        issue_ts = self.pending.pop(rpc_id, None)  # issue times are never None
+        if issue_ts is None:
+            if rpc_id in self.abandoned:
+                self.abandoned.remove(rpc_id)  # late response to a timed-out call
                 return
             raise ContractViolation(
-                f"completion for unknown rpc {entry.rpc_id} on connection {self.connection_id}"
+                f"completion for unknown rpc {rpc_id} on connection {self.connection_id}"
             )
-        issue_ts = self.pending.pop(entry.rpc_id)
-        now = self.engine.now
         self.completed += 1
-        if self.threading_model == "async":
-            self.cq.cq_push((entry.rpc_id, entry.payload, entry.kind))
+        if self.cq is not None:
+            self.cq.cq_push((rpc_id, payload, kind))
         else:
             self.blocked_on = None
         if self.on_complete is not None:
-            self.on_complete(entry.rpc_id, issue_ts, now, entry.payload, entry.kind)
+            self.on_complete(rpc_id, issue_ts, self.engine.now, payload, kind)
 
     def abandon(self, rpc_id: int) -> None:
         """Give up waiting for a call; its response is discarded on arrival."""
@@ -263,35 +255,25 @@ class ServerEndpoint:
         self.engine.schedule(ts + self.nic.params.t_memcpy, lambda: self._pickup(conn_id))
 
     def _pickup(self, conn_id: int) -> None:
-        rings = self.rings_by_conn[conn_id]
-        polled = rings.rx.rx_poll()
+        rx = self.rings_by_conn[conn_id].rx
+        polled = rx.rx_poll()
         if polled is None:
             raise ContractViolation(f"delivery event without a dirty RX slot on connection {conn_id}")
         slot, block = polled
-        request = protocol.decode_entry(block)
-        rings.rx.rx_release(slot)
+        _kind, conn, rpc, fn, payload = unpack_entry(block)
+        rx.rx_release(slot)
         self.nic.on_rx_slot_freed(conn_id)
         self.served += 1
-        self._respond(request)
-
-    def _respond(self, request: RpcEntry) -> None:
-        handler = self.handlers.get(request.function_id)
+        handler = self.handlers.get(fn)
         if handler is None:
             kind, payload = protocol.KIND_ERROR, ERR_UNKNOWN_FN
         else:
-            payload = handler(request.payload)
+            payload = handler(payload)
             if len(payload) > protocol.MAX_PAYLOAD:
                 kind, payload = protocol.KIND_ERROR, ERR_REPLY_TOO_BIG
             else:
                 kind = protocol.KIND_RESPONSE
-        response = RpcEntry(
-            kind=kind,
-            connection_id=request.connection_id,
-            rpc_id=request.rpc_id,
-            function_id=request.function_id,
-            payload=payload,
-        )
-        self.issuers[request.connection_id].submit(response)
+        self.issuers[conn].submit(pack_entry(kind, conn, rpc, fn, payload), rpc)
 
     def on_tx_free(self, conn_id: int, ts: float) -> None:
         self.issuers[conn_id].on_tx_free()
@@ -321,8 +303,10 @@ def connect(engine, wire, client_nic, server_nic, server_endpoint,
     try:
         client_rings = RingPair(depth)
         server_rings = RingPair(depth)
-    except MemoryError as exc:  # pragma: no cover
-        raise ResourceExhausted(str(exc)) from exc
+    except MemoryError as exc:
+        raise ResourceExhausted(
+            f"cannot allocate the rings of connection {conn_id} at ring_depth {depth}"
+        ) from exc
 
     client_record = ConnectionRecord(
         connection_id=conn_id,

@@ -22,7 +22,9 @@ end-to-end than a coherent line transfer even at similar issue rates:
                already is the traversal)
 
 A shared bus endpoint sustains at most bus_cap_rps 64B transactions per
-second, arbitrated round-robin between NICs. Only host->NIC fetch-direction
+second. A simulation grants them in the order the engine issues requests
+(BusArbiter.request); the round-robin submit+drain path serves only
+submit/arbiter_grant callers. Only host->NIC fetch-direction
 transactions (MMIO stores, doorbell rings, DMA entry reads, coherent line
 transfers, empty polls) consume that budget; NIC->host DMA writes ride the
 already-optimized write path and are traced but not budgeted.
@@ -220,11 +222,16 @@ def bandwidth_headroom_ratio(rate_rps: float, peak_gbytes_per_s: float) -> float
 
 
 class BusArbiter:
-    """Round-robin grant scheduler for the shared 64B-transaction endpoint.
+    """Grant scheduler for the shared 64B-transaction endpoint.
 
-    Each grant occupies the endpoint for 1/bus_cap_rps seconds. While more
-    than one issuer is backlogged the cursor alternates between them, so
-    grant counts over any backlogged window differ by at most one.
+    Each grant occupies the endpoint for 1/bus_cap_rps seconds. The
+    simulation calls request() in event order with nothing else pending,
+    so its grants go out in the order the requests are issued. Transactions
+    queued through submit() (directly or by arbiter_grant) are granted
+    round-robin by drain(): while more than one issuer is backlogged the
+    cursor alternates between them, so grant counts over any backlogged
+    window differ by at most one. Only submit/arbiter_grant callers reach
+    that path.
     """
 
     def __init__(self, issuers, bus_cap_rps: float):

@@ -42,6 +42,8 @@ _HEADER_FMT = "<BBHIHB5s"
 _ENTRY_FMT = _HEADER_FMT + "48s"
 assert struct.calcsize(_ENTRY_FMT) == ENTRY_SIZE
 _ENTRY = struct.Struct(_ENTRY_FMT)
+_pack = _ENTRY.pack
+_unpack = _ENTRY.unpack
 _RESERVED = bytes(5)
 
 RPC_ID_MODULUS = 1 << 32
@@ -49,7 +51,8 @@ RPC_ID_MODULUS = 1 << 32
 
 @dataclass
 class RpcEntry:
-    """Decoded form of one 64-byte entry."""
+    """Decoded form of one 64-byte entry, for callers outside the datapath;
+    the simulated host carries entries as packed blocks (pack_entry)."""
 
     kind: int
     connection_id: int
@@ -59,48 +62,48 @@ class RpcEntry:
     valid_flag: int = 1
 
 
-def encode_entry(entry: RpcEntry) -> bytes:
-    """Pack an entry into its 64-byte wire form.
+def pack_entry(kind: int, conn: int, rpc: int, fn: int, payload: bytes, valid: int = 1) -> bytes:
+    """Pack one entry's fields into its 64-byte wire form.
 
     Raises PayloadTooLarge if the payload exceeds 48 bytes.
     """
-    if len(entry.payload) > MAX_PAYLOAD:
-        raise PayloadTooLarge(
-            f"payload is {len(entry.payload)} bytes, limit {MAX_PAYLOAD}"
-        )
-    return _ENTRY.pack(
-        entry.valid_flag,
-        entry.kind,
-        entry.connection_id,
-        entry.rpc_id % RPC_ID_MODULUS,
-        entry.function_id,
-        len(entry.payload),
-        _RESERVED,
-        entry.payload,
-    )
+    plen = len(payload)
+    if plen > MAX_PAYLOAD:
+        raise PayloadTooLarge(f"payload is {plen} bytes, limit {MAX_PAYLOAD}")
+    return _pack(valid, kind, conn, rpc % RPC_ID_MODULUS, fn, plen, _RESERVED, payload)
 
 
-def decode_entry(block: bytes) -> RpcEntry:
-    """Unpack a 64-byte block. Inverse of encode_entry.
+def unpack_entry(block: bytes) -> tuple[int, int, int, int, bytes]:
+    """Unpack a 64-byte block into (kind, conn, rpc, fn, payload).
 
-    valid_flag is returned verbatim (an all-zero block decodes to a free
-    slot). Raises MalformedEntry on an illegal length byte or kind byte.
+    Inverse of pack_entry, apart from the valid flag, which is block[0].
+    Raises MalformedEntry on a wrong block length or an illegal length
+    byte or kind byte.
     """
     if len(block) != ENTRY_SIZE:
         raise MalformedEntry(f"expected {ENTRY_SIZE} bytes, got {len(block)}")
-    valid, kind, conn, rpc, fn, plen, _reserved, payload = _ENTRY.unpack(block)
+    _valid, kind, conn, rpc, fn, plen, _reserved, payload = _unpack(block)
     if plen > MAX_PAYLOAD:
         raise MalformedEntry(f"payload_len {plen} exceeds {MAX_PAYLOAD}")
     if kind not in _KINDS:
         raise MalformedEntry(f"unrecognized kind byte {kind}")
-    return RpcEntry(
-        kind=kind,
-        connection_id=conn,
-        rpc_id=rpc,
-        function_id=fn,
-        payload=payload[:plen],
-        valid_flag=valid,
-    )
+    return kind, conn, rpc, fn, payload[:plen]
+
+
+def encode_entry(entry: RpcEntry) -> bytes:
+    """pack_entry over an RpcEntry."""
+    return pack_entry(entry.kind, entry.connection_id, entry.rpc_id, entry.function_id,
+                      entry.payload, entry.valid_flag)
+
+
+def decode_entry(block: bytes) -> RpcEntry:
+    """unpack_entry into an RpcEntry. Inverse of encode_entry.
+
+    valid_flag is returned verbatim (an all-zero block decodes to a free
+    slot).
+    """
+    kind, conn, rpc, fn, payload = unpack_entry(block)
+    return RpcEntry(kind, conn, rpc, fn, payload, valid_flag=block[0])
 
 
 @dataclass

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 from . import protocol
-from .protocol import RpcEntry
+from .protocol import pack_entry, unpack_entry
 from .rings import RingPair
 
 
@@ -84,11 +84,8 @@ def run_spsc_stress(n_entries: int = 1_000_000, depth: int = 512, batch: int = 6
             if slot is None:
                 time.sleep(0)
                 continue
-            entry = RpcEntry(
-                kind=protocol.KIND_REQUEST, connection_id=1, rpc_id=published,
-                function_id=0, payload=checksummed_payload(published, 0xABCDEF),
-            )
-            tx.tx_publish(slot, protocol.encode_entry(entry))
+            tx.tx_publish(slot, pack_entry(protocol.KIND_REQUEST, 1, published, 0,
+                                           checksummed_payload(published, 0xABCDEF)))
             published += 1
 
     def consumer():
@@ -99,10 +96,10 @@ def run_spsc_stress(n_entries: int = 1_000_000, depth: int = 512, batch: int = 6
                 time.sleep(0)
                 continue
             for _, block in fetched:
-                entry = protocol.decode_entry(block)
-                if not payload_intact(entry.payload):
+                _kind, _conn, rpc, _fn, payload = unpack_entry(block)
+                if not payload_intact(payload):
                     stats.corrupted += 1
-                if entry.rpc_id != expected:
+                if rpc != expected:
                     stats.out_of_order += 1
                 expected += 1
                 stats.completed += 1
@@ -185,11 +182,8 @@ def run_echo_stress(n_rpcs: int = 1_000_000, depth: int = 1024, batch: int = 128
                 slot = client_tx.tx_acquire()
                 if slot is None:
                     break
-                entry = RpcEntry(
-                    kind=protocol.KIND_REQUEST, connection_id=1, rpc_id=issued,
-                    function_id=0, payload=checksummed_payload(issued, 0x51),
-                )
-                client_tx.tx_publish(slot, protocol.encode_entry(entry))
+                client_tx.tx_publish(slot, pack_entry(protocol.KIND_REQUEST, 1, issued, 0,
+                                                      checksummed_payload(issued, 0x51)))
                 issued += 1
                 progress = True
             # server: drain requests, echo them back
@@ -198,22 +192,18 @@ def run_echo_stress(n_rpcs: int = 1_000_000, depth: int = 1024, batch: int = 128
                 if polled is None:
                     break
                 slot, block = polled
-                request = protocol.decode_entry(block)
-                if not payload_intact(request.payload):
+                _kind, _conn, rpc, _fn, payload = unpack_entry(block)
+                if not payload_intact(payload):
                     stats.corrupted += 1
-                pending_responses.append(request)
+                pending_responses.append((rpc, payload))
                 server_rx.rx_release(slot)
                 progress = True
             while pending_responses:
                 slot = server_tx.tx_acquire()
                 if slot is None:
                     break
-                request = pending_responses.popleft()
-                response = RpcEntry(
-                    kind=protocol.KIND_RESPONSE, connection_id=1, rpc_id=request.rpc_id,
-                    function_id=0, payload=request.payload,
-                )
-                server_tx.tx_publish(slot, protocol.encode_entry(response))
+                rpc, payload = pending_responses.popleft()
+                server_tx.tx_publish(slot, pack_entry(protocol.KIND_RESPONSE, 1, rpc, 0, payload))
                 progress = True
             # client: consume completions
             while True:
@@ -221,10 +211,9 @@ def run_echo_stress(n_rpcs: int = 1_000_000, depth: int = 1024, batch: int = 128
                 if polled is None:
                     break
                 slot, block = polled
-                response = protocol.decode_entry(block)
-                if not payload_intact(response.payload):
+                _kind, _conn, rid, _fn, payload = unpack_entry(block)
+                if not payload_intact(payload):
                     stats.corrupted += 1
-                rid = response.rpc_id
                 if rid >= n_rpcs or seen[rid]:
                     stats.duplicates += 1
                 else:

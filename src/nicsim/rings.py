@@ -294,6 +294,15 @@ class CompletionQueue:
         self._q.clear()
         return out
 
+    def cq_drain_last(self):
+        """Drain the queue and return only its newest entry (None if empty)."""
+        q = self._q
+        if not q:
+            return None
+        last = q[-1]
+        q.clear()
+        return last
+
     def __len__(self) -> int:
         return len(self._q)
 

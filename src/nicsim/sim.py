@@ -32,6 +32,10 @@ SATURATION_EPSILON = 0.01
 
 DEFAULT_DURATION_US = 2000.0
 DEFAULT_WARMUP_US = 200.0
+# Upper bounds, refused before anything is allocated; far above the deepest
+# ring (512) and widest window (192) of any shipped scenario or workload.
+MAX_RING_DEPTH = 1 << 16
+MAX_WINDOW = 1 << 16
 
 
 @dataclass
@@ -53,6 +57,8 @@ class LoadGenSpec:
             errors.append(f"loadgen.arrival must be deterministic|poisson, got {self.arrival!r}")
         if not ic.is_int(self.window):
             errors.append(f"loadgen.window must be an integer, got {self.window!r}")
+        elif self.window > MAX_WINDOW:
+            errors.append(f"loadgen.window must be <= {MAX_WINDOW}, got {self.window}")
         elif self.mode == "closed_loop" and self.window < 1:
             errors.append("loadgen.window must be >= 1")
         return errors
@@ -73,6 +79,8 @@ class Scenario:
         errors = []
         if self.ring_depth < 1 or self.ring_depth & (self.ring_depth - 1):
             errors.append("ring_depth must be a power of two")
+        elif self.ring_depth > MAX_RING_DEPTH:
+            errors.append(f"ring_depth must be <= {MAX_RING_DEPTH}, got {self.ring_depth}")
         if len(self.nic_configs) < 1:
             errors.append("nics: at least one NIC required")
         if not self.connections:
@@ -268,8 +276,12 @@ class RunResult:
     engine_events: int
 
 
+_ECHO_PAYLOAD = struct.Struct("<HI6s")
+_ECHO_TAG = b"\x5aPING\x5a"
+
+
 def make_payload(conn_id: int, rpc_id: int) -> bytes:
-    return struct.pack("<HI", conn_id & 0xFFFF, rpc_id & 0xFFFFFFFF) + b"\x5aPING\x5a"
+    return _ECHO_PAYLOAD.pack(conn_id & 0xFFFF, rpc_id & 0xFFFFFFFF, _ECHO_TAG)
 
 
 class _Harness:
@@ -305,26 +317,32 @@ class _Harness:
 
     def _make_complete_hook(self, client):
         conn = client.connection_id
+        expected_next = self._expected_next
+        samples = self.samples
+        cq = client.cq
+        record = client.record
+        closed_loop = self.scenario.loadgen.mode == "closed_loop"
+        response, echo_fn = protocol.KIND_RESPONSE, host_mod.ECHO_FN
 
         def hook(rpc_id, issue_ts, complete_ts, payload, kind):
             # per-connection FIFO and payload integrity hold on every run
-            expected = self._expected_next[conn]
+            expected = expected_next[conn]
             if rpc_id != expected:
-                raise AssertionError(
+                raise ContractViolation(
                     f"connection {conn}: completion {rpc_id} out of order (expected {expected})"
                 )
-            self._expected_next[conn] = expected + 1
-            if kind != protocol.KIND_RESPONSE or payload != make_payload(conn, rpc_id):
-                raise AssertionError(f"connection {conn}: corrupted echo for rpc {rpc_id}")
-            if client.cq is not None:
-                drained = client.poll_completions()
-                if not drained or drained[-1][0] != rpc_id:
+            expected_next[conn] = expected + 1
+            if kind != response or payload != make_payload(conn, rpc_id):
+                raise ContractViolation(f"connection {conn}: corrupted echo for rpc {rpc_id}")
+            if cq is not None:
+                last = cq.cq_drain_last()
+                if last is None or last[0] != rpc_id:
                     raise ContractViolation(
                         f"connection {conn}: completion queue does not end with rpc {rpc_id}"
                     )
-            self.samples.append((issue_ts, complete_ts))
-            if self.scenario.loadgen.mode == "closed_loop":
-                client.start_call(host_mod.ECHO_FN, make_payload(conn, client.record.next_rpc_id))
+            samples.append((issue_ts, complete_ts))
+            if closed_loop:
+                client.start_call(echo_fn, make_payload(conn, record.next_rpc_id))
 
         return hook
 

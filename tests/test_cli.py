@@ -134,6 +134,11 @@ BAD_OVERRIDES = {
     "unknown_cost_param": (["rawbus", "--threads", "1"], "cost_params.bogus=1",
                            "unknown cost parameter 'bogus'"),
     "compare_nics_not_a_list": (["compare"], "nics=5", "nics must be a list"),
+    # just past the size limits: refused before any ring or call is allocated
+    "ring_depth_over_limit": (["sweep", "--modes", "coherent:B1", "--loads", "1"],
+                              "ring_depth=131072", "ring_depth must be <= 65536, got 131072"),
+    "window_over_limit": (["scale", "--threads", "1"], "loadgen.window=65537",
+                          "loadgen.window must be <= 65536, got 65537"),
     "compare_duration_below_warmup": (["compare"], "duration_us=50",
                                       "duration_us must be >= 10x warmup_us"),
     "rawbus_scenario_key": (["rawbus", "--threads", "1"], "duration_us=x",

@@ -2,12 +2,15 @@
 
 import pytest
 
+from nicsim import host as host_mod
 from nicsim import protocol
 from nicsim.engine import Engine
 from nicsim.errors import (
     ContractViolation,
     DuplicateHandler,
+    MalformedEntry,
     PayloadTooLarge,
+    ResourceExhausted,
     RpcCallError,
     UnknownDestination,
     WouldBlock,
@@ -224,3 +227,94 @@ def test_conservation_holds_after_an_abandoned_call():
     client.completed += 1
     with pytest.raises(ContractViolation, match="2 calls issued"):
         client.check_conservation()
+
+
+# -- checks of the packed-entry pickup path ----------------------------------------
+
+# (byte offset, value) that makes an otherwise valid block malformed
+MALFORMED = {"kind_byte_7": (1, 7), "payload_len_49": (10, 49)}
+
+
+def _malformed_block(kind, conn, offset, value):
+    block = bytearray(protocol.pack_entry(kind, conn, 0, ECHO_FN, b"x"))
+    block[offset] = value
+    return bytes(block)
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_client_pickup_rejects_a_malformed_block(case):
+    engine, client, *_ = _stack("async")
+    client.start_call(ECHO_FN, b"x")  # rpc 0 is pending, so only the block is wrong
+    block = _malformed_block(protocol.KIND_RESPONSE, client.connection_id, *MALFORMED[case])
+    assert client.rings.rx.rx_deliver(block)
+    with pytest.raises(MalformedEntry):
+        client._pickup()
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_server_pickup_rejects_a_malformed_block(case):
+    engine, client, server, *_ = _stack("async")
+    conn = client.connection_id
+    block = _malformed_block(protocol.KIND_REQUEST, conn, *MALFORMED[case])
+    assert server.rings_by_conn[conn].rx.rx_deliver(block)
+    with pytest.raises(MalformedEntry):
+        server._pickup(conn)
+    assert server.served == 0
+
+
+def test_response_for_a_never_issued_rpc_is_a_contract_violation():
+    engine, client, *_ = _stack("async")
+    client.start_call(ECHO_FN, b"x")
+    block = protocol.pack_entry(protocol.KIND_RESPONSE, client.connection_id, 5, ECHO_FN, b"x")
+    assert client.rings.rx.rx_deliver(block)
+    with pytest.raises(ContractViolation, match="unknown rpc 5"):
+        client._pickup()
+    assert list(client.pending) == [0] and client.completed == 0
+
+
+def test_late_response_to_an_abandoned_sync_call_is_dropped_and_conserved():
+    engine, client, *_ = _stack("sync")
+    rpc = client.start_call(ECHO_FN, b"x")
+    client.abandon(rpc)
+    seen = []
+    client.on_complete = lambda *args: seen.append(args)
+    engine.run_until(1e6)  # the response arrives after the call was given up
+    assert seen == [] and not client.abandoned
+    assert client.issued == 1 and client.completed == 0 and client.abandoned_total == 1
+    assert client.outstanding() == 0
+    client.check_conservation()
+
+
+def test_simulated_datapath_builds_no_rpc_entry(monkeypatch):
+    built = []
+    init = protocol.RpcEntry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(protocol.RpcEntry, "__init__", counting_init)
+    protocol.decode_entry(protocol.pack_entry(protocol.KIND_REQUEST, 0, 0, ECHO_FN, b""))
+    assert len(built) == 1  # the counter sees every construction
+    built.clear()
+    result = run(default_scenario(tx_mode="coherent", batch=4,
+                                  loadgen=LoadGenSpec(mode="closed_loop", window=16),
+                                  duration_us=200, warmup_us=20))
+    assert result.total_completed > 1000
+    assert built == []
+
+
+def test_ring_allocation_failure_names_the_depth(monkeypatch):
+    engine = Engine()
+    arbiter = BusArbiter([0, 1], P.bus_cap_rps)
+    wire = Wire(engine, P)
+    nic0 = Nic(0, NicConfig(), P, engine, arbiter, wire)
+    nic1 = Nic(1, NicConfig(), P, engine, arbiter, wire)
+    server = ServerEndpoint(engine, nic1)
+
+    def no_memory(depth):
+        raise MemoryError()
+
+    monkeypatch.setattr(host_mod, "RingPair", no_memory)
+    with pytest.raises(ResourceExhausted, match="ring_depth 128"):
+        connect(engine, wire, nic0, nic1, server, ring_depth=128)

@@ -98,6 +98,14 @@ def test_golden_vectors():
         assert decoded == entry, vec["name"]
 
 
+def test_pack_and_unpack_match_the_golden_vectors():
+    for vec in json.loads((GOLDEN / "entry_vectors.json").read_text()):
+        fields = (vec["kind"], vec["connection_id"], vec["rpc_id"], vec["function_id"],
+                  bytes.fromhex(vec["payload_hex"]))
+        assert protocol.pack_entry(*fields).hex() == vec["hex"], vec["name"]
+        assert protocol.unpack_entry(bytes.fromhex(vec["hex"])) == fields, vec["name"]
+
+
 def test_roundtrip_random_fields_against_layout_table():
     rng = random.Random(0xD46)
     for _ in range(10_000):

@@ -10,6 +10,8 @@ from nicsim.engine import Engine
 from nicsim.errors import ConfigInvalid, ContractViolation
 from nicsim.interconnect import CostParams
 from nicsim.sim import (
+    MAX_RING_DEPTH,
+    MAX_WINDOW,
     LoadGenSpec,
     _Harness,
     Scenario,
@@ -209,9 +211,9 @@ def test_harness_fifo_and_payload_checks_fire():
     harness = _Harness(s, collect_trace=False)
     client = harness.clients[0]
     conn = client.connection_id
-    with pytest.raises(AssertionError, match="out of order"):
+    with pytest.raises(ContractViolation, match="out of order"):
         client.on_complete(1, 0.0, 1.0, make_payload(conn, 1), protocol.KIND_RESPONSE)
-    with pytest.raises(AssertionError, match="corrupted"):
+    with pytest.raises(ContractViolation, match="corrupted"):
         client.on_complete(0, 0.0, 1.0, b"not the echo", protocol.KIND_RESPONSE)
 
 
@@ -220,7 +222,7 @@ def test_harness_completion_queue_check_is_explicit():
     s = default_scenario(loadgen=LoadGenSpec(mode="closed_loop", window=1),
                          duration_us=100, warmup_us=10)
     harness = _Harness(s, collect_trace=False)
-    harness.clients[0].poll_completions = lambda: []
+    harness.clients[0].cq.cq_drain_last = lambda: None
     harness.start_load()
     with pytest.raises(ContractViolation):
         harness.engine.run_until(100_000.0)
@@ -262,6 +264,16 @@ def test_scenario_validation_field_messages():
     text = str(exc.value)
     assert "tx_mode" in text
     assert "loadgen.mode" in text
+
+
+def test_ring_depth_and_window_limits_are_inclusive():
+    s = default_scenario(ring_depth=MAX_RING_DEPTH,
+                         loadgen=LoadGenSpec(mode="closed_loop", window=MAX_WINDOW))
+    assert s.ring_depth == MAX_RING_DEPTH and s.loadgen.window == MAX_WINDOW
+    with pytest.raises(ConfigInvalid, match="ring_depth must be <="):
+        replace(s, ring_depth=2 * MAX_RING_DEPTH).validate()
+    with pytest.raises(ConfigInvalid, match="loadgen.window must be <="):
+        replace(s, loadgen=LoadGenSpec(mode="closed_loop", window=MAX_WINDOW + 1)).validate()
 
 
 def test_scenario_duration_warmup_ratio_enforced():
