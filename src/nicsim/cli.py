@@ -195,15 +195,23 @@ def cmd_sweep(args) -> int:
 
 
 def _parse_threads(spec: str):
+    """Thread counts from a list of values and lo..hi ranges, each bounded
+    by sim.MAX_CONNECTIONS before any range is expanded."""
+    def count(text):
+        value = _parse_number("--threads", spec, int, text)
+        if value > sim.MAX_CONNECTIONS:
+            raise ConfigInvalid(f"--threads {spec!r}: thread counts must be "
+                                f"<= {sim.MAX_CONNECTIONS}, got {value}")
+        return value
+
     out = []
     for token in spec.split(","):
         token = token.strip()
         if ".." in token:
             lo, hi = token.split("..", 1)
-            out.extend(range(_parse_number("--threads", spec, int, lo),
-                             _parse_number("--threads", spec, int, hi) + 1))
+            out.extend(range(count(lo), count(hi) + 1))
         elif token:
-            out.append(_parse_number("--threads", spec, int, token))
+            out.append(count(token))
     if any(t < 1 for t in out):
         raise ConfigInvalid(f"--threads {spec!r}: thread counts must be >= 1")
     return out

@@ -26,10 +26,6 @@ class ConnectionNotFound(NicSimError):
     """Flow table lookup for an unregistered connection id."""
 
 
-class WouldBlock(NicSimError):
-    """Non-blocking call could not make progress (ring or window full)."""
-
-
 class ContractViolation(NicSimError):
     """Ring ownership protocol misuse (publish without acquire, double release, ...)."""
 

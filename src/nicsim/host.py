@@ -28,7 +28,6 @@ from .errors import (
     ResourceExhausted,
     RpcCallError,
     UnknownDestination,
-    WouldBlock,
 )
 from .protocol import ConnectionRecord, pack_entry, unpack_entry
 from .rings import CompletionQueue, RingPair
@@ -61,12 +60,6 @@ class _TxIssuer:
             return False
         self._publish(slot, block, rpc)
         return True
-
-    def try_submit(self, block: bytes, rpc: int) -> None:
-        slot = self.tx.tx_acquire()
-        if slot is None:
-            raise WouldBlock("TX ring full")
-        self._publish(slot, block, rpc)
 
     def _publish(self, slot: int, block: bytes, rpc: int) -> None:
         engine, nic = self.engine, self.nic
@@ -140,21 +133,6 @@ class ClientEndpoint:
             pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload),
             rpc_id,
         )
-        return rpc_id
-
-    def try_call_async(self, function_id: int, payload: bytes) -> int:
-        """Non-blocking variant: raises WouldBlock instead of queueing."""
-        if len(payload) > protocol.MAX_PAYLOAD:
-            raise PayloadTooLarge(f"payload {len(payload)} > {protocol.MAX_PAYLOAD}")
-        rpc_id = self.record.take_rpc_id()
-        block = pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload)
-        try:
-            self.issuer.try_submit(block, rpc_id)
-        except WouldBlock:
-            self.record.next_rpc_id = rpc_id  # roll back the id we took
-            raise
-        self.issued += 1
-        self.pending[rpc_id] = self.engine.now
         return rpc_id
 
     def poll_completions(self):
@@ -277,9 +255,6 @@ class ServerEndpoint:
 
     def on_tx_free(self, conn_id: int, ts: float) -> None:
         self.issuers[conn_id].on_tx_free()
-
-    def outstanding(self) -> int:
-        return sum(issuer.blocked_count() for issuer in self.issuers.values())
 
 
 def echo_handler(payload: bytes) -> bytes:

@@ -22,12 +22,11 @@ end-to-end than a coherent line transfer even at similar issue rates:
                already is the traversal)
 
 A shared bus endpoint sustains at most bus_cap_rps 64B transactions per
-second. A simulation grants them in the order the engine issues requests
-(BusArbiter.request); the round-robin submit+drain path serves only
-submit/arbiter_grant callers. Only host->NIC fetch-direction
-transactions (MMIO stores, doorbell rings, DMA entry reads, coherent line
-transfers, empty polls) consume that budget; NIC->host DMA writes ride the
-already-optimized write path and are traced but not budgeted.
+second, granted in the order the engine issues requests
+(BusArbiter.request). Only host->NIC fetch-direction transactions (MMIO
+stores, doorbell rings, DMA entry reads, coherent line transfers, empty
+polls) consume that budget; NIC->host DMA writes ride the already-optimized
+write path and are traced but not budgeted.
 """
 
 from __future__ import annotations
@@ -225,13 +224,8 @@ class BusArbiter:
     """Grant scheduler for the shared 64B-transaction endpoint.
 
     Each grant occupies the endpoint for 1/bus_cap_rps seconds. The
-    simulation calls request() in event order with nothing else pending,
-    so its grants go out in the order the requests are issued. Transactions
-    queued through submit() (directly or by arbiter_grant) are granted
-    round-robin by drain(): while more than one issuer is backlogged the
-    cursor alternates between them, so grant counts over any backlogged
-    window differ by at most one. Only submit/arbiter_grant callers reach
-    that path.
+    simulation calls request() in event order, so grants go out first come,
+    first served: a request's units follow every unit granted before it.
     """
 
     def __init__(self, issuers, bus_cap_rps: float):
@@ -239,69 +233,23 @@ class BusArbiter:
         if len(set(self.issuers)) != len(self.issuers):
             raise ValueError(f"arbiter issuers must be distinct, got {self.issuers}")
         self.slot_ns = 1e9 / bus_cap_rps
-        self._queues = {i: 0 for i in self.issuers}  # pending transaction counts
-        self._pending = 0  # sum of _queues
-        self._next_cursor = {i: (k + 1) % len(self.issuers) for k, i in enumerate(self.issuers)}
-        self._cursor = 0
         self._free_at = 0.0
         self.grant_counts = {i: 0 for i in self.issuers}
 
-    def submit(self, issuer, count: int) -> None:
-        if count < 0:
-            raise ValueError(f"transaction count must be >= 0, got {count}")
-        self._queues[issuer] += count
-        self._pending += count
-
-    def drain(self, now: float):
-        """Grant everything pending; yields (completion_ns, issuer) rows."""
-        schedule = []
-        t = max(self._free_at, now)
-        while True:
-            for step in range(len(self.issuers)):
-                idx = (self._cursor + step) % len(self.issuers)
-                issuer = self.issuers[idx]
-                if self._queues[issuer] > 0:
-                    break
-            else:
-                break
-            self._cursor = (idx + 1) % len(self.issuers)
-            t += self.slot_ns
-            self._queues[issuer] -= 1
-            self.grant_counts[issuer] += 1
-            self._free_at = t
-            schedule.append((t, issuer))
-        self._pending = 0
-        return schedule
-
     def request(self, issuer, count: int, now: float) -> float:
-        """Queue `count` transactions and return the completion time of the
-        last one. The simulation engine calls this in event order, so grants
-        interleave at fetch-batch granularity."""
-        if self._pending or count < 1:
-            self.submit(issuer, count)
-            schedule = self.drain(now)
-            for t, who in reversed(schedule):
-                if who == issuer:
-                    return t
-            return now
-        # Nothing else is queued, so drain() would grant all `count` units to
-        # the issuer back to back. Grant times accumulate one slot at a time,
-        # exactly as drain() adds them (t + count * slot_ns rounds differently).
+        """Grant `count` transactions back to back, from `now` or from the end
+        of the last grant, whichever is later; returns the completion time of
+        the last one."""
+        if count < 1:
+            raise ValueError(f"transaction count must be >= 1, got {count}")
         self.grant_counts[issuer] += count
-        self._cursor = self._next_cursor[issuer]
         t = max(self._free_at, now)
         slot_ns = self.slot_ns
+        # one slot at a time: t + count * slot_ns rounds differently
         for _ in range(count):
             t += slot_ns
         self._free_at = t
         return t
-
-
-def arbiter_grant(arbiter: BusArbiter, pending: dict, now: float = 0.0):
-    """Grant a pending-set snapshot: {issuer: count} -> [(ts_ns, issuer)]."""
-    for issuer, count in pending.items():
-        arbiter.submit(issuer, count)
-    return arbiter.drain(now)
 
 
 # -- calibration -------------------------------------------------------------

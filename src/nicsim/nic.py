@@ -251,7 +251,7 @@ class Nic:
             self._controller_started = True
             self._schedule_controller_tick()
         if self.config.tx_mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_DIRECT:
-            self._start_poll_loop(ep)
+            self._arm_poll(ep, self.engine.now)
         return ep
 
     def _index_endpoints(self) -> None:
@@ -368,9 +368,6 @@ class Nic:
             self._try_fetch(ep)
 
     # -- direct-poll loop ----------------------------------------------------
-
-    def _start_poll_loop(self, ep: _ConnEndpoint) -> None:
-        self._arm_poll(ep, self.engine.now)
 
     def _arm_poll(self, ep: _ConnEndpoint, ts: float) -> None:
         if not ep.poll_scheduled and not self.engine.ended(ts):
@@ -503,7 +500,7 @@ class Nic:
         for ep in self.conns.values():
             if new == ic.SUBMODE_DIRECT:
                 ep.inval_known = 0
-                self._start_poll_loop(ep)
+                self._arm_poll(ep, self.engine.now)
                 self._try_fetch(ep)  # pick up any backlog published pre-switch
             else:
                 # entries published under direct polling are already visible

@@ -20,7 +20,6 @@ Design notes:
 from __future__ import annotations
 
 import threading
-import zlib
 from collections import deque
 from itertools import islice
 
@@ -181,9 +180,6 @@ class TxRing:
     def outstanding(self) -> int:
         return self.depth - self.free_slots() - len(self._acquired)
 
-    def dump_csv(self) -> str:
-        return _dump_slab(self.slab, self.depth)
-
     def snapshot(self) -> dict:
         return {
             "slab": self.slab.hex(),
@@ -261,9 +257,6 @@ class RxRing:
                                     f"has not polled")
         self.slab[base] = 0
 
-    def dump_csv(self) -> str:
-        return _dump_slab(self.slab, self.depth)
-
     def snapshot(self) -> dict:
         return {
             "slab": self.slab.hex(),
@@ -313,18 +306,3 @@ class RingPair:
     def __init__(self, depth: int = DEFAULT_DEPTH):
         self.tx = TxRing(depth)
         self.rx = RxRing(depth)
-
-
-def _dump_slab(slab: bytearray, depth: int) -> str:
-    # one line per slot: idx,valid,conn,rpc,fn,len,crc
-    lines = ["idx,valid,conn,rpc,fn,len,crc"]
-    for idx in range(depth):
-        raw = bytes(slab[idx * _SLOT : (idx + 1) * _SLOT])
-        valid = raw[0]
-        conn = int.from_bytes(raw[2:4], "little")
-        rpc = int.from_bytes(raw[4:8], "little")
-        fn = int.from_bytes(raw[8:10], "little")
-        plen = raw[10]
-        crc = zlib.crc32(raw) & 0xFFFFFFFF
-        lines.append(f"{idx},{valid},{conn},{rpc},{fn},{plen},{crc:08x}")
-    return "\n".join(lines) + "\n"

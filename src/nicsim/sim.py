@@ -36,6 +36,8 @@ DEFAULT_WARMUP_US = 200.0
 # ring (512) and widest window (192) of any shipped scenario or workload.
 MAX_RING_DEPTH = 1 << 16
 MAX_WINDOW = 1 << 16
+# An entry carries its connection id as a u16 (see the layout in protocol).
+MAX_CONNECTIONS = 1 << 16
 
 
 @dataclass
@@ -85,6 +87,9 @@ class Scenario:
             errors.append("nics: at least one NIC required")
         if not self.connections:
             errors.append("connections: at least one connection required")
+        elif len(self.connections) > MAX_CONNECTIONS:
+            errors.append(f"connections: at most {MAX_CONNECTIONS} connections, "
+                          f"got {len(self.connections)}")
         for i, (c, s) in enumerate(self.connections):
             if c not in self.nic_configs:
                 errors.append(f"connections[{i}]: client nic {c} not defined")
@@ -379,12 +384,6 @@ class _Harness:
 
         self.engine.schedule(at_ns, arrive)
 
-    def outstanding(self) -> int:
-        total = sum(c.outstanding() for c in self.clients)
-        total += sum(s.outstanding() for s in self.servers.values())
-        total += sum(n.outstanding() for n in self.nics.values())
-        return total
-
 
 def run(scenario: Scenario, collect_trace: bool = False) -> RunResult:
     """Execute one scenario and reduce its per-request trace to metrics."""
@@ -458,13 +457,6 @@ def sweep_load(scenario: Scenario, loads_mrps: list[float]) -> list[RunMetrics]:
     return out
 
 
-def saturation_point(curve: list[RunMetrics]):
-    for m in curve:
-        if m.saturated:
-            return m.offered_mrps
-    return None
-
-
 def scale_cores(scenario: Scenario, thread_counts: list[int]) -> list[tuple[int, float]]:
     """Closed-loop end-to-end throughput vs number of client threads.
 
@@ -515,10 +507,12 @@ def raw_bus_benchmark(params: CostParams, thread_counts: list[int],
     return out
 
 
-def drain_and_reconfigure(harness_outstanding, engine: Engine, nic: Nic,
+def drain_and_reconfigure(outstanding, engine: Engine, nic: Nic,
                           new_config: NicConfig, budget_ns: float = 10e6) -> None:
-    """Quiesce in-flight traffic, then rebuild the NIC with new hard fields."""
-    drained = engine.run_while(lambda: harness_outstanding() > 0, engine.now + budget_ns)
+    """Quiesce in-flight traffic, then rebuild the NIC with new hard fields.
+
+    outstanding() counts what is still in flight, e.g. Nic.outstanding."""
+    drained = engine.run_while(lambda: outstanding() > 0, engine.now + budget_ns)
     if not drained:
         raise DrainTimeout(f"NIC {nic.nic_id} did not drain within {budget_ns:.0f} ns")
     nic.hard_reconfigure(new_config)

@@ -166,6 +166,11 @@ BAD_LIST_FLAGS = {
     "scale_threads": (["scale", "--threads", "x"], "--threads 'x'"),
     "rawbus_threads_range": (["rawbus", "--threads", "1..x"], "--threads '1..x'"),
     "rawbus_threads_zero": (["rawbus", "--threads", "0"], "thread counts must be >= 1"),
+    # refused before a range is expanded or a scenario is built
+    "scale_threads_over_cap": (["scale", "--threads", "65537"],
+                               "thread counts must be <= 65536, got 65537"),
+    "rawbus_threads_range_end_over_cap": (["rawbus", "--threads", "1..1000000000000"],
+                                          "thread counts must be <= 65536, got 1000000000000"),
 }
 
 
@@ -173,7 +178,7 @@ BAD_LIST_FLAGS = {
 def test_bad_list_flag_exits_1_with_the_flag_name(case):
     args, message = BAD_LIST_FLAGS[case]
     proc = subprocess.run([sys.executable, "-m", "nicsim.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert message in proc.stderr

@@ -13,7 +13,6 @@ from nicsim.errors import (
     ResourceExhausted,
     RpcCallError,
     UnknownDestination,
-    WouldBlock,
 )
 from nicsim.host import ECHO_FN, ServerEndpoint, call_sync, connect, echo_handler
 from nicsim.interconnect import BusArbiter, CostParams
@@ -145,19 +144,6 @@ def test_async_issue_then_poll_completions():
     done = client.poll_completions()
     assert [rpc for rpc, _, _ in done] == ids
     assert [p for _, p, _ in done] == [bytes([i]) * 4 for i in range(10)]
-
-
-def test_try_call_async_wouldblock_at_ring_full():
-    engine, client, *_ = _stack("async")
-    # fill all 64 slots without letting the NIC run
-    for _ in range(64):
-        client.try_call_async(ECHO_FN, b"x")
-    with pytest.raises(WouldBlock):
-        client.try_call_async(ECHO_FN, b"x")
-    # the blocking variant queues instead
-    client.start_call(ECHO_FN, b"x")
-    engine.run_until(1e6)
-    assert client.completed == 65
 
 
 def test_sync_single_outstanding_enforced():

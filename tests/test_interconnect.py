@@ -16,7 +16,6 @@ from nicsim.interconnect import (
     BusArbiter,
     CostParams,
     Transaction,
-    arbiter_grant,
     bandwidth_headroom_ratio,
     calibrate,
     closed_form_rate,
@@ -226,44 +225,39 @@ def test_is_number_takes_only_finite_numbers(value):
 # -- arbiter -----------------------------------------------------------------
 
 
-def test_arbiter_fairness_both_backlogged():
-    arb = BusArbiter([0, 1], 80e6)
-    schedule = arbiter_grant(arb, {0: 5000, 1: 5000})
-    assert abs(arb.grant_counts[0] - arb.grant_counts[1]) <= 1
-    # alternating grants while both are backlogged
-    first_hundred = [who for _, who in schedule[:100]]
-    assert first_hundred == [i % 2 for i in range(100)] or first_hundred == [
-        (i + 1) % 2 for i in range(100)
-    ]
-    for (t1, _), (t2, _) in zip(schedule, schedule[1:]):
-        assert t2 - t1 == pytest.approx(12.5)
-
-
 def test_arbiter_idle_peer_gets_full_budget():
     arb = BusArbiter([0, 1], 80e6)
-    schedule = arbiter_grant(arb, {0: 1000, 1: 0})
-    assert all(who == 0 for _, who in schedule)
-    assert schedule[-1][0] == pytest.approx(1000 * 12.5)
+    assert arb.request(0, 1000, 0.0) == pytest.approx(1000 * 12.5)
+    assert arb.grant_counts == {0: 1000, 1: 0}
 
 
 def test_arbiter_caps_aggregate_rate():
     arb = BusArbiter([0, 1], 80e6)
-    # 100 Mrps offered for 1 ms -> 100k transactions submitted at t=0
-    schedule = arbiter_grant(arb, {0: 50_000, 1: 50_000})
-    within_window = sum(1 for t, _ in schedule if t <= 1e6)
+    # 100 Mrps offered for 1 ms -> 100k single-unit requests at t=0
+    grants = [arb.request(k % 2, 1, 0.0) for k in range(100_000)]
+    within_window = sum(1 for t in grants if t <= 1e6)
     assert within_window / 1e6 * 1e3 == pytest.approx(80.0, rel=0.01)  # Mrps
 
 
-def _request_via_drain(arb, issuer, count, now):
-    """BusArbiter.request spelled out as submit + drain."""
-    arb.submit(issuer, count)
-    schedule = arb.drain(now)
-    return next((t for t, who in reversed(schedule) if who == issuer), now)
+class _SlotArbiter:
+    """Reference bus: grants one slot at a time, in request order."""
+
+    def __init__(self, issuers, bus_cap_rps):
+        self.slot_ns = 1e9 / bus_cap_rps
+        self.free_at = 0.0
+        self.grant_counts = {i: 0 for i in issuers}
+
+    def request(self, issuer, count, now):
+        t = max(self.free_at, now)
+        for _ in range(count):
+            t += self.slot_ns
+            self.grant_counts[issuer] += 1
+            self.free_at = t
+        return t
 
 
 _ARBITER_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["request", "submit"]),
         st.sampled_from([0, 1, 7]),
         st.integers(1, 40),
         st.floats(0.0, 50.0, allow_nan=False),
@@ -274,28 +268,26 @@ _ARBITER_OPS = st.lists(
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(ops=_ARBITER_OPS, bus_cap=st.sampled_from([80e6, 30e6]))
-def test_arbiter_request_matches_submit_drain(ops, bus_cap):
+def test_arbiter_request_matches_slot_by_slot_reference(ops, bus_cap):
     # a 33.3 ns slot is inexact in binary, so any shortcut in the grant
     # time arithmetic shows up as a last-bit difference
-    fast, twin = BusArbiter([0, 1, 7], bus_cap), BusArbiter([0, 1, 7], bus_cap)
+    arb, ref = BusArbiter([0, 1, 7], bus_cap), _SlotArbiter([0, 1, 7], bus_cap)
     now = 0.0
-    for op, issuer, count, gap in ops:
+    for issuer, count, gap in ops:
         now += gap
-        if op == "submit":  # leaves a backlog, so the next request must share the bus
-            fast.submit(issuer, count)
-            twin.submit(issuer, count)
-            continue
-        assert fast.request(issuer, count, now) == _request_via_drain(twin, issuer, count, now)
-        assert fast.grant_counts == twin.grant_counts
-        assert fast._cursor == twin._cursor
-        assert fast._free_at == twin._free_at
+        assert arb.request(issuer, count, now) == ref.request(issuer, count, now)
+        assert arb.grant_counts == ref.grant_counts
+        assert arb._free_at == ref.free_at
 
 
 def test_arbiter_rejects_duplicate_issuers_and_negative_counts():
     with pytest.raises(ValueError):
         BusArbiter([0, 0], 80e6)
-    with pytest.raises(ValueError):
-        BusArbiter([0, 1], 80e6).submit(0, -1)
+    arb = BusArbiter([0, 1], 80e6)
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            arb.request(0, count, 0.0)
+    assert arb.grant_counts == {0: 0, 1: 0} and arb._free_at == 0.0
 
 
 def test_bandwidth_headroom_ratio():

@@ -376,7 +376,7 @@ def test_side_ownership_enforced_across_threads():
 
 
 # --------------------------------------------------------------------------
-# snapshot/restore and debug dump
+# snapshot/restore
 # --------------------------------------------------------------------------
 
 
@@ -391,22 +391,9 @@ def test_snapshot_restore_identity():
     other = TxRing(8)
     other.restore(snap)
     assert other.snapshot() == snap
-    assert other.dump_csv() == ring.dump_csv()
     # restored ring continues identically
     a, b = ring.tx_acquire(), other.tx_acquire()
     assert a == b
-
-
-def test_dump_csv_shape():
-    ring = TxRing(4)
-    slot = ring.tx_acquire()
-    ring.tx_publish(slot, _entry_block(5, conn=3, payload=b"abc"))
-    lines = ring.dump_csv().strip().split("\n")
-    assert lines[0] == "idx,valid,conn,rpc,fn,len,crc"
-    assert len(lines) == 5
-    row = lines[1 + slot].split(",")
-    assert row[:6] == [str(slot), "1", "3", "5", "0", "3"]
-    assert len(row[6]) == 8  # crc32 hex
 
 
 # --------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from nicsim.engine import Engine
 from nicsim.errors import ConfigInvalid, ContractViolation
 from nicsim.interconnect import CostParams
 from nicsim.sim import (
+    MAX_CONNECTIONS,
     MAX_RING_DEPTH,
     MAX_WINDOW,
     LoadGenSpec,
@@ -19,7 +20,6 @@ from nicsim.sim import (
     make_payload,
     metrics_csv,
     run,
-    saturation_point,
     scale_cores,
     sweep_load,
     trace_csv,
@@ -101,7 +101,7 @@ def test_sweep_empty_and_orders():
 def test_sweep_saturation_point_coherent_b4():
     s = default_scenario(tx_mode="coherent", batch=4, duration_us=1000, warmup_us=100)
     curve = sweep_load(s, [8.0, 11.0, 12.0, 13.0, 14.0])
-    sat = saturation_point(curve)
+    sat = next(m.offered_mrps for m in curve if m.saturated)
     assert sat == 13.0  # capacity is 12.4 Mrps
     below = [m for m in curve if not m.saturated]
     assert below and all(m.achieved_mrps == pytest.approx(m.offered_mrps, rel=0.01)
@@ -274,6 +274,18 @@ def test_ring_depth_and_window_limits_are_inclusive():
         replace(s, ring_depth=2 * MAX_RING_DEPTH).validate()
     with pytest.raises(ConfigInvalid, match="loadgen.window must be <="):
         replace(s, loadgen=LoadGenSpec(mode="closed_loop", window=MAX_WINDOW + 1)).validate()
+
+
+def test_connection_count_is_capped_before_any_ring_is_allocated():
+    # an entry's connection id is a u16; validation only counts the rows
+    row = {"client_nic": 0, "server_nic": 1}
+    data = {"nics": [{"id": 0}, {"id": 1}], "connections": [row] * (MAX_CONNECTIONS + 1)}
+    with pytest.raises(ConfigInvalid) as exc:
+        Scenario.from_dict(data)
+    assert exc.value.errors == [f"connections: at most {MAX_CONNECTIONS} connections, "
+                                f"got {MAX_CONNECTIONS + 1}"]
+    s = default_scenario()
+    replace(s, connections=s.connections * MAX_CONNECTIONS).validate()  # the limit is inclusive
 
 
 def test_scenario_duration_warmup_ratio_enforced():
