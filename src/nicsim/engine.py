@@ -56,27 +56,31 @@ class Engine:
         """Dispatch every event with timestamp <= end_ns."""
         self.end_ns = end_ns
         heap, pop = self._heap, heapq.heappop
-        while heap and heap[0][0] <= end_ns:
-            entry = pop(heap)
-            ts, seq, fn, more = entry
-            entry[0] = _POPPED
-            self.now = ts
-            self.events_processed += 1
-            if more is None:
-                fn()
-                continue
-            rest = iter(more)
-            try:
-                fn()
-                for fn in rest:
-                    self.events_processed += 1
+        n = 0  # callbacks dispatched, added to events_processed on the way out
+        try:
+            while heap and heap[0][0] <= end_ns:
+                entry = pop(heap)
+                ts, seq, fn, more = entry
+                entry[0] = _POPPED
+                self.now = ts
+                n += 1
+                if more is None:
                     fn()
-            except BaseException:
-                # an aborted entry keeps its undispatched callbacks queued
-                rest = list(rest)
-                if rest:
-                    heapq.heappush(heap, [ts, seq, rest[0], rest[1:] or None])
-                raise
+                    continue
+                rest = iter(more)
+                try:
+                    fn()
+                    for fn in rest:
+                        n += 1
+                        fn()
+                except BaseException:
+                    # an aborted entry keeps its undispatched callbacks queued
+                    rest = list(rest)
+                    if rest:
+                        heapq.heappush(heap, [ts, seq, rest[0], rest[1:] or None])
+                    raise
+        finally:
+            self.events_processed += n
         self.now = max(self.now, end_ns)
 
     def run_while(self, cond, limit_ns: float) -> bool:

@@ -267,14 +267,15 @@ def connect(engine, wire, client_nic, server_nic, server_endpoint,
 
     Allocates a fresh ring pair per side (per-connection provisioning) and
     registers flow-table records at both ends, under an id that is new to
-    both NICs.
+    both NICs. ring_depth defaults to the deeper NIC's ring_depth, the bound
+    its batch sizes were validated against.
     """
     if server_nic.nic_id not in wire.nics or client_nic.nic_id not in wire.nics:
         raise UnknownDestination("both NICs must be attached to the wire")
     client_table, server_table = client_nic.flow_table, server_nic.flow_table
     conn_id = max((r.connection_id for table in (client_table, server_table) for r in table),
                   default=-1) + 1
-    depth = ring_depth or 64
+    depth = ring_depth or max(client_nic.ring_depth, server_nic.ring_depth)
     try:
         client_rings = RingPair(depth)
         server_rings = RingPair(depth)

@@ -211,6 +211,11 @@ def tx_batch_transactions(mode: str, k: int):
     return [(KIND_POLL_HIT, k)]
 
 
+def tx_batch_units(mode: str, k: int) -> int:
+    """Bus budget of one fetch: the sum of tx_batch_transactions' counts."""
+    return k + 1 if mode == MODE_DOORBELL else k
+
+
 def bandwidth_headroom_ratio(rate_rps: float, peak_gbytes_per_s: float) -> float:
     """How many times the peak link bandwidth exceeds a 64B request stream."""
     consumed = rate_rps * 64 / 1e9

@@ -4,7 +4,14 @@ Each connection endpoint owns a TX path (host publishes, NIC fetches via
 the configured interface mode) and an RX path (wire arrivals DMA-written
 into the RX ring, round-robin balanced across the NIC's connections).
 
-Hard config fields (tx_mode, threading_model) require a drained rebuild;
+Each endpoint's recurring event callbacks (poll, the direct-submode fetch
+trigger, the invalidation notice and RX delivery to the host) are built once,
+in attach_connection, not per event. A FSM pass with no callback in between
+checks only its first edge: _forward checks FETCH -> FORWARD and goes on
+through BOOKKEEP to IDLE_POLL, _rx_deliver checks AWAIT_WIRE -> DELIVER_DMA
+and ends back in AWAIT_WIRE; the intermediate states are never stored.
+
+Hard config fields (tx_mode, threading_model) require a drained restart;
 soft fields (batch size, poll threshold, adaptive batching, rate window)
 may change at runtime. Two controllers run per NIC, evaluated once per
 rate window with a +/-5% hysteresis band (HYSTERESIS):
@@ -173,7 +180,11 @@ class _ConnEndpoint:
         self.busy_until = 0.0
         self.inval_known = 0  # publish notifications seen (inval submode)
         self.poll_scheduled = False
-        self.poll_event = None  # bound by the NIC: one callback for every poll
+        # event callbacks, built once by Nic.attach_connection
+        self.poll_event = None
+        self.fetch_event = None
+        self.inval_event = None
+        self.deliver_event = None
         self.rx_index = 0  # position in the NIC's RX round-robin
         self.rx_backlog = deque()  # wire arrivals awaiting a free RX slot
 
@@ -204,22 +215,24 @@ class Wire:
         dst = self.nics.get(dst_nic_id)
         if dst is None:
             raise UnknownDestination(f"nic {dst_nic_id} is not attached to the wire")
-        now = self.engine.now
-        trace = self.engine.trace
+        engine = self.engine
+        now = engine.now
+        trace = engine.trace
         if trace is not None:
             trace.append(ic.Transaction(now, f"nic{src_nic_id}", ic.KIND_WIRE_HOP, 1, conn_id,
                                         rpc, critical=True))
-        self.engine.schedule(
-            now + extra_ns + self.params.t_wire, lambda: dst.rx_arrival(conn_id, block, rpc)
-        )
+        arrive = dst.rx_arrival
+        engine.schedule(now + extra_ns + self.params.t_wire, lambda: arrive(conn_id, block, rpc))
 
 
 class Nic:
     """One emulated NIC attached to the shared bus arbiter and the wire."""
 
-    def __init__(self, nic_id: int, config: NicConfig, params, engine, arbiter, wire):
+    def __init__(self, nic_id: int, config: NicConfig, params, engine, arbiter, wire,
+                 ring_depth: int = DEFAULT_DEPTH):
         self.nic_id = nic_id
-        self.config = config.validate()
+        self.ring_depth = ring_depth  # the bound of every batch size
+        self.config = config.validate(ring_depth)
         self.params = params
         self.engine = engine
         self.arbiter = arbiter
@@ -243,7 +256,11 @@ class Nic:
 
     def attach_connection(self, conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb):
         ep = _ConnEndpoint(conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb)
+        engine = self.engine
         ep.poll_event = lambda: self._poll(ep)
+        ep.fetch_event = lambda: self._try_fetch(ep)
+        ep.inval_event = lambda: self._on_inval(ep)
+        ep.deliver_event = lambda: deliver_cb(conn_id, engine.now)
         self.conns[conn_id] = ep
         self._index_endpoints()
         self.rx_service_counts[conn_id] = 0
@@ -274,12 +291,12 @@ class Nic:
                 if trace is not None:
                     trace.append(ic.Transaction(now, f"host{self.nic_id}", ic.KIND_INVALIDATION,
                                                 1, conn_id))
-                self.engine.schedule(now + self.params.t_inval, lambda: self._on_inval(ep))
+                self.engine.schedule(now + self.params.t_inval, ep.inval_event)
             else:
                 # direct polling discovers the entry half a poll period later
                 # on average; modeled as a fixed half-period so steady state
                 # is phase-free
-                self.engine.schedule(now + self.params.t_poll / 2, lambda: self._try_fetch(ep))
+                self.engine.schedule(now + self.params.t_poll / 2, ep.fetch_event)
         else:
             self._try_fetch(ep)
 
@@ -294,10 +311,12 @@ class Nic:
         after a controller transition a partial batch is flushed instead, so
         the batch alignment left over from the old configuration drains out.
         """
-        mode = self.config.tx_mode
         dirty = ep.rings.tx.dirty_run()
+        if not dirty:
+            return 0
+        mode = self.config.tx_mode
         if mode == ic.MODE_MMIO:
-            return 1 if dirty >= 1 else 0
+            return 1
         want = self.effective_B
         avail = min(dirty, ep.inval_known) if (
             mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_INVAL
@@ -330,14 +349,13 @@ class Nic:
         if mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_INVAL:
             ep.inval_known -= k
         trace = self.engine.trace
-        units = 0
-        for kind, count in ic.tx_batch_transactions(mode, k):
-            units += count
-            # the CPU store of mmio mode was traced at publish time
-            if trace is not None and kind != ic.KIND_MMIO_STORE:
-                trace.append(ic.Transaction(now, f"nic{self.nic_id}", kind, count, ep.conn_id,
-                                            critical=(kind != ic.KIND_DOORBELL)))
-        granted = self.arbiter.request(self.nic_id, units, now)
+        if trace is not None:
+            for kind, count in ic.tx_batch_transactions(mode, k):
+                # the CPU store of mmio mode was traced at publish time
+                if kind != ic.KIND_MMIO_STORE:
+                    trace.append(ic.Transaction(now, f"nic{self.nic_id}", kind, count, ep.conn_id,
+                                                critical=(kind != ic.KIND_DOORBELL)))
+        granted = self.arbiter.request(self.nic_id, ic.tx_batch_units(mode, k), now)
         occ_end = max(now + ic.tx_occupancy_ns(self.params, mode, k), granted)
         ep.busy_until = occ_end
         self.engine.schedule(occ_end, lambda: self._forward(ep, entries))
@@ -345,15 +363,17 @@ class Nic:
     def _forward(self, ep: _ConnEndpoint, entries) -> None:
         """Channel freed: hand the batch to the interconnect (any remaining
         traversal latency rides the delivery path), bookkeep, go idle."""
+        if ep.tx_state is not TxState.FETCH:
+            ep.set_tx(TxState.FORWARD)  # no edge from here: raises TransitionError
+        # FORWARD -> BOOKKEEP -> IDLE_POLL runs with no callback in between
+        # that could observe the FSM, so only the first edge is checked
         extra = ic.tx_extra_latency_ns(self.params, self.config.tx_mode)
-        ep.set_tx(TxState.FORWARD)
+        send, nic_id, remote, conn_id = self.wire.send, self.nic_id, ep.remote_nic, ep.conn_id
         for slot, block in entries:
-            rpc = int.from_bytes(block[4:8], "little")
-            self.wire.send(self.nic_id, ep.remote_nic, ep.conn_id, block, rpc, extra_ns=extra)
-        ep.set_tx(TxState.BOOKKEEP)
+            send(nic_id, remote, conn_id, block, int.from_bytes(block[4:8], "little"), extra)
         ep.rings.tx.nic_release([slot for slot, _ in entries])
-        ep.set_tx(TxState.IDLE_POLL)
-        ep.tx_free_cb(ep.conn_id, self.engine.now)
+        ep.tx_state = TxState.IDLE_POLL
+        ep.tx_free_cb(conn_id, self.engine.now)
         self._tx_resume(ep)
 
     def _tx_resume(self, ep: _ConnEndpoint) -> None:
@@ -437,22 +457,20 @@ class Nic:
 
     def _rx_deliver(self, ep: _ConnEndpoint, block: bytes, rpc: int) -> bool:
         """DMA-write one arrival into ep's RX ring; False on backpressure."""
-        now = self.engine.now
-        ep.set_rx(RxState.DELIVER_DMA)
+        if ep.rx_state is not RxState.AWAIT_WIRE:
+            ep.set_rx(RxState.DELIVER_DMA)  # no edge from here: raises TransitionError
+        # AWAIT_WIRE -> DELIVER_DMA -> BOOKKEEP -> AWAIT_WIRE (or straight
+        # back on backpressure) runs with no callback in between that could
+        # observe the FSM, so the pass starts and ends in AWAIT_WIRE
         if not ep.rings.rx.rx_deliver(block):
-            # backpressure: stay queued, FSM returns to waiting
-            ep.set_rx(RxState.AWAIT_WIRE)
-            return False
+            return False  # backpressure: stay queued
+        now = self.engine.now
         self.rx_service_counts[ep.conn_id] += 1
         trace = self.engine.trace
         if trace is not None:
             trace.append(ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_DMA_WRITE, 1, ep.conn_id,
                                         rpc, critical=True))
-        ep.set_rx(RxState.BOOKKEEP)
-        ep.set_rx(RxState.AWAIT_WIRE)
-        self.engine.schedule(
-            now + self.params.t_dma_write, lambda: ep.deliver_cb(ep.conn_id, self.engine.now)
-        )
+        self.engine.schedule(now + self.params.t_dma_write, ep.deliver_event)
         return True
 
     def on_rx_slot_freed(self, conn_id: int) -> None:
@@ -530,7 +548,7 @@ class Nic:
             value = AdaptiveBatching.from_dict(value)
         candidate = replace(self.config, **{field_name: value})
         try:
-            candidate.validate()
+            candidate.validate(self.ring_depth)
         except ConfigInvalid as exc:
             raise InvalidValue(str(exc)) from None
         self.config = candidate
@@ -546,17 +564,19 @@ class Nic:
         return total
 
     def hard_reconfigure(self, new_config: NicConfig) -> None:
-        """Rebuild the pipeline with new hard fields. Caller must have
-        drained in-flight traffic first (see sim.drain_and_reconfigure)."""
-        new_config.validate()
+        """Restart the pipeline with new hard fields. Caller must have
+        drained in-flight traffic first (see sim.drain_and_reconfigure).
+
+        The rings stay, since the host side holds them too and a delivered
+        RX entry may still await pickup; only NIC-side state resets.
+        """
+        new_config.validate(self.ring_depth)
         if self.outstanding():
             raise HardFieldViolation("NIC not drained; outstanding entries remain")
         self.config = new_config
         self.submode = ic.SUBMODE_INVAL
         self.effective_B = new_config.batch_B
         for ep in self.conns.values():
-            ep.rings.tx = type(ep.rings.tx)(ep.rings.tx.depth)
-            ep.rings.rx = type(ep.rings.rx)(ep.rings.rx.depth)
             ep.tx_state = TxState.IDLE_POLL
             ep.rx_state = RxState.AWAIT_WIRE
             ep.busy_until = self.engine.now

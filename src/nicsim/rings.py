@@ -119,7 +119,10 @@ class TxRing:
         """Length of the consecutive dirty run at the fetch cursor."""
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
-        slab, depth, cursor = self.slab, self.depth, self.nic_fetch_cursor
+        slab, cursor = self.slab, self.nic_fetch_cursor
+        if slab[cursor * _SLOT] != 1:
+            return 0  # the common idle answer, before the scan is set up
+        depth = self.depth
         limit = depth - len(self._fetched)  # the scan stops short of fetched slots
         n = 0
         while n < limit and slab[((cursor + n) % depth) * _SLOT] == 1:
@@ -152,24 +155,27 @@ class TxRing:
     def nic_release(self, slots) -> None:
         """Reset flags and hand the indices back through the completion ring.
 
-        Bookkeeping follows fetch order: the released set must be the oldest
-        fetched entries (the NIC FSM frees what it just forwarded).
+        Bookkeeping follows fetch order: the released slots (a sequence) must
+        be the oldest fetched entries (the NIC FSM frees what it just
+        forwarded).
         """
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
-        slots = list(slots)
         fetched = self._fetched
-        prefix = list(islice(fetched, len(slots)))
-        if slots != prefix and (
-            sorted(slots) != sorted(prefix) or len(set(slots)) != len(slots)
-        ):
-            raise ContractViolation(
-                f"release {slots} is not the oldest fetched prefix {prefix}"
-            )
+        if not (len(slots) == 1 and fetched and slots[0] == fetched[0]):
+            # anything but the exact oldest fetched slot: check the whole set
+            slots = list(slots)
+            prefix = list(islice(fetched, len(slots)))
+            if slots != prefix and (
+                sorted(slots) != sorted(prefix) or len(set(slots)) != len(slots)
+            ):
+                raise ContractViolation(
+                    f"release {slots} is not the oldest fetched prefix {prefix}"
+                )
         slab, comp, depth = self.slab, self._comp, self.depth
         wr = self._comp_wr
-        for idx in prefix:  # completion ring keeps circular order
-            fetched.popleft()
+        for _ in range(len(slots)):  # completion ring keeps circular order
+            idx = fetched.popleft()
             slab[idx * _SLOT] = 0
             comp[wr % depth] = idx
             wr += 1
@@ -178,7 +184,8 @@ class TxRing:
     # -- diagnostics -----------------------------------------------------
 
     def outstanding(self) -> int:
-        return self.depth - self.free_slots() - len(self._acquired)
+        """Slots out of the free pool: mid-copy, published or fetched."""
+        return self.depth - self.free_slots()
 
     def snapshot(self) -> dict:
         return {

@@ -297,7 +297,8 @@ class _Harness:
         self.arbiter = BusArbiter(sorted(scenario.nic_configs), params.bus_cap_rps)
         self.wire = Wire(self.engine, params)
         self.nics = {
-            nic_id: Nic(nic_id, replace(cfg), params, self.engine, self.arbiter, self.wire)
+            nic_id: Nic(nic_id, replace(cfg), params, self.engine, self.arbiter, self.wire,
+                        scenario.ring_depth)
             for nic_id, cfg in scenario.nic_configs.items()
         }
         self.servers = {}

@@ -294,6 +294,61 @@ def test_drain_and_reconfigure_timeout_on_blocked_consumer():
                               NicConfig(tx_mode="doorbell"), budget_ns=1e6)
 
 
+@pytest.mark.parametrize("new_mode", ["mmio", "doorbell"])
+def test_drain_and_reconfigure_keeps_serving_every_call(new_mode):
+    # calls issued after a hard reconfiguration use the same rings, so
+    # every one completes; so do responses still in flight at the switch
+    engine, wire, nic0, nic1 = _rig()
+    server = host_mod.ServerEndpoint(engine, nic1)
+    server.register_handler(host_mod.ECHO_FN, host_mod.echo_handler)
+    client = host_mod.connect(engine, wire, nic0, nic1, server)
+    for i in range(5):
+        client.start_call(host_mod.ECHO_FN, b"before%d" % i)
+    drain_and_reconfigure(lambda: nic0.outstanding(), engine, nic0, NicConfig(tx_mode=new_mode))
+    assert nic0.config.tx_mode == new_mode
+    for i in range(5):
+        client.start_call(host_mod.ECHO_FN, b"after%d" % i)
+    engine.run_until(engine.now + 100_000)
+    assert client.completed == 10 and not client.pending
+    assert [p for _, p, _ in client.poll_completions()] == (
+        [b"before%d" % i for i in range(5)] + [b"after%d" % i for i in range(5)])
+    client.check_conservation()
+
+
+def test_batch_bound_follows_the_nic_ring_depth():
+    engine = Engine()
+    wire = Wire(engine, P)
+    arbiter = BusArbiter([0], P.bus_cap_rps)
+    with pytest.raises(ConfigInvalid, match=r"batch_B must be in 1\.\.64, got 128"):
+        Nic(0, NicConfig(batch_B=128), P, engine, arbiter, wire)
+    nic = Nic(0, NicConfig(tx_mode="doorbell", batch_B=128), P, engine, arbiter, wire,
+              ring_depth=256)
+    nic.soft_reconfigure("batch_B", 256)
+    assert nic.effective_B == 256
+    with pytest.raises(InvalidValue, match=r"batch_B must be in 1\.\.256, got 512"):
+        nic.soft_reconfigure("batch_B", 512)
+    nic.hard_reconfigure(NicConfig(tx_mode="mmio", batch_B=128))
+    with pytest.raises(ConfigInvalid, match=r"batch_B must be in 1\.\.256, got 512"):
+        nic.hard_reconfigure(NicConfig(tx_mode="mmio", batch_B=512))
+
+
+def test_connect_sizes_rings_to_the_nic_ring_depth():
+    # a 128-entry doorbell batch needs rings deeper than the default 64
+    engine = Engine()
+    wire = Wire(engine, P)
+    arbiter = BusArbiter([0, 1], P.bus_cap_rps)
+    cfg = NicConfig(tx_mode="doorbell", batch_B=128)
+    nic0, nic1 = (Nic(i, cfg, P, engine, arbiter, wire, ring_depth=256) for i in (0, 1))
+    server = host_mod.ServerEndpoint(engine, nic1)
+    server.register_handler(host_mod.ECHO_FN, host_mod.echo_handler)
+    client = host_mod.connect(engine, wire, nic0, nic1, server)
+    assert client.rings.tx.depth == 256
+    for _ in range(128):
+        client.start_call(host_mod.ECHO_FN, b"x")
+    engine.run_until(1e6)
+    assert client.completed == 128
+
+
 def test_hard_reconfigure_switch_matches_new_mode_model():
     # rerun comparison: doorbell scenario vs coherent scenario
     lg = LoadGenSpec(mode="closed_loop", window=64)

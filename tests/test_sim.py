@@ -181,6 +181,9 @@ TRACED_KIND_COUNTS = {
                  "HostMemcpy64": 3888, "WireHop": 1948},
     "mmio": {"DmaWrite64": 1192, "HostMemcpy64": 1190, "MmioStore64": 1198, "WireHop": 1196},
 }
+# (engine_events, len(samples)) of each traced case: a hot-path change that
+# adds or drops a callback moves the first number
+TRACED_RUN_SIZES = {"coherent": (21963, 1073), "doorbell": (8253, 860), "mmio": (5375, 533)}
 TRACED_CASES = {
     "coherent": dict(tx_mode="coherent", batch=1,
                      loadgen=LoadGenSpec(mode="open_loop", rate_mrps=4.0)),
@@ -203,6 +206,7 @@ def test_tracing_changes_no_result_and_pins_kind_counts(case):
     for t in traced.trace:
         counts[t.kind] = counts.get(t.kind, 0) + t.count
     assert counts == TRACED_KIND_COUNTS[case]
+    assert (plain.engine_events, len(plain.samples)) == TRACED_RUN_SIZES[case]
 
 
 def test_harness_fifo_and_payload_checks_fire():
@@ -334,7 +338,10 @@ def test_batch_bound_follows_the_scenario_ring_depth():
         "ring_depth": 256,
     }
     assert Scenario.from_dict(data).nic_configs[0].batch_B == 128
-    assert default_scenario(tx_mode="doorbell", batch=128, ring_depth=256).ring_depth == 256
+    s = default_scenario(tx_mode="doorbell", batch=128, ring_depth=256, duration_us=200,
+                         warmup_us=20, loadgen=LoadGenSpec(mode="closed_loop", window=256))
+    assert s.ring_depth == 256
+    assert run(s).total_completed > 0  # the NICs take the scenario's depth as the bound
     data["ring_depth"] = 64
     with pytest.raises(ConfigInvalid, match=r"batch_B must be in 1\.\.64"):
         Scenario.from_dict(data)
