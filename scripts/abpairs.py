@@ -17,9 +17,12 @@ The output, the next free BENCH_<n>.json in CHANGE_ROOT, has the layout of
 BENCH_6.json and BENCH_7.json: a description, the command, the parent
 commit, the machine (both as the parent's first run recorded them), and per
 workload a summary (per end-to-end metric of BENCHMARK.json: each side's
-median and quartiles, ``statistics.quantiles(values, n=4)`` as in
-bench/spread.py, the ratio of the medians and the number of pairs in which
-the change reads better, ties counting for neither side) and every run.
+median and quartiles, ``statistics.quantiles(values, n=4)`` with its default
+exclusive method as in bench/spread.py, the ratio of the medians and the
+number of pairs in which the change reads better, ties counting for neither
+side) and every run. The record names its quartile method in
+``quartile_method``: BENCH_6.json and BENCH_7.json, written before this
+script, used ``method="inclusive"``, which gives a narrower spread.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from pathlib import Path
 
 RUN_TIMEOUT_S = 1800
 SEED = 1
+QUARTILE_METHOD = "exclusive"  # statistics.quantiles' default, as in bench/spread.py
 
 
 def one_run(root: Path, workload: str) -> dict:
@@ -68,7 +72,7 @@ def summarize(parent: list[dict], change: list[dict], declared: list[dict]) -> d
 def quartiles(values: list[float]) -> list[float]:
     if len(values) < 2:
         return [values[0], values[0]]
-    q1, _, q3 = statistics.quantiles(values, n=4)
+    q1, _, q3 = statistics.quantiles(values, n=4, method=QUARTILE_METHOD)
     return [q1, q3]
 
 
@@ -121,9 +125,11 @@ def main(argv=None) -> int:
         "description": (
             f"bench/run.py --workload <w> at its default run length, trace 0, seed {SEED}; "
             "each side runs its own tree's bench/run.py; pairs alternate which side runs "
-            "first (odd pairs parent first); quartiles are statistics.quantiles(n=4). "
+            "first (odd pairs parent first); quartiles are statistics.quantiles(n=4, "
+            f"method={QUARTILE_METHOD!r}). "
             f"Each run is the bench/out/<w>-seed{SEED}-trace0.json that run wrote."),
         "command": "python3 bench/run.py --workload <workload>",
+        "quartile_method": QUARTILE_METHOD,
         "parent_commit": parent_commit,
         "machine": machine,
         "summary": summary,

@@ -212,6 +212,7 @@ class ServerEndpoint:
         self.handlers = {}
         self.issuers: dict[int, _TxIssuer] = {}
         self.rings_by_conn: dict[int, RingPair] = {}
+        self.pickup_by_conn = {}  # the _pickup callback of each connection, built once
         self.served = 0
 
     def register_handler(self, function_id: int, handler) -> None:
@@ -220,7 +221,9 @@ class ServerEndpoint:
         self.handlers[function_id] = handler
 
     def attach(self, record: ConnectionRecord) -> None:
+        conn_id = record.connection_id
         self.rings_by_conn[record.connection_id] = record.ring_pair
+        self.pickup_by_conn[conn_id] = lambda: self._pickup(conn_id)
         self.issuers[record.connection_id] = _TxIssuer(
             self.engine, self.nic, record.connection_id, record.ring_pair.tx
         )
@@ -230,7 +233,7 @@ class ServerEndpoint:
         if trace is not None:
             trace.append(ic.Transaction(ts, f"host{self.nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
                                         conn_id))
-        self.engine.schedule(ts + self.nic.params.t_memcpy, lambda: self._pickup(conn_id))
+        self.engine.schedule(ts + self.nic.params.t_memcpy, self.pickup_by_conn[conn_id])
 
     def _pickup(self, conn_id: int) -> None:
         rx = self.rings_by_conn[conn_id].rx

@@ -23,6 +23,7 @@ rate window with a +/-5% hysteresis band (HYSTERESIS):
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -38,6 +39,8 @@ from .errors import (
 )
 from .protocol import FlowTable
 from .rings import DEFAULT_DEPTH
+
+_rpc_id_of = struct.Struct("<4xI").unpack_from  # rpc_id, bytes 4..8 of an entry
 
 HARD_FIELDS = ("tx_mode", "threading_model")
 SOFT_FIELDS = ("batch_B", "poll_threshold_rps", "adaptive_batching", "rate_window_us")
@@ -370,7 +373,7 @@ class Nic:
         extra = ic.tx_extra_latency_ns(self.params, self.config.tx_mode)
         send, nic_id, remote, conn_id = self.wire.send, self.nic_id, ep.remote_nic, ep.conn_id
         for slot, block in entries:
-            send(nic_id, remote, conn_id, block, int.from_bytes(block[4:8], "little"), extra)
+            send(nic_id, remote, conn_id, block, _rpc_id_of(block)[0], extra)
         ep.rings.tx.nic_release([slot for slot, _ in entries])
         ep.tx_state = TxState.IDLE_POLL
         ep.tx_free_cb(conn_id, self.engine.now)

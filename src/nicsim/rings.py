@@ -11,6 +11,16 @@ Design notes:
   the flag last, the reader inspects the flag before touching the body.
   Under CPython each of those is a single atomic bytecode operation, so a
   reader that observes flag=1 observes the full entry.
+- Entry bodies are copied through one memoryview of each ring's slab,
+  made once per ring: a slice store writes a body and ``tobytes()`` reads
+  an entry, so no bytearray slice is made per copy. Flags are read and
+  stored on the slab itself. The publication contract above
+  (body first, flag last, one writer per side) is unchanged.
+- ``TxRing.dirty_run`` resumes from the last dirty slot it saw: it caches
+  the dirty run at the fetch cursor and scans only past it. The cache is
+  exact because only the host sets a flag ahead of the cursor and the NIC
+  clears flags only behind it; ``nic_fetch`` lowers it by the entries it
+  took, and ``restore`` resets it to 0.
 - Completion ring and cursors use monotonically increasing counters, each
   written by one side only.
 - Ring state is fully described by the slab bytes plus cursors; snapshot()
@@ -63,6 +73,7 @@ class TxRing:
     def __init__(self, depth: int = DEFAULT_DEPTH):
         self.depth = _require_pow2(depth)
         self.slab = bytearray(_SLOT * self.depth)
+        self._mv = memoryview(self.slab)  # body copies; fixes the slab's size
         # completion ring: NIC writes freed indices, host consumes them.
         # Starts pre-populated in ring order so the host's allocation order
         # always matches the NIC's circular fetch cursor.
@@ -70,6 +81,7 @@ class TxRing:
         self._comp_wr = self.depth  # advanced by the NIC side only
         self._comp_rd = 0  # advanced by the host side only
         self.nic_fetch_cursor = 0
+        self._dirty_seen = 0  # dirty run at the cursor that dirty_run already scanned
         self._acquired: deque[int] = deque()  # acquire order; published as a FIFO prefix
         self._fetched: deque[int] = deque()  # fetch order; released as a FIFO prefix
         self._host_thread = None  # owning thread of each side, bound on first use
@@ -106,7 +118,7 @@ class TxRing:
         if len(block) != _SLOT:
             raise ContractViolation(f"publish needs {_SLOT} bytes, got {len(block)}")
         base = slot * _SLOT
-        self.slab[base + 1 : base + _SLOT] = block[1:]
+        self._mv[base + 1 : base + _SLOT] = block[1:]
         acquired.popleft()
         self.slab[base] = 1  # publication point
 
@@ -116,17 +128,20 @@ class TxRing:
     # -- NIC side --------------------------------------------------------
 
     def dirty_run(self) -> int:
-        """Length of the consecutive dirty run at the fetch cursor."""
+        """Length of the consecutive dirty run at the fetch cursor.
+
+        Resumes the scan after the run seen by the previous call, less the
+        slots nic_fetch has taken since (restore forgets it), so each dirty
+        slot is scanned once; the scan stops short of fetched slots.
+        """
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
-        slab, cursor = self.slab, self.nic_fetch_cursor
-        if slab[cursor * _SLOT] != 1:
-            return 0  # the common idle answer, before the scan is set up
-        depth = self.depth
-        limit = depth - len(self._fetched)  # the scan stops short of fetched slots
-        n = 0
+        slab, cursor, depth = self.slab, self.nic_fetch_cursor, self.depth
+        n = self._dirty_seen
+        limit = depth - len(self._fetched)
         while n < limit and slab[((cursor + n) % depth) * _SLOT] == 1:
             n += 1
+        self._dirty_seen = n
         return n
 
     def nic_fetch(self, max_batch: int):
@@ -139,17 +154,18 @@ class TxRing:
             _claim_side(self, "_nic_thread", "TxRing nic")
         if max_batch < 1:
             raise ContractViolation("max_batch must be >= 1")
-        slab, depth, fetched = self.slab, self.depth, self._fetched
+        slab, mv, depth, fetched = self.slab, self._mv, self.depth, self._fetched
         idx = self.nic_fetch_cursor
         out = []
         for _ in range(min(max_batch, depth - len(fetched))):
             base = idx * _SLOT
             if slab[base] != 1:
                 break
-            out.append((idx, bytes(slab[base : base + _SLOT])))
+            out.append((idx, mv[base : base + _SLOT].tobytes()))
             fetched.append(idx)
             idx = (idx + 1) % depth
         self.nic_fetch_cursor = idx
+        self._dirty_seen = max(self._dirty_seen - len(out), 0)
         return out
 
     def nic_release(self, slots) -> None:
@@ -199,7 +215,14 @@ class TxRing:
         }
 
     def restore(self, state: dict) -> None:
-        self.slab[:] = bytes.fromhex(state["slab"])
+        slab = bytes.fromhex(state["slab"])
+        if len(slab) != len(self.slab) or len(state["comp"]) != self.depth:
+            raise ContractViolation(
+                f"snapshot of a depth-{len(state['comp'])} TX ring "
+                f"({len(slab)} slab bytes) restored into a depth-{self.depth} ring"
+            )
+        self.slab[:] = slab
+        self._dirty_seen = 0
         self._comp = list(state["comp"])
         self._comp_wr = state["comp_wr"]
         self._comp_rd = state["comp_rd"]
@@ -222,6 +245,7 @@ class RxRing:
     def __init__(self, depth: int = DEFAULT_DEPTH):
         self.depth = _require_pow2(depth)
         self.slab = bytearray(_SLOT * self.depth)
+        self._mv = memoryview(self.slab)  # body copies; fixes the slab's size
         self.nic_free_cursor = 0
         self.host_poll_cursor = 0
         self._host_thread = None  # owning thread of each side, bound on first use
@@ -233,10 +257,11 @@ class RxRing:
             _claim_side(self, "_nic_thread", "RxRing nic")
         idx = self.nic_free_cursor
         base = idx * _SLOT
-        if self.slab[base] != 0:
+        slab = self.slab
+        if slab[base] != 0:
             return False
-        self.slab[base + 1 : base + _SLOT] = block[1:]
-        self.slab[base] = 1
+        self._mv[base + 1 : base + _SLOT] = block[1:]
+        slab[base] = 1
         self.nic_free_cursor = (idx + 1) % self.depth
         return True
 
@@ -249,7 +274,7 @@ class RxRing:
         slab = self.slab
         if slab[base] != 1:
             return None
-        block = bytes(slab[base : base + _SLOT])
+        block = self._mv[base : base + _SLOT].tobytes()
         slab[base] = 2  # held until rx_release
         self.host_poll_cursor = (idx + 1) % self.depth
         return idx, block
@@ -272,7 +297,13 @@ class RxRing:
         }
 
     def restore(self, state: dict) -> None:
-        self.slab[:] = bytes.fromhex(state["slab"])
+        slab = bytes.fromhex(state["slab"])
+        if len(slab) != len(self.slab):
+            raise ContractViolation(
+                f"snapshot of a depth-{len(slab) // _SLOT} RX ring restored into "
+                f"a depth-{self.depth} ring"
+            )
+        self.slab[:] = slab
         self.nic_free_cursor = state["free_cursor"]
         self.host_poll_cursor = state["poll_cursor"]
 

@@ -6,7 +6,7 @@ lockstep against an abstract specification machine (slot states FREE ->
 ACQ -> PUB -> FETCHED -> FREE plus a publish-order FIFO). The abstract
 machine is the oracle; the implementation must agree with it on every
 reachable state. Random operation sequences (hypothesis) carry the same
-check to depths 4 and 8.
+check to depths 4, 8 and 16, through snapshot/restore.
 """
 
 import random
@@ -187,25 +187,30 @@ def test_exhaustive_state_space_depth2():
 
 
 # --------------------------------------------------------------------------
-# random operation sequences at depths 4 and 8, against the same oracle
+# random operation sequences at depths 4, 8 and 16, against the same oracle
 # --------------------------------------------------------------------------
 
 _OPS = st.one_of(
     st.just(("acquire", 0)),
     st.just(("publish", 0)),
-    st.tuples(st.just("fill"), st.integers(1, 8)),  # acquire + publish, to reach full rings
-    st.tuples(st.just("fetch"), st.integers(1, 9)),
-    st.tuples(st.just("release"), st.integers(1, 8)),
-    st.tuples(st.just("bad_release"), st.integers(0, 7)),
+    st.tuples(st.just("fill"), st.integers(1, 16)),  # acquire + publish, to reach full rings
+    st.tuples(st.just("fetch"), st.integers(1, 17)),
+    st.tuples(st.just("release"), st.integers(1, 16)),
+    st.tuples(st.just("bad_release"), st.integers(0, 15)),
+    # carry on with a fresh ring restored from a snapshot (False), or rewind
+    # this ring to the snapshot taken at the previous restore op (True)
+    st.tuples(st.just("restore"), st.booleans()),
 )
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(depth=st.sampled_from([4, 8]), ops=st.lists(_OPS, max_size=80), shuffle=st.randoms())
+@given(depth=st.sampled_from([4, 8, 16]), ops=st.lists(_OPS, max_size=80),
+       shuffle=st.randoms())
 def test_random_sequences_match_abstract_ring(depth, ops, shuffle):
     ring, model = TxRing(depth), AbstractRing(depth)
     rpc_of_slot = {}
     next_rpc = 0
+    checkpoint = (ring.snapshot(), model.copy(), {})
     def acquire():
         idx = ring.tx_acquire()
         if model.can_acquire():
@@ -232,8 +237,6 @@ def test_random_sequences_match_abstract_ring(depth, ops, shuffle):
                 if ring._acquired:
                     publish()
         elif op == "fetch":
-            # the dirty run at the cursor is exactly the published, unfetched FIFO
-            assert ring.dirty_run() == len(model.fifo)
             got = ring.nic_fetch(arg)
             model.on_fetch([idx for idx, _ in got], arg)
             for idx, block in got:
@@ -252,9 +255,18 @@ def test_random_sequences_match_abstract_ring(depth, ops, shuffle):
                 with pytest.raises(ContractViolation):
                     ring.nic_release([arg % depth])
                 assert ring.snapshot() == before
+        elif op == "restore":
+            if arg:  # the live ring's dirty-run cache belongs to the later state
+                snap, saved_model, saved_rpcs = checkpoint
+                ring.restore(snap)
+                model, rpc_of_slot = saved_model.copy(), dict(saved_rpcs)
+            else:
+                ring = _clone(ring)
+            checkpoint = (ring.snapshot(), model.copy(), dict(rpc_of_slot))
         _check_invariants(ring, model)
+        # the dirty run at the cursor is exactly the published, unfetched FIFO
+        assert ring.dirty_run() == len(model.fifo)
         assert _clone(ring).snapshot() == ring.snapshot()
-    assert ring.dirty_run() == len(model.fifo)
 
 
 # --------------------------------------------------------------------------
@@ -394,6 +406,19 @@ def test_snapshot_restore_identity():
     # restored ring continues identically
     a, b = ring.tx_acquire(), other.tx_acquire()
     assert a == b
+
+
+@pytest.mark.parametrize("ring_cls", [TxRing, RxRing])
+@pytest.mark.parametrize("depth,other_depth", [(8, 4), (4, 8)])
+def test_restore_rejects_snapshot_of_another_depth(ring_cls, depth, other_depth):
+    ring = ring_cls(depth)
+    before = ring.snapshot()
+    with pytest.raises(ContractViolation, match=f"depth-{other_depth} .*depth-{depth} ring"):
+        ring.restore(ring_cls(other_depth).snapshot())
+    assert ring.snapshot() == before  # nothing was written
+    if ring_cls is RxRing:
+        assert all(ring.rx_deliver(_entry_block(i)) for i in range(depth))
+        assert not ring.rx_deliver(_entry_block(depth))
 
 
 # --------------------------------------------------------------------------
