@@ -10,14 +10,17 @@ compares the latency samples, the reduced metrics, the controller logs,
 
     python3 scripts/diffcheck.py ../parent/src                 # 240 scenarios, seed 0
     python3 scripts/diffcheck.py ../parent/src --count 50 --seed 7
+    python3 scripts/diffcheck.py ../parent/src --seed 0 --seed 1 --seed 2 --seed 3
 
 The scenarios cover the three TX modes, batch sizes 1-16, 1-8 connections,
 ring depths 8-64, open loops (Poisson and deterministic) and closed loops,
 sync endpoints, adaptive batching, a second server NIC, t_wire/t_memcpy
 overrides (some on round values, which line events up on equal timestamps)
 and slow DMA writes (which fill RX rings).
-Exit status: 0 when every scenario matches, 1 on any difference (each one is
-listed), 2 when a worker fails.
+``--seed`` may be given more than once: each seed is its own scenario set,
+checked in turn with one summary line, and a total line follows.
+Exit status: 0 when every scenario matches, 1 on any difference at any seed
+(each one is listed), 2 when a worker fails.
 """
 
 from __future__ import annotations
@@ -151,26 +154,14 @@ def collect(proc, out) -> list[dict]:
     return [json.loads(line) for line in out]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("other_src", help="the src/ directory of the tree to compare against")
-    parser.add_argument("--count", type=int, default=DEFAULT_COUNT)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.worker:
-        return worker(args.other_src, args.seed, args.count)
-
-    other = Path(args.other_src).resolve()
-    if not (other / "nicsim" / "__init__.py").is_file():
-        parser.error(f"no nicsim package under {other}")
-    specs = scenarios(args.seed, args.count)
+def compare(other: Path, seed: int, count: int) -> int | None:
+    """Differing scenarios of one seed, each one listed; None if a worker stopped early."""
+    specs = scenarios(seed, count)
     # both trees run at once, one process each
-    workers = [start_worker(src, args.seed, args.count) for src in (ROOT / "src", other)]
+    workers = [start_worker(src, seed, count) for src in (ROOT / "src", other)]
     ours, theirs = (collect(*w) for w in workers)
     if len(ours) != len(specs) or len(theirs) != len(specs):
-        print("diffcheck: a worker stopped early", file=sys.stderr)
-        return 2
+        return None
 
     differing = 0
     errors = 0
@@ -183,9 +174,36 @@ def main(argv=None) -> int:
             print(f"  {json.dumps(spec, sort_keys=True)}")
             for k in keys:
                 print(f"  {k}: this tree {a.get(k)!r}, other tree {b.get(k)!r}")
-    print(f"diffcheck: {len(specs)} scenarios (seed {args.seed}), {differing} differ, "
+    print(f"diffcheck: {len(specs)} scenarios (seed {seed}), {differing} differ, "
           f"{errors} ended in an error on this tree")
-    return 1 if differing else 0
+    return differing
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("other_src", help="the src/ directory of the tree to compare against")
+    parser.add_argument("--count", type=int, default=DEFAULT_COUNT)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="scenario set; repeat for several (default 0)")
+    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    seeds = args.seed or [0]
+    if args.worker:
+        return worker(args.other_src, seeds[0], args.count)
+
+    other = Path(args.other_src).resolve()
+    if not (other / "nicsim" / "__init__.py").is_file():
+        parser.error(f"no nicsim package under {other}")
+    total = 0
+    for seed in seeds:
+        differing = compare(other, seed, args.count)
+        if differing is None:
+            print("diffcheck: a worker stopped early", file=sys.stderr)
+            return 2
+        total += differing
+    print(f"diffcheck: total over seeds {', '.join(map(str, seeds))}: "
+          f"{len(seeds) * args.count} scenarios, {total} differ")
+    return 1 if total else 0
 
 
 if __name__ == "__main__":

@@ -73,7 +73,3 @@ class ConfigInvalid(NicSimError):
             errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))
-
-
-class TransitionError(NicSimError):
-    """NIC finite-state machine attempted an undefined edge."""

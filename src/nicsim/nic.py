@@ -1,15 +1,16 @@
-"""Emulated NIC: TX/RX state machines, loop-back wire, adaptive controllers.
+"""Emulated NIC: TX/RX paths, loop-back wire, adaptive controllers.
 
 Each connection endpoint owns a TX path (host publishes, NIC fetches via
 the configured interface mode) and an RX path (wire arrivals DMA-written
 into the RX ring, round-robin balanced across the NIC's connections).
 
 Each endpoint's recurring event callbacks (poll, the direct-submode fetch
-trigger, the invalidation notice and RX delivery to the host) are built once,
-in attach_connection, not per event. A FSM pass with no callback in between
-checks only its first edge: _forward checks FETCH -> FORWARD and goes on
-through BOOKKEEP to IDLE_POLL, _rx_deliver checks AWAIT_WIRE -> DELIVER_DMA
-and ends back in AWAIT_WIRE; the intermediate states are never stored.
+trigger, the invalidation notice, the end of a fetch and RX delivery to the
+host) are built once, in attach_connection, not per event. The one piece of
+TX state between events is the endpoint's batch in flight: _fetch stores the
+fetched entries and _forward, at fetch end, sends and releases them. No
+fetch starts while a batch is in flight; RX delivery keeps no state between
+events.
 
 Hard config fields (tx_mode, threading_model) require a drained restart;
 soft fields (batch size, poll threshold, adaptive batching, rate window)
@@ -26,7 +27,6 @@ from __future__ import annotations
 import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 from . import interconnect as ic
 from .errors import (
@@ -34,7 +34,6 @@ from .errors import (
     ContractViolation,
     HardFieldViolation,
     InvalidValue,
-    TransitionError,
     UnknownDestination,
 )
 from .protocol import FlowTable
@@ -135,42 +134,8 @@ class NicConfig:
         return cls(**kw).validate(ring_depth)
 
 
-class TxState(Enum):
-    IDLE_POLL = "IdlePoll"
-    FETCH = "Fetch"
-    FORWARD = "Forward"
-    BOOKKEEP = "Bookkeep"
-
-    # members are singletons, so identity hashing is sound; it keeps the
-    # edge checks below at C speed instead of Enum's Python-level __hash__
-    __hash__ = object.__hash__
-
-
-class RxState(Enum):
-    AWAIT_WIRE = "AwaitWire"
-    DELIVER_DMA = "DeliverDma"
-    BOOKKEEP = "Bookkeep"
-
-    __hash__ = object.__hash__
-
-
-TX_EDGES = {
-    (TxState.IDLE_POLL, TxState.FETCH),
-    (TxState.FETCH, TxState.FORWARD),
-    (TxState.FORWARD, TxState.BOOKKEEP),
-    (TxState.BOOKKEEP, TxState.IDLE_POLL),
-}
-
-RX_EDGES = {
-    (RxState.AWAIT_WIRE, RxState.DELIVER_DMA),
-    (RxState.DELIVER_DMA, RxState.BOOKKEEP),
-    (RxState.BOOKKEEP, RxState.AWAIT_WIRE),
-    (RxState.DELIVER_DMA, RxState.AWAIT_WIRE),  # backpressure stall release path
-}
-
-
 class _ConnEndpoint:
-    """NIC-side state for one connection: rings, FSM states, callbacks."""
+    """NIC-side state for one connection: rings, the batch in flight, callbacks."""
 
     def __init__(self, conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb):
         self.conn_id = conn_id
@@ -178,8 +143,7 @@ class _ConnEndpoint:
         self.remote_nic = remote_nic
         self.deliver_cb = deliver_cb  # (conn_id, ts) -> None, entry is host-visible
         self.tx_free_cb = tx_free_cb  # (conn_id, ts) -> None, TX slots released
-        self.tx_state = TxState.IDLE_POLL
-        self.rx_state = RxState.AWAIT_WIRE
+        self.in_flight = None  # fetched (slot, block) list awaiting _forward
         self.busy_until = 0.0
         self.inval_known = 0  # publish notifications seen (inval submode)
         self.poll_scheduled = False
@@ -187,19 +151,10 @@ class _ConnEndpoint:
         self.poll_event = None
         self.fetch_event = None
         self.inval_event = None
+        self.forward_event = None
         self.deliver_event = None
         self.rx_index = 0  # position in the NIC's RX round-robin
         self.rx_backlog = deque()  # wire arrivals awaiting a free RX slot
-
-    def set_tx(self, new: TxState) -> None:
-        if (self.tx_state, new) not in TX_EDGES:
-            raise TransitionError(f"TX {self.tx_state.value} -> {new.value}")
-        self.tx_state = new
-
-    def set_rx(self, new: RxState) -> None:
-        if (self.rx_state, new) not in RX_EDGES:
-            raise TransitionError(f"RX {self.rx_state.value} -> {new.value}")
-        self.rx_state = new
 
 
 class Wire:
@@ -244,11 +199,12 @@ class Nic:
         self.flow_table = FlowTable()  # connection records, filled by host.connect
         self.conns: dict[int, _ConnEndpoint] = {}
         self._endpoints: list[_ConnEndpoint] = []  # conns.values() in RX round-robin order
-        self.submode = ic.SUBMODE_INVAL  # startup: poll local cache, rely on invalidations
+        # startup: poll local cache, rely on invalidations; only the coherent
+        # controller leaves this submode, and hard_reconfigure comes back to it
+        self.submode = ic.SUBMODE_INVAL
         self.effective_B = config.batch_B
         self.settle_until = 0.0  # post-reconfiguration window with partial flushes
         self.window_publishes = 0
-        self.measured_rate = 0.0
         self.controller_log = []  # (ts_ns, controller, old, new)
         self._rx_cursor = 0
         self._rx_queued = 0  # entries across all rx_backlogs
@@ -263,6 +219,7 @@ class Nic:
         ep.poll_event = lambda: self._poll(ep)
         ep.fetch_event = lambda: self._try_fetch(ep)
         ep.inval_event = lambda: self._on_inval(ep)
+        ep.forward_event = lambda: self._forward(ep)
         ep.deliver_event = lambda: deliver_cb(conn_id, engine.now)
         self.conns[conn_id] = ep
         self._index_endpoints()
@@ -270,7 +227,7 @@ class Nic:
         if not self._controller_started:
             self._controller_started = True
             self._schedule_controller_tick()
-        if self.config.tx_mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_DIRECT:
+        if self.submode == ic.SUBMODE_DIRECT:
             self._arm_poll(ep, self.engine.now)
         return ep
 
@@ -331,9 +288,9 @@ class Nic:
         return 0
 
     def _try_fetch(self, ep: _ConnEndpoint) -> None:
-        if ep.busy_until > self.engine.now or ep.tx_state is not TxState.IDLE_POLL:
-            # channel busy, or a finished fetch still awaits its _forward
-            # (a publish can land at exactly fetch end); re-checked from there
+        if ep.in_flight is not None:
+            # the channel is busy, or its _forward is due at this very
+            # timestamp (a publish can land at fetch end); re-checked there
             return
         k = self._trigger_batch(ep)
         if k:
@@ -342,7 +299,9 @@ class Nic:
     def _fetch(self, ep: _ConnEndpoint, k: int) -> None:
         now = self.engine.now
         mode = self.config.tx_mode
-        ep.set_tx(TxState.FETCH)
+        if ep.in_flight is not None:
+            raise ContractViolation(
+                f"nic {self.nic_id} connection {ep.conn_id}: fetch while a batch is in flight")
         entries = ep.rings.tx.nic_fetch(k)
         if len(entries) != k:
             raise ContractViolation(
@@ -361,30 +320,31 @@ class Nic:
         granted = self.arbiter.request(self.nic_id, ic.tx_batch_units(mode, k), now)
         occ_end = max(now + ic.tx_occupancy_ns(self.params, mode, k), granted)
         ep.busy_until = occ_end
-        self.engine.schedule(occ_end, lambda: self._forward(ep, entries))
+        ep.in_flight = entries
+        self.engine.schedule(occ_end, ep.forward_event)
 
-    def _forward(self, ep: _ConnEndpoint, entries) -> None:
-        """Channel freed: hand the batch to the interconnect (any remaining
-        traversal latency rides the delivery path), bookkeep, go idle."""
-        if ep.tx_state is not TxState.FETCH:
-            ep.set_tx(TxState.FORWARD)  # no edge from here: raises TransitionError
-        # FORWARD -> BOOKKEEP -> IDLE_POLL runs with no callback in between
-        # that could observe the FSM, so only the first edge is checked
+    def _forward(self, ep: _ConnEndpoint) -> None:
+        """Channel freed: hand the batch in flight to the interconnect (any
+        remaining traversal latency rides the delivery path) and release it."""
+        entries = ep.in_flight
+        if entries is None:
+            raise ContractViolation(
+                f"nic {self.nic_id} connection {ep.conn_id}: forward with no batch in flight")
         extra = ic.tx_extra_latency_ns(self.params, self.config.tx_mode)
         send, nic_id, remote, conn_id = self.wire.send, self.nic_id, ep.remote_nic, ep.conn_id
         for slot, block in entries:
             send(nic_id, remote, conn_id, block, _rpc_id_of(block)[0], extra)
         ep.rings.tx.nic_release([slot for slot, _ in entries])
-        ep.tx_state = TxState.IDLE_POLL
+        ep.in_flight = None
         ep.tx_free_cb(conn_id, self.engine.now)
         self._tx_resume(ep)
 
     def _tx_resume(self, ep: _ConnEndpoint) -> None:
         """Channel became free: chain the next batch or resume polling."""
-        if self.config.tx_mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_DIRECT:
+        if self.submode == ic.SUBMODE_DIRECT:
             k = self._trigger_batch(ep)
-            if k and ep.busy_until <= self.engine.now:
-                self._fetch(ep, k)  # FSM is hot: back-to-back batch
+            if k:
+                self._fetch(ep, k)  # the channel is hot: back-to-back batch
             else:
                 self._arm_poll(ep, self.engine.now)
         else:
@@ -398,12 +358,12 @@ class Nic:
             self.engine.schedule(ts, ep.poll_event)
 
     def _poll(self, ep: _ConnEndpoint) -> None:
-        """Idle spin of the direct-polling FSM. Empty polls consume bus
+        """Idle spin of the direct-polling loop. Empty polls consume bus
         budget but never hold the channel: fetch starts are publish-driven
         (on_tx_publish) or chained at fetch end (_tx_resume), so the steady
         state does not depend on poll phase."""
         ep.poll_scheduled = False
-        if self.config.tx_mode != ic.MODE_COHERENT or self.submode != ic.SUBMODE_DIRECT:
+        if self.submode != ic.SUBMODE_DIRECT:
             return  # submode switched; the invalidation path takes over
         now = self.engine.now
         if ep.busy_until > now:
@@ -460,11 +420,6 @@ class Nic:
 
     def _rx_deliver(self, ep: _ConnEndpoint, block: bytes, rpc: int) -> bool:
         """DMA-write one arrival into ep's RX ring; False on backpressure."""
-        if ep.rx_state is not RxState.AWAIT_WIRE:
-            ep.set_rx(RxState.DELIVER_DMA)  # no edge from here: raises TransitionError
-        # AWAIT_WIRE -> DELIVER_DMA -> BOOKKEEP -> AWAIT_WIRE (or straight
-        # back on backpressure) runs with no callback in between that could
-        # observe the FSM, so the pass starts and ends in AWAIT_WIRE
         if not ep.rings.rx.rx_deliver(block):
             return False  # backpressure: stay queued
         now = self.engine.now
@@ -489,9 +444,9 @@ class Nic:
 
     def _controller_tick(self) -> None:
         window_s = self.config.rate_window_us * 1e-6
-        self.measured_rate = self.window_publishes / window_s
+        measured_rate = self.window_publishes / window_s
         self.window_publishes = 0
-        self.adaptive_controllers_step(self.measured_rate)
+        self.adaptive_controllers_step(measured_rate)
         if not self.engine.ended(self.engine.now):
             self._schedule_controller_tick()
 
@@ -506,9 +461,11 @@ class Nic:
                 self._set_submode(ic.SUBMODE_INVAL, now)
         ab = self.config.adaptive_batching
         if ab.enabled:
-            if self.effective_B == ab.low_B and measured_rate > ab.switch_rate_rps * (1 + HYSTERESIS):
+            # from any batch size, including a batch_B outside the pair, and
+            # never to the size already in use
+            if self.effective_B != ab.high_B and measured_rate > ab.switch_rate_rps * (1 + HYSTERESIS):
                 self._set_batch(ab.high_B, now)
-            elif self.effective_B == ab.high_B and measured_rate < ab.switch_rate_rps * (1 - HYSTERESIS):
+            elif self.effective_B != ab.low_B and measured_rate < ab.switch_rate_rps * (1 - HYSTERESIS):
                 self._set_batch(ab.low_B, now)
 
     def _settle(self, now: float) -> None:
@@ -580,7 +537,5 @@ class Nic:
         self.submode = ic.SUBMODE_INVAL
         self.effective_B = new_config.batch_B
         for ep in self.conns.values():
-            ep.tx_state = TxState.IDLE_POLL
-            ep.rx_state = RxState.AWAIT_WIRE
             ep.busy_until = self.engine.now
             ep.inval_known = 0

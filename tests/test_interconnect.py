@@ -20,7 +20,7 @@ from nicsim.interconnect import (
     calibrate,
     closed_form_rate,
 )
-from nicsim.nic import NicConfig, TxState
+from nicsim.nic import NicConfig
 from nicsim.rings import RingPair
 from nicsim.sim import LoadGenSpec, default_scenario, run
 from test_nic import _noop, _rig
@@ -97,7 +97,7 @@ def test_doorbell_waits_for_full_batch():
     # no timeout: two pending, four needed
     ep = nic0.conns[0]
     assert visible == [] and trace == [] and nic0.arbiter.grant_counts[0] == 0
-    assert ep.tx_state is TxState.IDLE_POLL and ep.rings.tx.dirty_run() == 2
+    assert ep.in_flight is None and ep.rings.tx.dirty_run() == 2
 
 
 def test_coherent_published_bars():

@@ -1,5 +1,8 @@
-"""NIC behavior: FSM legality, transport, RX balancing, reconfiguration,
+"""NIC behavior: the in-flight batch guards, transport, RX balancing, reconfiguration,
 controllers."""
+
+import subprocess
+import sys
 
 import pytest
 
@@ -11,11 +14,10 @@ from nicsim.errors import (
     DrainTimeout,
     HardFieldViolation,
     InvalidValue,
-    TransitionError,
     UnknownDestination,
 )
 from nicsim.interconnect import BusArbiter, CostParams
-from nicsim.nic import HYSTERESIS, AdaptiveBatching, Nic, NicConfig, TxState, RxState, Wire
+from nicsim.nic import HYSTERESIS, AdaptiveBatching, Nic, NicConfig, Wire
 from nicsim.rings import RingPair
 from nicsim.sim import LoadGenSpec, default_scenario, drain_and_reconfigure, run
 from nicsim import host as host_mod
@@ -173,19 +175,45 @@ def test_rx_head_of_line_isolation():
     assert nic1.conns[0].rx_backlog  # A still waiting
 
 
-# -- FSM legality -----------------------------------------------------------------
+# -- the batch in flight ------------------------------------------------------------
+
+_IN_FLIGHT_PROBE = """
+from nicsim import protocol
+from nicsim.engine import Engine
+from nicsim.errors import ContractViolation
+from nicsim.interconnect import BusArbiter, CostParams
+from nicsim.nic import Nic, NicConfig, Wire
+from nicsim.rings import RingPair
+
+P = CostParams()
+engine = Engine()
+wire = Wire(engine, P)
+nic = Nic(0, NicConfig(), P, engine, BusArbiter([0], P.bus_cap_rps), wire)
+pair = RingPair(64)
+ep = nic.attach_connection(0, pair, 1, lambda *a: None, lambda *a: None)
+try:
+    nic._forward(ep)  # nothing fetched yet
+except ContractViolation:
+    print("forward-without-batch")
+for rpc in range(2):
+    block = protocol.encode_entry(protocol.RpcEntry(0, 0, rpc, 0, b""))
+    pair.tx.tx_publish(pair.tx.tx_acquire(), block)
+nic._fetch(ep, 1)
+try:
+    nic._fetch(ep, 1)  # the first batch has not been forwarded
+except ContractViolation:
+    print("fetch-while-in-flight")
+"""
 
 
-def test_fsm_edges_are_enforced():
-    engine, wire, nic0, nic1 = _rig()
-    ep = nic0.attach_connection(0, RingPair(64), 1, _noop, _noop)
-    with pytest.raises(TransitionError):
-        ep.set_tx(TxState.FORWARD)  # IdlePoll -> Forward is not an edge
-    ep.set_tx(TxState.FETCH)
-    with pytest.raises(TransitionError):
-        ep.set_tx(TxState.IDLE_POLL)
-    with pytest.raises(TransitionError):
-        ep.set_rx(RxState.BOOKKEEP)
+def test_in_flight_batch_guards():
+    # the one TX state between events is the fetched batch: a fetch needs
+    # none in flight and a forward needs one, checked also under python -O
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", _IN_FLIGHT_PROBE],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["forward-without-batch", "fetch-while-in-flight"], flags
 
 
 def test_short_fetch_is_reported_explicitly():
@@ -209,7 +237,7 @@ def test_delivery_without_dirty_slot_is_reported_explicitly():
 
 
 def test_fsm_cycle_via_echo_smoke():
-    # one echo through the full datapath leaves both FSMs back at rest
+    # one echo completes through the full datapath, both directions
     r = run(default_scenario(loadgen=LoadGenSpec(mode="closed_loop", window=1),
                              duration_us=100, warmup_us=10))
     assert r.total_completed > 0
@@ -419,6 +447,27 @@ def test_adaptive_batching_controller():
     assert nic.effective_B == 1
     batch_rows = [row for row in nic.controller_log if row[1] == "batch"]
     assert [(old, new) for _, _, old, new in batch_rows] == [("1", "4"), ("4", "1")]
+    # a batch_B outside the pair switches too: to high_B above the band,
+    # to low_B below it
+    for batch_B, rate, expected in ((2, 8e6, 4), (8, 5e6, 1)):
+        engine, nic = _controller_nic(
+            batch_B=batch_B, adaptive_batching=AdaptiveBatching(enabled=True, low_B=1, high_B=4,
+                                                                switch_rate_rps=7e6))
+        nic.adaptive_controllers_step(rate)
+        assert nic.effective_B == expected
+        assert [row[2:] for row in nic.controller_log if row[1] == "batch"] == [
+            (str(batch_B), str(expected))]
+    # a pair with low_B == high_B leaves nothing to switch: no transition is
+    # logged and no settling window opens (doorbell, so no submode switch
+    # opens one either)
+    engine, nic = _controller_nic(
+        tx_mode="doorbell", batch_B=4,
+        adaptive_batching=AdaptiveBatching(enabled=True, low_B=4, high_B=4, switch_rate_rps=7e6))
+    for rate in (8e6, 5e6, 8e6):
+        nic.adaptive_controllers_step(rate)
+    assert nic.effective_B == 4
+    assert [row for row in nic.controller_log if row[1] == "batch"] == []
+    assert nic.settle_until == 0.0
 
 
 def test_controller_csv_format():
