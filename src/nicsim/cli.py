@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import sim
 from .errors import ConfigInvalid, NicSimError, UnderdeterminedFit
-from .interconnect import CostParams, calibrate, load_datapoints
+from .interconnect import CostParams, calibrate, load_datapoints, read_json
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -104,7 +104,7 @@ def _build_scenario(args, tx_mode: str, batch: int, loadgen: dict, adaptive: boo
     with the row's interface and load written onto it, then --override."""
     scenario_file = getattr(args, "scenario", None)
     if scenario_file:
-        data = json.loads(Path(scenario_file).read_text())
+        data = read_json(scenario_file)
         if not isinstance(data, dict):
             raise ConfigInvalid("scenario must be a JSON object")
     else:
@@ -364,7 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigInvalid, UnderdeterminedFit, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigInvalid, UnderdeterminedFit, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"nicsim: {exc}\n")
         return EXIT_CONFIG
     except NicSimError as exc:

@@ -9,14 +9,38 @@ of the callbacks scheduled at the same timestamp right after it (None when
 there are none). ``schedule`` appends to the entry it pushed last while that
 entry is still queued and its timestamp matches. Nothing can sort between
 two consecutive sequence numbers at one timestamp, so this changes the
-number of heap operations, not the firing order. A batched fetch of B
-entries thus costs one heap entry per pipeline step instead of B.
-``events_processed`` counts callbacks, not heap entries.
+number of heap operations, not the firing order.
+
+``schedule_batch(ts, fn, items)`` goes one step further for work the model
+does once per item, back to back at one timestamp: at ``ts`` it calls
+``fn(it)`` once, ``it`` an iterator over ``items``, where the model would
+otherwise schedule one callback per item. ``fn`` handles the items in
+order, so the batch behaves exactly like its items scheduled back to back:
+whatever item i schedules still comes after item i and before item i+1's
+work. The contract:
+
+- ``fn`` takes every item; an item counts as taken once ``fn`` pulls it
+  from ``it``. A handler that raises for an item must take that item first:
+  the items not yet taken then stay queued under the entry's (ts, seq),
+  ahead of the rest of that entry, as a raising callback leaves the rest of
+  its entry queued.
+- ``run_while`` hands a batch over one item at a time, as ``fn(iter((item,)))``,
+  and checks its condition before each item.
+- ``fn`` must carry ``__module__`` and ``__qualname__`` (a lambda, a nested
+  function or a bound method): the batch callback takes both, so anything
+  that names callbacks by them names the batch after ``fn``.
+
+``events_processed`` counts model events: one per plain callback and one
+per batch item, not dispatched callbacks or heap entries. A batch of B items
+therefore counts as the B callbacks it stands for.
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import length_hint
+
+from .errors import ContractViolation
 
 _POPPED = float("nan")  # stamped on a dequeued entry; equal to no timestamp
 
@@ -31,6 +55,8 @@ class Engine:
         self.end_ns = float("inf")
         self.trace = [] if trace else None
         self.events_processed = 0
+        self._stepping = False  # run_while hands batches over one item at a time
+        self._unfinished = False  # the batch just dispatched has items left
 
     def schedule(self, ts_ns: float, fn) -> None:
         tail = self._tail
@@ -49,6 +75,35 @@ class Engine:
         self._seq += 1
         self._tail = entry
 
+    def schedule_batch(self, ts_ns: float, fn, items) -> None:
+        """At ts_ns call fn(it) once, it an iterator over the non-empty
+        sequence items; each item counts as one event (module docstring)."""
+        if not items:
+            raise ValueError("schedule_batch needs at least one item")
+        it = iter(items)
+
+        def batch():
+            if self._stepping:
+                item = next(it)
+                self._unfinished = length_hint(it) > 0
+                fn(iter((item,)))
+                return
+            n = length_hint(it)
+            try:
+                fn(it)
+            except BaseException:
+                left = length_hint(it)
+                self.events_processed += n - left - 1  # the dispatch counted one
+                self._unfinished = left > 0
+                raise
+            self.events_processed += n - 1
+            for _ in it:
+                raise ContractViolation(f"{fn.__qualname__} left items of its batch untaken")
+
+        batch.__module__ = fn.__module__
+        batch.__qualname__ = fn.__qualname__
+        self.schedule(ts_ns, batch)
+
     def ended(self, ts_ns: float) -> bool:
         return ts_ns >= self.end_ns
 
@@ -57,6 +112,7 @@ class Engine:
         self.end_ns = end_ns
         heap, pop = self._heap, heapq.heappop
         n = 0  # callbacks dispatched, added to events_processed on the way out
+        more = None
         try:
             while heap and heap[0][0] <= end_ns:
                 entry = pop(heap)
@@ -68,17 +124,20 @@ class Engine:
                     fn()
                     continue
                 rest = iter(more)
-                try:
+                fn()
+                for fn in rest:
+                    n += 1
                     fn()
-                    for fn in rest:
-                        n += 1
-                        fn()
-                except BaseException:
-                    # an aborted entry keeps its undispatched callbacks queued
-                    rest = list(rest)
-                    if rest:
-                        heapq.heappush(heap, [ts, seq, rest[0], rest[1:] or None])
-                    raise
+        except BaseException:
+            # an aborted entry keeps its undispatched callbacks queued, led
+            # by the raising batch if it has items left
+            rest = [] if more is None else list(rest)
+            if self._unfinished:
+                self._unfinished = False
+                rest.insert(0, fn)
+            if rest:
+                heapq.heappush(heap, [ts, seq, rest[0], rest[1:] or None])
+            raise
         finally:
             self.events_processed += n
         self.now = max(self.now, end_ns)
@@ -86,21 +145,38 @@ class Engine:
     def run_while(self, cond, limit_ns: float) -> bool:
         """Dispatch events while cond() holds; True if cond turned false.
 
-        cond() is checked before every callback, also between the callbacks
-        of one heap entry: the rest of an entry goes back on the heap, under
-        the entry's own (ts, seq) key, before its first callback runs.
+        cond() is checked before every callback and every batch item, also
+        between the callbacks of one heap entry: the rest of an entry goes
+        back on the heap, under the entry's own (ts, seq) key, before its
+        first callback runs, and a batch's remaining items go back at the
+        head of that rest.
         """
         self.end_ns = max(self.end_ns, limit_ns)
         heap = self._heap
-        while cond():
-            if not heap or heap[0][0] > limit_ns:
-                return False
-            entry = heapq.heappop(heap)
-            ts, seq, fn, more = entry
-            entry[0] = _POPPED
-            if more is not None:
-                heapq.heappush(heap, [ts, seq, more[0], more[1:] or None])
-            self.now = ts
-            self.events_processed += 1
-            fn()
-        return True
+        self._stepping = True
+        try:
+            while cond():
+                if not heap or heap[0][0] > limit_ns:
+                    return False
+                entry = heapq.heappop(heap)
+                ts, seq, fn, more = entry
+                entry[0] = _POPPED
+                rest = None
+                if more is not None:
+                    rest = [ts, seq, more[0], more[1:] or None]
+                    heapq.heappush(heap, rest)
+                self.now = ts
+                self.events_processed += 1
+                try:
+                    fn()
+                finally:
+                    if self._unfinished:
+                        self._unfinished = False
+                        if rest is None:
+                            heapq.heappush(heap, [ts, seq, fn, None])
+                        else:  # the key stays, so the heap order holds
+                            rest[3] = [rest[2]] + (rest[3] or [])
+                            rest[2] = fn
+            return True
+        finally:
+            self._stepping = False

@@ -38,6 +38,12 @@ ERR_UNKNOWN_FN = b"EBADFN"
 ERR_REPLY_TOO_BIG = b"E2BIG"
 
 
+def _trace_pickup_copies(trace: list, nic_id: int, conn_id: int, ts: float, n: int) -> None:
+    issuer = f"host{nic_id}"
+    for _ in range(n):
+        trace.append(ic.Transaction(ts, issuer, ic.KIND_HOST_MEMCPY, 1, conn_id))
+
+
 class _TxIssuer:
     """Shared publish machinery: blocked-issue queue + mode-aware publish."""
 
@@ -143,12 +149,20 @@ class ClientEndpoint:
 
     # -- NIC-driven delivery path -----------------------------------------
 
-    def on_rx_visible(self, conn_id: int, ts: float) -> None:
+    def on_rx_visible(self, conn_id: int, ts: float, n: int) -> None:
+        """n entries became host-visible at ts: copy each one out, in one
+        pickup callback per delivery."""
         trace = self.engine.trace
         if trace is not None:
-            trace.append(ic.Transaction(ts, f"host{self.nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
-                                        conn_id))
-        self.engine.schedule(ts + self.nic.params.t_memcpy, self._pickup)
+            _trace_pickup_copies(trace, self.nic.nic_id, conn_id, ts, n)
+        if n == 1:
+            self.engine.schedule(ts + self.nic.params.t_memcpy, self._pickup)
+        else:
+            self.engine.schedule_batch(ts + self.nic.params.t_memcpy, self._pickups, range(n))
+
+    def _pickups(self, it) -> None:
+        for _ in it:
+            self._pickup()
 
     def _pickup(self) -> None:
         rx = self.rings.rx
@@ -212,7 +226,9 @@ class ServerEndpoint:
         self.handlers = {}
         self.issuers: dict[int, _TxIssuer] = {}
         self.rings_by_conn: dict[int, RingPair] = {}
-        self.pickup_by_conn = {}  # the _pickup callback of each connection, built once
+        # the pickup callbacks of each connection, for one entry and for a batch, built once
+        self.pickup_by_conn = {}
+        self.pickups_by_conn = {}
         self.served = 0
 
     def register_handler(self, function_id: int, handler) -> None:
@@ -223,17 +239,27 @@ class ServerEndpoint:
     def attach(self, record: ConnectionRecord) -> None:
         conn_id = record.connection_id
         self.rings_by_conn[record.connection_id] = record.ring_pair
+
+        def pickups(it):
+            pickup = self._pickup
+            for _ in it:
+                pickup(conn_id)
+
         self.pickup_by_conn[conn_id] = lambda: self._pickup(conn_id)
+        self.pickups_by_conn[conn_id] = pickups
         self.issuers[record.connection_id] = _TxIssuer(
             self.engine, self.nic, record.connection_id, record.ring_pair.tx
         )
 
-    def on_rx_visible(self, conn_id: int, ts: float) -> None:
+    def on_rx_visible(self, conn_id: int, ts: float, n: int) -> None:
         trace = self.engine.trace
         if trace is not None:
-            trace.append(ic.Transaction(ts, f"host{self.nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
-                                        conn_id))
-        self.engine.schedule(ts + self.nic.params.t_memcpy, self.pickup_by_conn[conn_id])
+            _trace_pickup_copies(trace, self.nic.nic_id, conn_id, ts, n)
+        if n == 1:
+            self.engine.schedule(ts + self.nic.params.t_memcpy, self.pickup_by_conn[conn_id])
+        else:
+            self.engine.schedule_batch(ts + self.nic.params.t_memcpy,
+                                       self.pickups_by_conn[conn_id], range(n))
 
     def _pickup(self, conn_id: int) -> None:
         rx = self.rings_by_conn[conn_id].rx

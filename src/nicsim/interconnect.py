@@ -89,6 +89,16 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def read_json(path):
+    """The JSON document in the file at path; ConfigInvalid, naming the
+    path, if the file is not UTF-8 text."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigInvalid(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 @dataclass(frozen=True)
 class CostParams:
     """Per-transaction virtual-nanosecond costs plus the bus capacity.
@@ -133,8 +143,7 @@ class CostParams:
 
     @classmethod
     def load(cls, path) -> "CostParams":
-        with open(path) as fh:
-            data = json.load(fh)
+        data = read_json(path)
         if not isinstance(data, dict):
             raise ConfigInvalid("cost params file must hold a JSON object")
         return cls.from_dict(data)
@@ -333,8 +342,7 @@ def load_datapoints(path):
 
     Returns (mode, B, mrps) tuples; every bad row is reported by its index.
     """
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ConfigInvalid("datapoint file must hold a JSON list")
     points, errors = [], []

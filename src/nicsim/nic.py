@@ -6,11 +6,18 @@ into the RX ring, round-robin balanced across the NIC's connections).
 
 Each endpoint's recurring event callbacks (poll, the direct-submode fetch
 trigger, the invalidation notice, the end of a fetch and RX delivery to the
-host) are built once, in attach_connection, not per event. The one piece of
-TX state between events is the endpoint's batch in flight: _fetch stores the
-fetched entries and _forward, at fetch end, sends and releases them. No
-fetch starts while a batch is in flight; RX delivery keeps no state between
-events.
+host, for one entry and for a batch) are built once, in attach_connection,
+not per event. The one piece of TX state between events is the endpoint's
+batch in flight: _fetch stores the fetched entries and _forward, at fetch
+end, sends and releases them. No fetch starts while a batch is in flight; RX
+delivery keeps no state between events.
+
+A fetch of two or more entries stays one engine callback per stage after
+the wire (Engine.schedule_batch): Wire.send_batch lands it as one arrival,
+rx_arrival_batch DMA-writes it and hands the written entries to the host as
+one delivery, and the host picks them up in one callback. Each stage does
+exactly what its per-entry callbacks would do back to back; an arrival
+batch that meets an RX backlog goes entry by entry through rx_arrival.
 
 Hard config fields (tx_mode, threading_model) require a drained restart;
 soft fields (batch size, poll threshold, adaptive batching, rate window)
@@ -141,7 +148,7 @@ class _ConnEndpoint:
         self.conn_id = conn_id
         self.rings = ring_pair
         self.remote_nic = remote_nic
-        self.deliver_cb = deliver_cb  # (conn_id, ts) -> None, entry is host-visible
+        self.deliver_cb = deliver_cb  # (conn_id, ts, n) -> None, n entries are host-visible
         self.tx_free_cb = tx_free_cb  # (conn_id, ts) -> None, TX slots released
         self.in_flight = None  # fetched (slot, block) list awaiting _forward
         self.busy_until = 0.0
@@ -153,6 +160,7 @@ class _ConnEndpoint:
         self.inval_event = None
         self.forward_event = None
         self.deliver_event = None
+        self.deliver_batch_event = None
         self.rx_index = 0  # position in the NIC's RX round-robin
         self.rx_backlog = deque()  # wire arrivals awaiting a free RX slot
 
@@ -181,6 +189,25 @@ class Wire:
                                         rpc, critical=True))
         arrive = dst.rx_arrival
         engine.schedule(now + extra_ns + self.params.t_wire, lambda: arrive(conn_id, block, rpc))
+
+    def send_batch(self, src_nic_id: int, dst_nic_id: int, conn_id: int, entries: list,
+                   extra_ns: float) -> None:
+        """send for the block of each fetched (slot, block) of entries, landing
+        as one arrival batch."""
+        dst = self.nics.get(dst_nic_id)
+        if dst is None:
+            raise UnknownDestination(f"nic {dst_nic_id} is not attached to the wire")
+        engine = self.engine
+        now = engine.now
+        trace = engine.trace
+        if trace is not None:
+            issuer = f"nic{src_nic_id}"
+            for _, block in entries:
+                trace.append(ic.Transaction(now, issuer, ic.KIND_WIRE_HOP, 1, conn_id,
+                                            _rpc_id_of(block)[0], critical=True))
+        arrive = dst.rx_arrival_batch
+        engine.schedule_batch(now + extra_ns + self.params.t_wire,
+                              lambda it: arrive(conn_id, it), entries)
 
 
 class Nic:
@@ -220,7 +247,8 @@ class Nic:
         ep.fetch_event = lambda: self._try_fetch(ep)
         ep.inval_event = lambda: self._on_inval(ep)
         ep.forward_event = lambda: self._forward(ep)
-        ep.deliver_event = lambda: deliver_cb(conn_id, engine.now)
+        ep.deliver_event = lambda: deliver_cb(conn_id, engine.now, 1)
+        ep.deliver_batch_event = lambda it: deliver_cb(conn_id, engine.now, len(list(it)))
         self.conns[conn_id] = ep
         self._index_endpoints()
         self.rx_service_counts[conn_id] = 0
@@ -331,9 +359,12 @@ class Nic:
             raise ContractViolation(
                 f"nic {self.nic_id} connection {ep.conn_id}: forward with no batch in flight")
         extra = ic.tx_extra_latency_ns(self.params, self.config.tx_mode)
-        send, nic_id, remote, conn_id = self.wire.send, self.nic_id, ep.remote_nic, ep.conn_id
-        for slot, block in entries:
-            send(nic_id, remote, conn_id, block, _rpc_id_of(block)[0], extra)
+        nic_id, remote, conn_id = self.nic_id, ep.remote_nic, ep.conn_id
+        if len(entries) == 1:
+            block = entries[0][1]
+            self.wire.send(nic_id, remote, conn_id, block, _rpc_id_of(block)[0], extra)
+        else:
+            self.wire.send_batch(nic_id, remote, conn_id, entries, extra)
         ep.rings.tx.nic_release([slot for slot, _ in entries])
         ep.in_flight = None
         ep.tx_free_cb(conn_id, self.engine.now)
@@ -396,6 +427,43 @@ class Nic:
         else:
             ep.rx_backlog.append((block, rpc))
             self._rx_queued += 1
+
+    def rx_arrival_batch(self, conn_id: int, it) -> None:
+        """rx_arrival for the block of each (slot, block) the iterator it
+        yields, in one call.
+
+        With an RX backlog on the NIC (or no such connection) it is exactly
+        that. Otherwise nothing else waits and no slot frees while the batch
+        lands, so the entries are DMA-written until the ring is full, the
+        rest join the backlog (where _rx_dispatch could not serve them), and
+        the written ones become host-visible as one delivery batch.
+        """
+        ep = self.conns.get(conn_id)
+        if self._rx_queued or ep is None:
+            arrival = self.rx_arrival
+            for _, block in it:
+                arrival(conn_id, block, _rpc_id_of(block)[0])
+            return
+        engine = self.engine
+        now = engine.now
+        trace = engine.trace
+        deliver = ep.rings.rx.rx_deliver
+        n = 0
+        for _, block in it:
+            if not deliver(block):
+                backlog = ep.rx_backlog
+                backlog.append((block, _rpc_id_of(block)[0]))
+                backlog.extend((b, _rpc_id_of(b)[0]) for _, b in it)
+                self._rx_queued = len(backlog)
+                break
+            if trace is not None:
+                trace.append(ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_DMA_WRITE, 1,
+                                            conn_id, _rpc_id_of(block)[0], critical=True))
+            n += 1
+        if n:
+            self.rx_service_counts[conn_id] += n
+            self._rx_cursor = (ep.rx_index + 1) % len(self._endpoints)
+            engine.schedule_batch(now + self.params.t_dma_write, ep.deliver_batch_event, range(n))
 
     def _rx_dispatch(self) -> None:
         """Round-robin across connections with pending arrivals; a full RX

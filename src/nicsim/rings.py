@@ -172,7 +172,7 @@ class TxRing:
         """Reset flags and hand the indices back through the completion ring.
 
         Bookkeeping follows fetch order: the released slots (a sequence) must
-        be the oldest fetched entries (the NIC FSM frees what it just
+        be the oldest fetched entries (the NIC frees the batch it just
         forwarded).
         """
         if self._nic_thread != _get_ident():

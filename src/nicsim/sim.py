@@ -95,6 +95,8 @@ class Scenario:
                 errors.append(f"connections[{i}]: client nic {c} not defined")
             if s not in self.nic_configs:
                 errors.append(f"connections[{i}]: server nic {s} not defined")
+            if c == s:
+                errors.append(f"connections[{i}]: client_nic and server_nic must differ")
         errors.extend(self.loadgen.validate())
         bad_spans = [f"{name} must be a number, got {getattr(self, name)!r}"
                      for name in ("duration_us", "warmup_us")

@@ -134,6 +134,9 @@ BAD_OVERRIDES = {
     "unknown_cost_param": (["rawbus", "--threads", "1"], "cost_params.bogus=1",
                            "unknown cost parameter 'bogus'"),
     "compare_nics_not_a_list": (["compare"], "nics=5", "nics must be a list"),
+    "connection_to_its_own_nic": (["sweep", "--loads", "2"],
+                                  'connections=[{"client_nic": 0, "server_nic": 0}]',
+                                  "connections[0]: client_nic and server_nic must differ"),
     # just past the size limits: refused before any ring or call is allocated
     "ring_depth_over_limit": (["sweep", "--modes", "coherent:B1", "--loads", "1"],
                               "ring_depth=131072", "ring_depth must be <= 65536, got 131072"),
@@ -223,6 +226,29 @@ def test_calibrate_bad_datapoint_exits_1_with_its_index(tmp_path, row, message):
     assert "Traceback" not in proc.stderr
     assert f"datapoint 1: {message}" in proc.stderr
     assert not out.exists()
+
+
+UNREADABLE_PATHS = {
+    "bars_params_dir": (["bars", "--params", "{dir}"], "dir"),
+    "bars_scenario_dir": (["bars", "--scenario", "{dir}"], "dir"),
+    "calibrate_datapoints_dir": (["calibrate", "--datapoints", "{dir}", "--out", "{fit}"], "dir"),
+    "rawbus_out_dir": (["rawbus", "--threads", "1", "--out", "{dir}"], "dir"),
+    "bars_scenario_not_utf8": (["bars", "--scenario", "{utf16}"], "utf16"),
+    "bars_params_not_utf8": (["bars", "--params", "{utf16}"], "utf16"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE_PATHS))
+def test_unreadable_path_exits_1_naming_the_path(tmp_path, capsys, case):
+    args, culprit = UNREADABLE_PATHS[case]
+    paths = {"dir": tmp_path / "a_directory", "utf16": tmp_path / "utf16.json",
+             "fit": tmp_path / "fit.json"}
+    paths["dir"].mkdir()
+    paths["utf16"].write_bytes(b"\xff\xfe{}")  # a UTF-16 byte-order mark
+    rc = run_cli([a.format(**paths) for a in args])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nicsim: ") and str(paths[culprit]) in err
 
 
 def test_importing_nicsim_loads_no_numpy():

@@ -1,4 +1,4 @@
-"""Engine tests: coalesced heap entries against a one-entry-per-event engine."""
+"""Engine tests: coalesced heap entries and batches against a one-entry-per-event engine."""
 
 import heapq
 from collections import defaultdict
@@ -24,6 +24,10 @@ class NaiveEngine:
             raise ValueError("past")
         heapq.heappush(self._heap, (ts_ns, self._seq, fn))
         self._seq += 1
+
+    def schedule_batch(self, ts_ns, fn, items):
+        for item in items:
+            self.schedule(ts_ns, lambda item=item: fn(iter((item,))))
 
     def run_until(self, end_ns):
         self.end_ns = end_ns
@@ -56,11 +60,13 @@ OFFSETS = (0.0, 0.0, 0.0, 1.0, 1.0, 2.5, 4.0)
 
 @st.composite
 def programs(draw):
-    """Nodes (parent, offset, raises): a node fires, schedules its children at
-    now + their offset, then raises if flagged. Parent -1 is scheduled up front."""
+    """Nodes (parent, offset, raises, batches): a node fires, schedules its
+    children at now + their offset, then raises if flagged. A node flagged
+    batches schedules its children that share an offset as one batch, in the
+    place of the first of them. Parent -1 is scheduled up front."""
     n = draw(st.integers(1, 40))
     nodes = [(draw(st.integers(-1, k - 1)), draw(st.sampled_from(OFFSETS)),
-              draw(st.integers(0, 11)) == 0) for k in range(n)]
+              draw(st.integers(0, 11)) == 0, draw(st.booleans())) for k in range(n)]
     stop_after = draw(st.integers(0, n))
     limit = draw(st.sampled_from((0.0, 1.0, 2.5, 6.0, 1e3)))
     return nodes, stop_after, limit
@@ -69,7 +75,7 @@ def programs(draw):
 def execute(engine, program):
     nodes, stop_after, limit = program
     children = defaultdict(list)
-    for k, (parent, _, _) in enumerate(nodes):
+    for k, (parent, _, _, _) in enumerate(nodes):
         children[parent].append(k)
     fired = []
     log = []
@@ -77,11 +83,22 @@ def execute(engine, program):
     def node(k):
         def fire():
             fired.append((k, engine.now))
-            for c in children[k]:
-                engine.schedule(engine.now + nodes[c][1], node(c))
+            if not nodes[k][3]:
+                for c in children[k]:
+                    engine.schedule(engine.now + nodes[c][1], node(c))
+            else:
+                by_offset = defaultdict(list)  # in first-seen order
+                for c in children[k]:
+                    by_offset[nodes[c][1]].append(c)
+                for offset, batch in by_offset.items():
+                    engine.schedule_batch(engine.now + offset, fire_each, batch)
             if nodes[k][2]:
                 raise Boom(k)
         return fire
+
+    def fire_each(it):
+        for c in it:
+            node(c)()
 
     for k in children[-1]:
         engine.schedule(nodes[k][1], node(k))
@@ -149,3 +166,60 @@ def test_raising_callback_keeps_the_rest_of_its_entry():
     engine.run_until(5.0)
     assert seen == ["a", "c"]
     assert engine.events_processed == 3
+
+
+def test_raising_batch_item_keeps_the_rest_of_its_batch_and_entry():
+    engine = Engine()
+    seen = []
+
+    def each(it):
+        for i in it:
+            seen.append(i)
+            if i == 3:
+                raise Boom()
+
+    engine.schedule_batch(1.0, each, [1, 2, 3, 4, 5, 6])
+    engine.schedule(1.0, lambda: seen.append("after"))  # same entry, behind the batch
+    try:
+        engine.run_until(5.0)
+    except Boom:
+        pass
+    assert seen == [1, 2, 3]
+    assert engine.events_processed == 3
+    engine.schedule(1.0, lambda: seen.append("new"))  # behind the whole old entry
+    engine.run_until(5.0)
+    assert seen == [1, 2, 3, 4, 5, 6, "after", "new"]
+    assert engine.events_processed == 8
+
+
+def test_run_while_stops_between_batch_items_and_resumes_in_order():
+    engine = Engine()
+    seen = []
+
+    def each(it):
+        for i in it:
+            seen.append(i)
+            engine.schedule(engine.now, lambda i=i: seen.append(f"from {i}"))
+
+    engine.schedule_batch(1.0, each, [0, 1, 2, 3])
+    engine.schedule(1.0, lambda: seen.append("after"))
+    assert engine.run_while(lambda: len(seen) < 2, 10.0)
+    # items 2 and 3 wait ahead of the rest of the entry, and "from 0" behind it
+    assert seen == [0, 1] and engine.events_processed == 2
+    assert engine.run_while(lambda: len(seen) < 3, 10.0)
+    assert seen == [0, 1, 2] and engine.events_processed == 3
+    engine.run_until(10.0)
+    assert seen == [0, 1, 2, 3, "after", "from 0", "from 1", "from 2", "from 3"]
+    assert engine.events_processed == 9
+
+
+def test_batch_callback_is_named_after_its_handler():
+    engine = Engine()
+
+    def handler(it):
+        for _ in it:
+            pass
+
+    engine.schedule_batch(1.0, handler, [0, 1])
+    batch = engine._heap[0][2]
+    assert (batch.__module__, batch.__qualname__) == (handler.__module__, handler.__qualname__)

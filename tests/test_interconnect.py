@@ -50,7 +50,7 @@ def _publish_on_rig(config, n, direct_poll=False):
     pair = RingPair(64)
     nic0.attach_connection(0, pair, 1, _noop, _noop)
     visible = []
-    nic1.attach_connection(0, RingPair(64), 0, lambda conn, ts: visible.append(ts), _noop)
+    nic1.attach_connection(0, RingPair(64), 0, lambda conn, ts, n: visible.extend([ts] * n), _noop)
     for rpc in range(n):
         slot = pair.tx.tx_acquire()
         pair.tx.tx_publish(slot, protocol.encode_entry(protocol.RpcEntry(0, 0, rpc, 0, b"")))

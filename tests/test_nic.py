@@ -77,7 +77,7 @@ def test_wire_delay_and_order():
     engine, wire, nic0, nic1 = _rig()
     got = []
     pair = RingPair(64)
-    nic1.attach_connection(0, pair, 0, lambda c, ts: got.append(ts), _noop)
+    nic1.attach_connection(0, pair, 0, lambda c, ts, n: got.extend([ts] * n), _noop)
     block = protocol.encode_entry(RpcEntry(0, 0, 1, 0, b"x"))
     wire.send(0, 1, 0, block, rpc=1)
     engine.run_until(1e6)
@@ -91,7 +91,7 @@ def test_wire_zero_delay_same_step():
     wire = Wire(engine, params)
     nic1 = Nic(1, NicConfig(), params, engine, BusArbiter([0, 1], P.bus_cap_rps), wire)
     got = []
-    nic1.attach_connection(0, RingPair(64), 0, lambda c, ts: got.append(ts), _noop)
+    nic1.attach_connection(0, RingPair(64), 0, lambda c, ts, n: got.extend([ts] * n), _noop)
     wire.send(1, 1, 0, protocol.encode_entry(RpcEntry(0, 0, 1, 0, b"")), rpc=1)
     engine.run_until(1e6)
     assert got and got[0] == pytest.approx(params.t_dma_write, abs=1e-6)
@@ -108,11 +108,12 @@ def test_transport_order_preserved_bulk():
     got = []
     pair = RingPair(64)
 
-    def deliver(conn, ts):
-        polled = pair.rx.rx_poll()
-        got.append(protocol.decode_entry(polled[1]).rpc_id)
-        pair.rx.rx_release(polled[0])
-        nic1.on_rx_slot_freed(conn)
+    def deliver(conn, ts, n):
+        for _ in range(n):
+            polled = pair.rx.rx_poll()
+            got.append(protocol.decode_entry(polled[1]).rpc_id)
+            pair.rx.rx_release(polled[0])
+            nic1.on_rx_slot_freed(conn)
 
     nic1.attach_connection(0, pair, 0, deliver, _noop)
     n = 10_000
@@ -164,7 +165,7 @@ def test_rx_head_of_line_isolation():
     pair_a, pair_b = RingPair(4), RingPair(4)
     delivered_b = []
     nic1.attach_connection(0, pair_a, 0, _noop, _noop)
-    nic1.attach_connection(1, pair_b, 0, lambda c, ts: delivered_b.append(ts), _noop)
+    nic1.attach_connection(1, pair_b, 0, lambda c, ts, n: delivered_b.extend([ts] * n), _noop)
     # fill A's RX ring so it backpressures
     for i in range(4):
         assert pair_a.rx.rx_deliver(protocol.encode_entry(RpcEntry(0, 0, i, 0, b"")))
@@ -173,6 +174,55 @@ def test_rx_head_of_line_isolation():
     engine.run_until(1e5)
     assert len(delivered_b) == 1  # B served despite A stalled
     assert nic1.conns[0].rx_backlog  # A still waiting
+
+
+def _rx_twin(backlogged_conn):
+    """NIC 1 with RX rings of depth 4 on connections 0 and 1; connection 0 has
+    2 free slots. With backlogged_conn, connection 1's ring is full and one
+    arrival waits in its backlog."""
+    engine, wire, nic0, nic1 = _rig(trace=True)
+    pairs = [RingPair(4), RingPair(4)]
+    delivered = []
+    for c in (0, 1):
+        nic1.attach_connection(c, pairs[c], 0,
+                               lambda c, ts, n: delivered.extend([(c, ts)] * n), _noop)
+    for i in range(2):
+        assert pairs[0].rx.rx_deliver(protocol.encode_entry(RpcEntry(0, 0, 90 + i, 0, b"")))
+    if backlogged_conn:
+        for i in range(4):
+            assert pairs[1].rx.rx_deliver(protocol.encode_entry(RpcEntry(0, 1, 80 + i, 0, b"")))
+        nic1.rx_arrival(1, protocol.encode_entry(RpcEntry(0, 1, 84, 0, b"")), 84)
+        assert nic1._rx_queued == 1
+    return engine, nic1, pairs, delivered
+
+
+@pytest.mark.parametrize("backlogged_conn", [False, True])
+def test_rx_arrival_batch_lands_like_its_entries_one_by_one(backlogged_conn):
+    blocks = [protocol.encode_entry(RpcEntry(0, 0, rpc, 0, bytes([rpc]))) for rpc in range(4)]
+    states = []
+    for batched in (True, False):
+        engine, nic1, pairs, delivered = _rx_twin(backlogged_conn)
+        if batched:  # as fetched from TX slots 10..13
+            nic1.rx_arrival_batch(0, iter(list(enumerate(blocks, 10))))
+        else:
+            for rpc, block in enumerate(blocks):
+                nic1.rx_arrival(0, block, rpc)
+        engine.run_until(1e6)
+        states.append((
+            [bytes(pair.rx.slab) for pair in pairs],
+            [list(ep.rx_backlog) for ep in nic1._endpoints],
+            nic1._rx_queued,
+            dict(nic1.rx_service_counts),
+            nic1._rx_cursor,
+            delivered,
+            engine.trace,
+            engine.events_processed,
+        ))
+    batched, one_by_one = states
+    assert batched == one_by_one
+    backlogs, service_counts = batched[1], batched[3]
+    assert [rpc for _, rpc in backlogs[0]] == [2, 3]  # two fit, two wait
+    assert service_counts[0] == 2
 
 
 # -- the batch in flight ------------------------------------------------------------

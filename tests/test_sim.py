@@ -270,6 +270,15 @@ def test_scenario_validation_field_messages():
     assert "loadgen.mode" in text
 
 
+def test_connection_between_one_nic_and_itself_is_refused():
+    data = {"nics": [{"id": 0}, {"id": 1}],
+            "connections": [{"client_nic": 0, "server_nic": 1},
+                            {"client_nic": 1, "server_nic": 1}]}
+    with pytest.raises(ConfigInvalid) as exc:
+        Scenario.from_dict(data)
+    assert exc.value.errors == ["connections[1]: client_nic and server_nic must differ"]
+
+
 def test_ring_depth_and_window_limits_are_inclusive():
     s = default_scenario(ring_depth=MAX_RING_DEPTH,
                          loadgen=LoadGenSpec(mode="closed_loop", window=MAX_WINDOW))
