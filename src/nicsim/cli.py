@@ -26,7 +26,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import sim
-from .errors import ConfigInvalid, NicSimError, UnderdeterminedFit
+from .errors import ConfigInvalid, NicSimError
 from .interconnect import CostParams, calibrate, load_datapoints, read_json
 
 EXIT_OK = 0
@@ -364,10 +364,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigInvalid, UnderdeterminedFit, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"nicsim: {exc}\n")
-        return EXIT_CONFIG
-    except NicSimError as exc:
+    except (NicSimError, OSError) as exc:
         sys.stderr.write(f"nicsim: {exc}\n")
         return EXIT_CONFIG
 

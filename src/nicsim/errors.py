@@ -19,11 +19,8 @@ class MalformedEntry(NicSimError):
 
 
 class DuplicateConnection(NicSimError):
-    """Connection id already registered in the flow table."""
-
-
-class ConnectionNotFound(NicSimError):
-    """Flow table lookup for an unregistered connection id."""
+    """Connection id already attached to the NIC, or its ring pair already
+    bound to another connection."""
 
 
 class ContractViolation(NicSimError):

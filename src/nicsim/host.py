@@ -1,13 +1,17 @@
 """Application-facing RPC endpoints over the emulated NICs.
 
-A client endpoint owns one connection and issues requests into its TX
-ring; a server endpoint serves every connection attached to its NIC
-through a function-id handler table. Both threading models share the
-datapath; a synchronous endpoint simply never has more than one call in
-flight and hands the response straight back to the blocked caller instead
-of a completion queue. The response payload copy to the application is
-paid either way; what the sync model drops is the completion-queue and
-TX-bookkeeping machinery, which is off the critical path.
+Each connection end on a host is one _ConnHost: the connection's ring
+pair, its publish path (with the entries blocked on a full TX ring) and its
+pickup path, which hands each picked-up entry to the end's owner. A client
+endpoint owns the client end of one connection and issues requests through
+it; a server endpoint owns one end per connection attached to its NIC and
+answers each request through a function-id handler table. Both threading
+models share the datapath; a synchronous endpoint simply never has more
+than one call in flight and hands the response straight back to the
+blocked caller instead of a completion queue. The response payload copy to
+the application is paid either way; what the sync model drops is the
+completion-queue and TX-bookkeeping machinery, which is off the critical
+path.
 
 Entries travel through the host path as packed 64-byte blocks: a request
 is packed straight from the call's arguments, a pickup unpacks a block
@@ -38,34 +42,38 @@ ERR_UNKNOWN_FN = b"EBADFN"
 ERR_REPLY_TOO_BIG = b"E2BIG"
 
 
-def _trace_pickup_copies(trace: list, nic_id: int, conn_id: int, ts: float, n: int) -> None:
-    issuer = f"host{nic_id}"
-    for _ in range(n):
-        trace.append(ic.Transaction(ts, issuer, ic.KIND_HOST_MEMCPY, 1, conn_id))
+class _ConnHost:
+    """One connection end on a host: its rings, publish path and pickup path.
 
+    take(kind, conn, rpc, fn, payload) gets each picked-up entry: the client
+    endpoint completes a call with it, the server answers it. on_rx_visible
+    and on_tx_free are the NIC's deliver_cb and tx_free_cb for the
+    connection. Both ends are this one class, not a subclass each, so that
+    every attribute and call site on the hot path sees one type (CPython
+    specialises those sites per type).
+    """
 
-class _TxIssuer:
-    """Shared publish machinery: blocked-issue queue + mode-aware publish."""
-
-    def __init__(self, engine, nic, conn_id, tx_ring):
+    def __init__(self, engine, nic, conn_id: int, rings: RingPair, take):
         self.engine = engine
         self.nic = nic
-        self.conn_id = conn_id
-        self.tx = tx_ring
-        self._blocked = deque()
+        self.connection_id = conn_id
+        self.rings = rings
+        self.tx, self.rx = rings.tx, rings.rx  # the hot path's shortcuts into rings
+        self._take = take
+        self._blocked = deque()  # (block, rpc) waiting for a free TX slot
 
-    def submit(self, block: bytes, rpc: int) -> bool:
+    # -- publish path ---------------------------------------------------------
+
+    def _submit(self, block: bytes, rpc: int) -> None:
         """Publish a packed entry, or queue it until a TX slot frees up.
 
-        rpc is the entry's rpc id, for trace records. Returns True if the
-        entry went out immediately.
+        rpc is the entry's rpc id, for trace records.
         """
         slot = self.tx.tx_acquire()
         if slot is None:
             self._blocked.append((block, rpc))
-            return False
-        self._publish(slot, block, rpc)
-        return True
+        else:
+            self._publish(slot, block, rpc)
 
     def _publish(self, slot: int, block: bytes, rpc: int) -> None:
         engine, nic = self.engine, self.nic
@@ -75,43 +83,73 @@ class _TxIssuer:
             # the AVX store into device I/O space is itself the publication
             if trace is not None:
                 trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_MMIO_STORE, 1,
-                                            self.conn_id, rpc, critical=True))
+                                            self.connection_id, rpc, critical=True))
             self.tx.tx_publish(slot, block)
-            nic.on_tx_publish(self.conn_id)
+            nic.on_tx_publish(self.connection_id)
         else:
             if trace is not None:
                 trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
-                                            self.conn_id, rpc, critical=True))
+                                            self.connection_id, rpc, critical=True))
             engine.schedule(now + nic.params.t_memcpy, lambda: self._finish_publish(slot, block))
 
     def _finish_publish(self, slot: int, block: bytes) -> None:
         self.tx.tx_publish(slot, block)
-        self.nic.on_tx_publish(self.conn_id)
+        self.nic.on_tx_publish(self.connection_id)
 
-    def on_tx_free(self) -> None:
-        while self._blocked:
+    def on_tx_free(self, conn_id: int, ts: float) -> None:
+        blocked = self._blocked
+        while blocked:
             slot = self.tx.tx_acquire()
             if slot is None:
                 return
-            block, rpc = self._blocked.popleft()
+            block, rpc = blocked.popleft()
             self._publish(slot, block, rpc)
 
-    def blocked_count(self) -> int:
-        return len(self._blocked)
+    # -- pickup path ----------------------------------------------------------
+
+    def on_rx_visible(self, conn_id: int, ts: float, n: int) -> None:
+        """n entries became host-visible at ts: copy each one out, in one
+        pickup callback per delivery."""
+        trace = self.engine.trace
+        if trace is not None:
+            issuer = f"host{self.nic.nic_id}"
+            for _ in range(n):
+                trace.append(ic.Transaction(ts, issuer, ic.KIND_HOST_MEMCPY, 1, conn_id))
+        if n == 1:
+            self.engine.schedule(ts + self.nic.params.t_memcpy, self._pickup)
+        else:
+            self.engine.schedule_batch(ts + self.nic.params.t_memcpy, self._pickups, range(n))
+
+    def _pickups(self, it) -> None:
+        pickup = self._pickup
+        for _ in it:
+            pickup()
+
+    def _pickup(self) -> None:
+        rx = self.rx
+        polled = rx.rx_poll()
+        if polled is None:
+            raise ContractViolation(
+                f"delivery event without a dirty RX slot on connection {self.connection_id}"
+            )
+        slot, block = polled
+        kind, conn, rpc, fn, payload = unpack_entry(block)
+        rx.rx_release(slot)
+        self.nic.on_rx_slot_freed(self.connection_id)
+        self._take(kind, conn, rpc, fn, payload)
 
 
 class ClientEndpoint:
-    """One connection's application side on the client NIC."""
+    """One connection's application side on the client NIC; conn is its
+    end of the connection."""
 
-    def __init__(self, engine, nic, record: ConnectionRecord):
+    def __init__(self, engine, nic, conn_id: int, rings: RingPair, threading_model: str):
         self.engine = engine
-        self.nic = nic
-        self.record = record
-        self.connection_id = record.connection_id
-        self.threading_model = record.threading_model
-        self.rings: RingPair = record.ring_pair
-        self.issuer = _TxIssuer(engine, nic, record.connection_id, self.rings.tx)
-        self.cq = CompletionQueue() if self.threading_model == "async" else None
+        self.connection_id = conn_id
+        self.conn = _ConnHost(engine, nic, conn_id, rings, self._take)
+        self.record = ConnectionRecord(conn_id)
+        self.threading_model = threading_model
+        self.cq = CompletionQueue() if threading_model == "async" else None
         self.pending: dict[int, float] = {}  # rpc_id -> issue timestamp
         self.abandoned: set[int] = set()  # timed-out rpc ids whose response is still due
         self.blocked_on: int | None = None  # sync: rpc id the caller waits for
@@ -135,7 +173,7 @@ class ClientEndpoint:
         self.pending[rpc_id] = self.engine.now if issue_ts is None else issue_ts
         if self.threading_model == "sync":
             self.blocked_on = rpc_id
-        self.issuer.submit(
+        self.conn._submit(
             pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload),
             rpc_id,
         )
@@ -147,34 +185,7 @@ class ClientEndpoint:
             raise ContractViolation("poll_completions on a sync endpoint")
         return self.cq.cq_drain()
 
-    # -- NIC-driven delivery path -----------------------------------------
-
-    def on_rx_visible(self, conn_id: int, ts: float, n: int) -> None:
-        """n entries became host-visible at ts: copy each one out, in one
-        pickup callback per delivery."""
-        trace = self.engine.trace
-        if trace is not None:
-            _trace_pickup_copies(trace, self.nic.nic_id, conn_id, ts, n)
-        if n == 1:
-            self.engine.schedule(ts + self.nic.params.t_memcpy, self._pickup)
-        else:
-            self.engine.schedule_batch(ts + self.nic.params.t_memcpy, self._pickups, range(n))
-
-    def _pickups(self, it) -> None:
-        for _ in it:
-            self._pickup()
-
-    def _pickup(self) -> None:
-        rx = self.rings.rx
-        polled = rx.rx_poll()
-        if polled is None:
-            raise ContractViolation(
-                f"delivery event without a dirty RX slot on connection {self.connection_id}"
-            )
-        slot, block = polled
-        kind, _conn, rpc_id, _fn, payload = unpack_entry(block)
-        rx.rx_release(slot)
-        self.nic.on_rx_slot_freed(self.connection_id)
+    def _take(self, kind: int, conn: int, rpc_id: int, fn: int, payload: bytes) -> None:
         issue_ts = self.pending.pop(rpc_id, None)  # issue times are never None
         if issue_ts is None:
             if rpc_id in self.abandoned:
@@ -199,9 +210,6 @@ class ClientEndpoint:
         if self.blocked_on == rpc_id:
             self.blocked_on = None
 
-    def on_tx_free(self, conn_id: int, ts: float) -> None:
-        self.issuer.on_tx_free()
-
     def outstanding(self) -> int:
         # a call blocked on a full TX ring is already in pending
         return len(self.pending) + len(self.abandoned)
@@ -224,11 +232,7 @@ class ServerEndpoint:
         self.engine = engine
         self.nic = nic
         self.handlers = {}
-        self.issuers: dict[int, _TxIssuer] = {}
-        self.rings_by_conn: dict[int, RingPair] = {}
-        # the pickup callbacks of each connection, for one entry and for a batch, built once
-        self.pickup_by_conn = {}
-        self.pickups_by_conn = {}
+        self.conns: dict[int, _ConnHost] = {}  # connection id -> its end on this server
         self.served = 0
 
     def register_handler(self, function_id: int, handler) -> None:
@@ -236,40 +240,8 @@ class ServerEndpoint:
             raise DuplicateHandler(f"handler for function {function_id} already registered")
         self.handlers[function_id] = handler
 
-    def attach(self, record: ConnectionRecord) -> None:
-        conn_id = record.connection_id
-        self.rings_by_conn[record.connection_id] = record.ring_pair
-
-        def pickups(it):
-            pickup = self._pickup
-            for _ in it:
-                pickup(conn_id)
-
-        self.pickup_by_conn[conn_id] = lambda: self._pickup(conn_id)
-        self.pickups_by_conn[conn_id] = pickups
-        self.issuers[record.connection_id] = _TxIssuer(
-            self.engine, self.nic, record.connection_id, record.ring_pair.tx
-        )
-
-    def on_rx_visible(self, conn_id: int, ts: float, n: int) -> None:
-        trace = self.engine.trace
-        if trace is not None:
-            _trace_pickup_copies(trace, self.nic.nic_id, conn_id, ts, n)
-        if n == 1:
-            self.engine.schedule(ts + self.nic.params.t_memcpy, self.pickup_by_conn[conn_id])
-        else:
-            self.engine.schedule_batch(ts + self.nic.params.t_memcpy,
-                                       self.pickups_by_conn[conn_id], range(n))
-
-    def _pickup(self, conn_id: int) -> None:
-        rx = self.rings_by_conn[conn_id].rx
-        polled = rx.rx_poll()
-        if polled is None:
-            raise ContractViolation(f"delivery event without a dirty RX slot on connection {conn_id}")
-        slot, block = polled
-        _kind, conn, rpc, fn, payload = unpack_entry(block)
-        rx.rx_release(slot)
-        self.nic.on_rx_slot_freed(conn_id)
+    def _take(self, kind: int, conn: int, rpc: int, fn: int, payload: bytes) -> None:
+        """Answer a picked-up request on its connection."""
         self.served += 1
         handler = self.handlers.get(fn)
         if handler is None:
@@ -280,10 +252,7 @@ class ServerEndpoint:
                 kind, payload = protocol.KIND_ERROR, ERR_REPLY_TOO_BIG
             else:
                 kind = protocol.KIND_RESPONSE
-        self.issuers[conn].submit(pack_entry(kind, conn, rpc, fn, payload), rpc)
-
-    def on_tx_free(self, conn_id: int, ts: float) -> None:
-        self.issuers[conn_id].on_tx_free()
+        self.conns[conn]._submit(pack_entry(kind, conn, rpc, fn, payload), rpc)
 
 
 def echo_handler(payload: bytes) -> bytes:
@@ -291,20 +260,17 @@ def echo_handler(payload: bytes) -> bytes:
 
 
 def connect(engine, wire, client_nic, server_nic, server_endpoint,
-            threading_model: str = "async", ring_depth: int | None = None) -> ClientEndpoint:
+            threading_model: str = "async") -> ClientEndpoint:
     """Install a connection on both NICs and hand back the client endpoint.
 
-    Allocates a fresh ring pair per side (per-connection provisioning) and
-    registers flow-table records at both ends, under an id that is new to
-    both NICs. ring_depth defaults to the deeper NIC's ring_depth, the bound
-    its batch sizes were validated against.
+    Allocates a fresh ring pair per side (per-connection provisioning), at
+    the deeper NIC's ring_depth, the bound its batch sizes were validated
+    against, under a connection id that is new to both NICs.
     """
     if server_nic.nic_id not in wire.nics or client_nic.nic_id not in wire.nics:
         raise UnknownDestination("both NICs must be attached to the wire")
-    client_table, server_table = client_nic.flow_table, server_nic.flow_table
-    conn_id = max((r.connection_id for table in (client_table, server_table) for r in table),
-                  default=-1) + 1
-    depth = ring_depth or max(client_nic.ring_depth, server_nic.ring_depth)
+    conn_id = max([*client_nic.conns, *server_nic.conns], default=-1) + 1
+    depth = max(client_nic.ring_depth, server_nic.ring_depth)
     try:
         client_rings = RingPair(depth)
         server_rings = RingPair(depth)
@@ -313,32 +279,16 @@ def connect(engine, wire, client_nic, server_nic, server_endpoint,
             f"cannot allocate the rings of connection {conn_id} at ring_depth {depth}"
         ) from exc
 
-    client_record = ConnectionRecord(
-        connection_id=conn_id,
-        local_nic=client_nic.nic_id,
-        remote_nic=server_nic.nic_id,
-        ring_pair=client_rings,
-        threading_model=threading_model,
-    )
-    server_record = ConnectionRecord(
-        connection_id=conn_id,
-        local_nic=server_nic.nic_id,
-        remote_nic=client_nic.nic_id,
-        ring_pair=server_rings,
-        threading_model=threading_model,
-    )
-    client_table.register(client_record)
-    server_table.register(server_record)
-
-    client = ClientEndpoint(engine, client_nic, client_record)
+    client = ClientEndpoint(engine, client_nic, conn_id, client_rings, threading_model)
+    served = _ConnHost(server_endpoint.engine, server_endpoint.nic, conn_id, server_rings,
+                       server_endpoint._take)
     client_nic.attach_connection(
-        conn_id, client_rings, server_nic.nic_id, client.on_rx_visible, client.on_tx_free
+        conn_id, client_rings, server_nic.nic_id, client.conn.on_rx_visible, client.conn.on_tx_free
     )
-    server_endpoint.attach(server_record)
     server_nic.attach_connection(
-        conn_id, server_rings, client_nic.nic_id,
-        server_endpoint.on_rx_visible, server_endpoint.on_tx_free,
+        conn_id, server_rings, client_nic.nic_id, served.on_rx_visible, served.on_tx_free
     )
+    server_endpoint.conns[conn_id] = served
     return client
 
 

@@ -91,12 +91,16 @@ def is_int(value) -> bool:
 
 def read_json(path):
     """The JSON document in the file at path; ConfigInvalid, naming the
-    path, if the file is not UTF-8 text."""
+    path, if the file is not UTF-8 text or not valid JSON."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except UnicodeDecodeError as exc:
         raise ConfigInvalid(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigInvalid(
+            f"{path}: not valid JSON ({exc.msg} at line {exc.lineno} column {exc.colno})"
+        ) from None
 
 
 @dataclass(frozen=True)

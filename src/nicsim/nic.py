@@ -39,11 +39,11 @@ from . import interconnect as ic
 from .errors import (
     ConfigInvalid,
     ContractViolation,
+    DuplicateConnection,
     HardFieldViolation,
     InvalidValue,
     UnknownDestination,
 )
-from .protocol import FlowTable
 from .rings import DEFAULT_DEPTH
 
 _rpc_id_of = struct.Struct("<4xI").unpack_from  # rpc_id, bytes 4..8 of an entry
@@ -223,8 +223,7 @@ class Nic:
         self.arbiter = arbiter
         self.wire = wire
         wire.attach(self)
-        self.flow_table = FlowTable()  # connection records, filled by host.connect
-        self.conns: dict[int, _ConnEndpoint] = {}
+        self.conns: dict[int, _ConnEndpoint] = {}  # the NIC's connections, by id
         self._endpoints: list[_ConnEndpoint] = []  # conns.values() in RX round-robin order
         # startup: poll local cache, rely on invalidations; only the coherent
         # controller leaves this submode, and hard_reconfigure comes back to it
@@ -241,6 +240,16 @@ class Nic:
     # -- connection management --------------------------------------------
 
     def attach_connection(self, conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb):
+        """Install a connection; DuplicateConnection if its id is taken on
+        this NIC or its ring pair is another connection's."""
+        if conn_id in self.conns:
+            raise DuplicateConnection(f"connection {conn_id} already registered")
+        for other in self.conns.values():
+            if other.rings is ring_pair:
+                raise DuplicateConnection(
+                    f"ring pair of connection {conn_id} already bound to "
+                    f"connection {other.conn_id}"
+                )
         ep = _ConnEndpoint(conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb)
         engine = self.engine
         ep.poll_event = lambda: self._poll(ep)

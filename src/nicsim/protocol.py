@@ -1,4 +1,4 @@
-"""RPC entry wire format and the connection flow table.
+"""RPC entry wire format and the client's rpc-id counter.
 
 Every transfer unit is one 64-byte cache-line-sized entry. Byte layout
 (little-endian, normative):
@@ -25,9 +25,9 @@ single leading byte.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DuplicateConnection, ConnectionNotFound, MalformedEntry, PayloadTooLarge
+from .errors import MalformedEntry, PayloadTooLarge
 
 ENTRY_SIZE = 64
 HEADER_SIZE = 16
@@ -108,53 +108,12 @@ def decode_entry(block: bytes) -> RpcEntry:
 
 @dataclass
 class ConnectionRecord:
-    """One registered connection: route, ring pair, threading model."""
+    """A client connection's rpc-id counter."""
 
     connection_id: int
-    local_nic: int
-    remote_nic: int
-    ring_pair: object
-    threading_model: str  # "sync" | "async"
     next_rpc_id: int = 0
 
     def take_rpc_id(self) -> int:
         rid = self.next_rpc_id
         self.next_rpc_id = (self.next_rpc_id + 1) % RPC_ID_MODULUS
         return rid
-
-
-class FlowTable:
-    """connection_id -> ConnectionRecord, insertion-ordered.
-
-    Mutated only during connection setup; ring pairs are never
-    shared between records.
-    """
-
-    def __init__(self):
-        self._records: dict[int, ConnectionRecord] = {}
-
-    def register(self, record: ConnectionRecord) -> int:
-        cid = record.connection_id
-        if cid in self._records:
-            raise DuplicateConnection(f"connection {cid} already registered")
-        if record.ring_pair is not None:
-            for other in self._records.values():
-                if other.ring_pair is record.ring_pair:
-                    raise DuplicateConnection(
-                        f"ring pair of connection {cid} already bound to "
-                        f"connection {other.connection_id}"
-                    )
-        self._records[cid] = record
-        return cid
-
-    def lookup(self, connection_id: int) -> ConnectionRecord:
-        try:
-            return self._records[connection_id]
-        except KeyError:
-            raise ConnectionNotFound(f"connection {connection_id} not registered") from None
-
-    def __iter__(self):
-        return iter(self._records.values())
-
-    def __len__(self) -> int:
-        return len(self._records)

@@ -317,7 +317,6 @@ class _Harness:
                 self.engine, self.wire, self.nics[client_nic_id],
                 self.nics[server_nic_id], server,
                 threading_model=scenario.nic_configs[client_nic_id].threading_model,
-                ring_depth=scenario.ring_depth,
             )
             client.on_complete = self._make_complete_hook(client)
             self._expected_next[client.connection_id] = 0

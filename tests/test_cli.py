@@ -251,6 +251,25 @@ def test_unreadable_path_exits_1_naming_the_path(tmp_path, capsys, case):
     assert err.startswith("nicsim: ") and str(paths[culprit]) in err
 
 
+MALFORMED_JSON_FLAGS = {
+    "bars_scenario": ["bars", "--scenario", "{bad}"],
+    "rawbus_params": ["rawbus", "--threads", "1", "--params", "{bad}"],
+    "calibrate_datapoints": ["calibrate", "--datapoints", "{bad}", "--out", "{fit}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSON_FLAGS))
+def test_malformed_json_file_exits_1_naming_the_path(tmp_path, case):
+    bad = tmp_path / "truncated.json"
+    bad.write_text('{"nics": [')
+    args = [a.format(bad=bad, fit=tmp_path / "fit.json") for a in MALFORMED_JSON_FLAGS[case]]
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"nicsim: {bad}: not valid JSON (Expecting value at line 1 column 11)" in proc.stderr
+
+
 def test_importing_nicsim_loads_no_numpy():
     # numpy is for the calibration fit only; the probe sees it once the fit runs
     code = ("import sys, nicsim, nicsim.sim, nicsim.host, nicsim.cli\n"

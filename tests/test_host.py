@@ -76,9 +76,9 @@ def test_hundred_connections_distinct_ring_pairs():
     server = ServerEndpoint(engine, nic1)
     server.register_handler(ECHO_FN, echo_handler)
     clients = [connect(engine, wire, nic0, nic1, server) for _ in range(100)]
-    ring_ids = {id(c.rings) for c in clients}
+    ring_ids = {id(c.conn.rings) for c in clients}
     assert len(ring_ids) == 100
-    assert len(nic0.flow_table) == 100
+    assert len(nic0.conns) == 100
     assert sorted(c.connection_id for c in clients) == list(range(100))
 
 
@@ -92,7 +92,7 @@ def test_two_client_nics_into_one_server_nic():
     })
     harness = _Harness(scenario, collect_trace=False)
     assert [c.connection_id for c in harness.clients] == [0, 1]
-    assert [len(harness.nics[i].flow_table) for i in range(3)] == [1, 1, 2]
+    assert [len(harness.nics[i].conns) for i in range(3)] == [1, 1, 2]
     result = run(scenario)  # ends with check_conservation on every connection
     assert result.total_completed > 0
 
@@ -186,14 +186,14 @@ def test_outstanding_counts_a_blocked_call_once():
     engine = Engine()
     arbiter = BusArbiter([0, 1], P.bus_cap_rps)
     wire = Wire(engine, P)
-    nic0 = Nic(0, NicConfig(), P, engine, arbiter, wire)
-    nic1 = Nic(1, NicConfig(), P, engine, arbiter, wire)
+    nic0 = Nic(0, NicConfig(), P, engine, arbiter, wire, ring_depth=4)
+    nic1 = Nic(1, NicConfig(), P, engine, arbiter, wire, ring_depth=4)
     server = ServerEndpoint(engine, nic1)
     server.register_handler(ECHO_FN, echo_handler)
-    client = connect(engine, wire, nic0, nic1, server, ring_depth=4)
+    client = connect(engine, wire, nic0, nic1, server)
     for _ in range(10):
         client.start_call(ECHO_FN, b"x")
-    assert client.issuer.blocked_count() == 6  # the ring holds 4
+    assert len(client.conn._blocked) == 6  # the ring holds 4
     assert client.outstanding() == 10
     client.check_conservation()
     engine.run_until(1e6)
@@ -232,9 +232,9 @@ def test_client_pickup_rejects_a_malformed_block(case):
     engine, client, *_ = _stack("async")
     client.start_call(ECHO_FN, b"x")  # rpc 0 is pending, so only the block is wrong
     block = _malformed_block(protocol.KIND_RESPONSE, client.connection_id, *MALFORMED[case])
-    assert client.rings.rx.rx_deliver(block)
+    assert client.conn.rings.rx.rx_deliver(block)
     with pytest.raises(MalformedEntry):
-        client._pickup()
+        client.conn._pickup()
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -242,9 +242,9 @@ def test_server_pickup_rejects_a_malformed_block(case):
     engine, client, server, *_ = _stack("async")
     conn = client.connection_id
     block = _malformed_block(protocol.KIND_REQUEST, conn, *MALFORMED[case])
-    assert server.rings_by_conn[conn].rx.rx_deliver(block)
+    assert server.conns[conn].rings.rx.rx_deliver(block)
     with pytest.raises(MalformedEntry):
-        server._pickup(conn)
+        server.conns[conn]._pickup()
     assert server.served == 0
 
 
@@ -252,9 +252,9 @@ def test_response_for_a_never_issued_rpc_is_a_contract_violation():
     engine, client, *_ = _stack("async")
     client.start_call(ECHO_FN, b"x")
     block = protocol.pack_entry(protocol.KIND_RESPONSE, client.connection_id, 5, ECHO_FN, b"x")
-    assert client.rings.rx.rx_deliver(block)
+    assert client.conn.rings.rx.rx_deliver(block)
     with pytest.raises(ContractViolation, match="unknown rpc 5"):
-        client._pickup()
+        client.conn._pickup()
     assert list(client.pending) == [0] and client.completed == 0
 
 
@@ -294,8 +294,8 @@ def test_ring_allocation_failure_names_the_depth(monkeypatch):
     engine = Engine()
     arbiter = BusArbiter([0, 1], P.bus_cap_rps)
     wire = Wire(engine, P)
-    nic0 = Nic(0, NicConfig(), P, engine, arbiter, wire)
-    nic1 = Nic(1, NicConfig(), P, engine, arbiter, wire)
+    nic0 = Nic(0, NicConfig(), P, engine, arbiter, wire, ring_depth=128)
+    nic1 = Nic(1, NicConfig(), P, engine, arbiter, wire, ring_depth=128)
     server = ServerEndpoint(engine, nic1)
 
     def no_memory(depth):
@@ -303,4 +303,4 @@ def test_ring_allocation_failure_names_the_depth(monkeypatch):
 
     monkeypatch.setattr(host_mod, "RingPair", no_memory)
     with pytest.raises(ResourceExhausted, match="ring_depth 128"):
-        connect(engine, wire, nic0, nic1, server, ring_depth=128)
+        connect(engine, wire, nic0, nic1, server)

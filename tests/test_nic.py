@@ -12,6 +12,7 @@ from nicsim.errors import (
     ConfigInvalid,
     ContractViolation,
     DrainTimeout,
+    DuplicateConnection,
     HardFieldViolation,
     InvalidValue,
     UnknownDestination,
@@ -266,6 +267,20 @@ def test_in_flight_batch_guards():
         assert proc.stdout.split() == ["forward-without-batch", "fetch-while-in-flight"], flags
 
 
+def test_attach_connection_rejects_a_taken_id_or_ring_pair():
+    engine, wire, nic0, nic1 = _rig()
+    pair = RingPair(64)
+    first = nic0.attach_connection(0, pair, 1, _noop, _noop)
+    with pytest.raises(DuplicateConnection, match="connection 0 already registered"):
+        nic0.attach_connection(0, RingPair(64), 1, _noop, _noop)
+    with pytest.raises(DuplicateConnection,
+                       match="ring pair of connection 1 already bound to connection 0"):
+        nic0.attach_connection(1, pair, 1, _noop, _noop)
+    # a refused attach changes nothing
+    assert list(nic0.conns) == [0] and nic0.conns[0] is first
+    assert nic0.rx_service_counts == {0: 0}
+
+
 def test_short_fetch_is_reported_explicitly():
     # a ring that yields fewer entries than the trigger promised is a
     # contract breach, reported even under python -O
@@ -281,9 +296,9 @@ def test_delivery_without_dirty_slot_is_reported_explicitly():
     server = host_mod.ServerEndpoint(engine, nic1)
     client = host_mod.connect(engine, wire, nic0, nic1, server)
     with pytest.raises(ContractViolation):
-        client._pickup()
+        client.conn._pickup()
     with pytest.raises(ContractViolation):
-        server._pickup(client.connection_id)
+        server.conns[client.connection_id]._pickup()
 
 
 def test_fsm_cycle_via_echo_smoke():
@@ -420,7 +435,7 @@ def test_connect_sizes_rings_to_the_nic_ring_depth():
     server = host_mod.ServerEndpoint(engine, nic1)
     server.register_handler(host_mod.ECHO_FN, host_mod.echo_handler)
     client = host_mod.connect(engine, wire, nic0, nic1, server)
-    assert client.rings.tx.depth == 256
+    assert client.conn.rings.tx.depth == 256
     for _ in range(128):
         client.start_call(host_mod.ECHO_FN, b"x")
     engine.run_until(1e6)

@@ -1,4 +1,4 @@
-"""Entry layout and flow-table tests.
+"""Entry layout and rpc-id counter tests.
 
 The byte-layout table below was written down before the encoder and acts
 as the independent oracle: _build_from_table assembles entries by plain
@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicsim import protocol
-from nicsim.errors import ConnectionNotFound, DuplicateConnection, MalformedEntry, PayloadTooLarge
-from nicsim.protocol import ConnectionRecord, FlowTable, RpcEntry
+from nicsim.errors import MalformedEntry, PayloadTooLarge
+from nicsim.protocol import ConnectionRecord, RpcEntry
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -174,55 +174,8 @@ def test_any_block_decodes_or_is_malformed(block):
     assert entry.payload == block[16 : 16 + block[10]]
 
 
-class _FakeRings:
-    pass
-
-
-def _record(cid, rings=None):
-    return ConnectionRecord(
-        connection_id=cid, local_nic=0, remote_nic=1,
-        ring_pair=rings or _FakeRings(), threading_model="async",
-    )
-
-
-def test_flow_register_lookup():
-    table = FlowTable()
-    rec = _record(3)
-    assert table.register(rec) == 3
-    assert table.lookup(3) is rec
-
-
-def test_flow_lookup_missing():
-    with pytest.raises(ConnectionNotFound):
-        FlowTable().lookup(999)
-
-
-def test_flow_duplicate_register():
-    table = FlowTable()
-    table.register(_record(1))
-    with pytest.raises(DuplicateConnection):
-        table.register(_record(1))
-
-
-def test_flow_no_ring_pair_aliasing():
-    table = FlowTable()
-    shared = _FakeRings()
-    table.register(_record(1, shared))
-    with pytest.raises(DuplicateConnection):
-        table.register(_record(2, shared))
-
-
-def test_flow_hundred_connections_distinct_rings():
-    table = FlowTable()
-    for cid in range(100):
-        table.register(_record(cid))
-    rings = {id(rec.ring_pair) for rec in table}
-    assert len(rings) == 100
-    assert [rec.connection_id for rec in table] == list(range(100))
-
-
 def test_rpc_id_wraps():
-    rec = _record(1)
+    rec = ConnectionRecord(connection_id=1)
     rec.next_rpc_id = (1 << 32) - 1
     assert rec.take_rpc_id() == (1 << 32) - 1
     assert rec.take_rpc_id() == 0
