@@ -74,7 +74,7 @@ def random_scenario(rng: random.Random) -> dict:
         cost["t_memcpy"] = rng.choice((50.0, 100.0, 150.0, round(rng.uniform(10, 300), 3)))
     if rng.random() < 0.5:
         # a slow DMA write holds RX slots longer without slowing publishes, so
-        # RX rings fill and the NIC's backlog and round-robin run
+        # RX rings fill and arrivals wait in their connection's backlog
         cost["t_dma_write"] = rng.choice((1000.0, 3000.0, round(rng.uniform(500, 6000), 3)))
     return {
         "scenario": {

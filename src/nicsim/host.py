@@ -269,7 +269,7 @@ def connect(engine, wire, client_nic, server_nic, server_endpoint,
     """
     if server_nic.nic_id not in wire.nics or client_nic.nic_id not in wire.nics:
         raise UnknownDestination("both NICs must be attached to the wire")
-    conn_id = max([*client_nic.conns, *server_nic.conns], default=-1) + 1
+    conn_id = max(client_nic.next_conn_id, server_nic.next_conn_id)
     depth = max(client_nic.ring_depth, server_nic.ring_depth)
     try:
         client_rings = RingPair(depth)

@@ -2,7 +2,12 @@
 
 Each connection endpoint owns a TX path (host publishes, NIC fetches via
 the configured interface mode) and an RX path (wire arrivals DMA-written
-into the RX ring, round-robin balanced across the NIC's connections).
+into the connection's own RX ring, or queued in its backlog while that ring
+is full). RX delivery needs no arbitration across connections: a backlog
+drains only into its own ring, and that ring frees a slot only through its
+own connection's pickup, which serves the backlog at once
+(on_rx_slot_freed). A slot freed on one connection can therefore never be
+taken by another.
 
 Each endpoint's recurring event callbacks (poll, the direct-submode fetch
 trigger, the invalidation notice, the end of a fetch and RX delivery to the
@@ -10,14 +15,13 @@ host, for one entry and for a batch) are built once, in attach_connection,
 not per event. The one piece of TX state between events is the endpoint's
 batch in flight: _fetch stores the fetched entries and _forward, at fetch
 end, sends and releases them. No fetch starts while a batch is in flight; RX
-delivery keeps no state between events.
+delivery keeps no state between events but each connection's backlog.
 
 A fetch of two or more entries stays one engine callback per stage after
 the wire (Engine.schedule_batch): Wire.send_batch lands it as one arrival,
 rx_arrival_batch DMA-writes it and hands the written entries to the host as
 one delivery, and the host picks them up in one callback. Each stage does
-exactly what its per-entry callbacks would do back to back; an arrival
-batch that meets an RX backlog goes entry by entry through rx_arrival.
+exactly what its per-entry callbacks would do back to back.
 
 Hard config fields (tx_mode, threading_model) require a drained restart;
 soft fields (batch size, poll threshold, adaptive batching, rate window)
@@ -44,7 +48,7 @@ from .errors import (
     InvalidValue,
     UnknownDestination,
 )
-from .rings import DEFAULT_DEPTH
+from .rings import DEFAULT_DEPTH, RingPair
 
 _rpc_id_of = struct.Struct("<4xI").unpack_from  # rpc_id, bytes 4..8 of an entry
 
@@ -161,8 +165,8 @@ class _ConnEndpoint:
         self.forward_event = None
         self.deliver_event = None
         self.deliver_batch_event = None
-        self.rx_index = 0  # position in the NIC's RX round-robin
-        self.rx_backlog = deque()  # wire arrivals awaiting a free RX slot
+        # wire arrivals awaiting a free RX slot; non-empty only while the ring is full
+        self.rx_backlog = deque()
 
 
 class Wire:
@@ -224,7 +228,8 @@ class Nic:
         self.wire = wire
         wire.attach(self)
         self.conns: dict[int, _ConnEndpoint] = {}  # the NIC's connections, by id
-        self._endpoints: list[_ConnEndpoint] = []  # conns.values() in RX round-robin order
+        self.next_conn_id = 0  # one above the highest id in conns
+        self._ring_owners: dict[RingPair, int] = {}  # ring pair -> the connection it serves
         # startup: poll local cache, rely on invalidations; only the coherent
         # controller leaves this submode, and hard_reconfigure comes back to it
         self.submode = ic.SUBMODE_INVAL
@@ -232,10 +237,7 @@ class Nic:
         self.settle_until = 0.0  # post-reconfiguration window with partial flushes
         self.window_publishes = 0
         self.controller_log = []  # (ts_ns, controller, old, new)
-        self._rx_cursor = 0
-        self._rx_queued = 0  # entries across all rx_backlogs
         self._controller_started = False
-        self.rx_service_counts: dict[int, int] = {}
 
     # -- connection management --------------------------------------------
 
@@ -244,12 +246,10 @@ class Nic:
         this NIC or its ring pair is another connection's."""
         if conn_id in self.conns:
             raise DuplicateConnection(f"connection {conn_id} already registered")
-        for other in self.conns.values():
-            if other.rings is ring_pair:
-                raise DuplicateConnection(
-                    f"ring pair of connection {conn_id} already bound to "
-                    f"connection {other.conn_id}"
-                )
+        owner = self._ring_owners.get(ring_pair)
+        if owner is not None:
+            raise DuplicateConnection(
+                f"ring pair of connection {conn_id} already bound to connection {owner}")
         ep = _ConnEndpoint(conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb)
         engine = self.engine
         ep.poll_event = lambda: self._poll(ep)
@@ -259,19 +259,14 @@ class Nic:
         ep.deliver_event = lambda: deliver_cb(conn_id, engine.now, 1)
         ep.deliver_batch_event = lambda it: deliver_cb(conn_id, engine.now, len(list(it)))
         self.conns[conn_id] = ep
-        self._index_endpoints()
-        self.rx_service_counts[conn_id] = 0
+        self._ring_owners[ring_pair] = conn_id
+        self.next_conn_id = max(self.next_conn_id, conn_id + 1)
         if not self._controller_started:
             self._controller_started = True
             self._schedule_controller_tick()
         if self.submode == ic.SUBMODE_DIRECT:
             self._arm_poll(ep, self.engine.now)
         return ep
-
-    def _index_endpoints(self) -> None:
-        self._endpoints = list(self.conns.values())
-        for i, ep in enumerate(self._endpoints):
-            ep.rx_index = i
 
     # -- TX path ------------------------------------------------------------
 
@@ -426,81 +421,39 @@ class Nic:
         ep = self.conns.get(conn_id)
         if ep is None:
             raise UnknownDestination(f"nic {self.nic_id} has no connection {conn_id}")
-        if self._rx_queued:
+        if ep.rx_backlog or not self._rx_deliver(ep, block, rpc):
             ep.rx_backlog.append((block, rpc))
-            self._rx_queued += 1
-            self._rx_dispatch()
-        elif self._rx_deliver(ep, block, rpc):
-            # nothing else waits, so round-robin would have picked ep too
-            self._rx_cursor = (ep.rx_index + 1) % len(self._endpoints)
-        else:
-            ep.rx_backlog.append((block, rpc))
-            self._rx_queued += 1
 
     def rx_arrival_batch(self, conn_id: int, it) -> None:
         """rx_arrival for the block of each (slot, block) the iterator it
-        yields, in one call.
-
-        With an RX backlog on the NIC (or no such connection) it is exactly
-        that. Otherwise nothing else waits and no slot frees while the batch
-        lands, so the entries are DMA-written until the ring is full, the
-        rest join the backlog (where _rx_dispatch could not serve them), and
-        the written ones become host-visible as one delivery batch.
-        """
+        yields, in one call: the entries DMA-written become host-visible as
+        one delivery batch, the rest join the connection's backlog."""
         ep = self.conns.get(conn_id)
-        if self._rx_queued or ep is None:
-            arrival = self.rx_arrival
-            for _, block in it:
-                arrival(conn_id, block, _rpc_id_of(block)[0])
-            return
+        if ep is None:
+            next(it, None)  # a batch handler takes the item it raises for
+            raise UnknownDestination(f"nic {self.nic_id} has no connection {conn_id}")
         engine = self.engine
         now = engine.now
         trace = engine.trace
         deliver = ep.rings.rx.rx_deliver
+        backlog = ep.rx_backlog
         n = 0
         for _, block in it:
-            if not deliver(block):
-                backlog = ep.rx_backlog
+            if backlog or not deliver(block):
                 backlog.append((block, _rpc_id_of(block)[0]))
-                backlog.extend((b, _rpc_id_of(b)[0]) for _, b in it)
-                self._rx_queued = len(backlog)
-                break
+                continue
             if trace is not None:
                 trace.append(ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_DMA_WRITE, 1,
                                             conn_id, _rpc_id_of(block)[0], critical=True))
             n += 1
         if n:
-            self.rx_service_counts[conn_id] += n
-            self._rx_cursor = (ep.rx_index + 1) % len(self._endpoints)
             engine.schedule_batch(now + self.params.t_dma_write, ep.deliver_batch_event, range(n))
-
-    def _rx_dispatch(self) -> None:
-        """Round-robin across connections with pending arrivals; a full RX
-        ring stalls only its own connection (head-of-line isolation)."""
-        eps = self._endpoints
-        n = len(eps)
-        stalled = set()
-        while True:
-            for step in range(n):
-                idx = (self._rx_cursor + step) % n
-                ep = eps[idx]
-                if ep.rx_backlog and ep not in stalled:
-                    break
-            else:
-                return
-            if self._rx_deliver(ep, *ep.rx_backlog[0]):
-                ep.rx_backlog.popleft()
-                self._rx_queued -= 1
-                self._rx_cursor = (idx + 1) % n
-            else:
-                stalled.add(ep)
 
     def _rx_deliver(self, ep: _ConnEndpoint, block: bytes, rpc: int) -> bool:
         """DMA-write one arrival into ep's RX ring; False on backpressure."""
         if not ep.rings.rx.rx_deliver(block):
             return False  # backpressure: stay queued
         now = self.engine.now
-        self.rx_service_counts[ep.conn_id] += 1
         trace = self.engine.trace
         if trace is not None:
             trace.append(ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_DMA_WRITE, 1, ep.conn_id,
@@ -509,9 +462,12 @@ class Nic:
         return True
 
     def on_rx_slot_freed(self, conn_id: int) -> None:
+        """The host released a slot of this connection's RX ring: serve the
+        connection's backlog, oldest first, while its ring takes entries."""
         ep = self.conns[conn_id]
-        if ep.rx_backlog:
-            self._rx_dispatch()
+        backlog = ep.rx_backlog
+        while backlog and self._rx_deliver(ep, *backlog[0]):
+            backlog.popleft()
 
     # -- controllers -------------------------------------------------------------
 

@@ -1,10 +1,12 @@
-"""NIC behavior: the in-flight batch guards, transport, RX balancing, reconfiguration,
-controllers."""
+"""NIC behavior: the in-flight batch guards, transport, per-connection RX delivery,
+reconfiguration, controllers."""
 
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nicsim.interconnect as ic
 from nicsim.engine import Engine
@@ -104,6 +106,22 @@ def test_wire_unknown_destination():
         wire.send(0, 99, 0, bytes(64), rpc=0)
 
 
+def test_wire_batch_to_an_unknown_connection_stops_at_its_first_entry():
+    engine, wire, nic0, nic1 = _rig()
+    blocks = [protocol.encode_entry(RpcEntry(0, 5, rpc, 0, b"")) for rpc in range(3)]
+    wire.send_batch(0, 1, 5, list(enumerate(blocks)), 0.0)
+    with pytest.raises(UnknownDestination, match="nic 1 has no connection 5"):
+        engine.run_until(1e6)
+    assert engine.events_processed == 1
+    # the two untaken entries stay queued and land once the connection exists
+    pair = RingPair(4)
+    nic1.attach_connection(5, pair, 0, _noop, _noop)
+    engine.run_until(2e6)
+    landed = [pair.rx.rx_poll() for _ in range(3)]
+    assert [protocol.decode_entry(b).rpc_id for _, b in landed[:2]] == [1, 2]
+    assert landed[2] is None
+
+
 def test_transport_order_preserved_bulk():
     engine, wire, nic0, nic1 = _rig()
     got = []
@@ -124,41 +142,37 @@ def test_transport_order_preserved_bulk():
     assert got == list(range(n))
 
 
-# -- RX load balancing ----------------------------------------------------------
+# -- RX delivery ----------------------------------------------------------------
 
 
-def test_rx_round_robin_fairness_two_connections():
+def test_rx_slot_freed_serves_only_its_own_backlog_in_fifo_order():
+    # each host pickup releases one slot and notifies its own connection: the
+    # slot takes that connection's oldest waiting arrival and nothing of the
+    # other connection's backlog
     engine, wire, nic0, nic1 = _rig()
     pairs = {c: RingPair(4) for c in (0, 1)}
     for c in (0, 1):
         nic1.attach_connection(c, pairs[c], 0, _noop, _noop)
-    # both connections backlogged: queue arrivals while rings are full
     for c in (0, 1):
-        for i in range(4):
-            assert pairs[c].rx.rx_deliver(protocol.encode_entry(RpcEntry(0, c, i, 0, b"")))
-    for c in (0, 1):
-        for i in range(500):
-            nic1.conns[c].rx_backlog.append(
-                (protocol.encode_entry(RpcEntry(0, c, 100 + i, 0, b"")), 100 + i)
-            )
-    served = {0: 0, 1: 0}
-    history = []
-
-    counts0 = dict(nic1.rx_service_counts)
-    # release slots one by one; the dispatcher must alternate connections
-    for step in range(1000):
-        before = dict(nic1.rx_service_counts)
-        # free one slot on each ring so exactly the RR winner can be served
-        for c in (0, 1):
-            polled = pairs[c].rx.rx_poll()
-            if polled:
-                pairs[c].rx.rx_release(polled[0])
-        nic1.on_rx_slot_freed(0)
-        after = dict(nic1.rx_service_counts)
-        history.append((after[0] - before[0], after[1] - before[1]))
-    total0 = nic1.rx_service_counts[0] - counts0[0]
-    total1 = nic1.rx_service_counts[1] - counts0[1]
-    assert abs(total0 - total1) <= 1
+        for rpc in range(10):
+            nic1.rx_arrival(c, protocol.encode_entry(RpcEntry(0, c, rpc, 0, b"")), rpc)
+    assert [len(nic1.conns[c].rx_backlog) for c in (0, 1)] == [6, 6]  # 4 written each
+    picked = {0: [], 1: []}
+    for c in [0] * 3 + [1] * 5 + [0, 1] * 5 + [0] * 2:
+        other = nic1.conns[1 - c].rx_backlog
+        waiting_other = list(other)
+        backlog = nic1.conns[c].rx_backlog
+        head = backlog[0][1] if backlog else None
+        slot, block = pairs[c].rx.rx_poll()
+        picked[c].append(protocol.decode_entry(block).rpc_id)
+        pairs[c].rx.rx_release(slot)
+        nic1.on_rx_slot_freed(c)
+        assert list(other) == waiting_other
+        if head is not None:
+            assert head not in [rpc for _, rpc in backlog]  # the head took the slot
+            assert not pairs[c].rx.rx_deliver(bytes(64))  # and the ring is full again
+    assert picked == {0: list(range(10)), 1: list(range(10))}
+    assert not nic1.conns[0].rx_backlog and not nic1.conns[1].rx_backlog
 
 
 def test_rx_head_of_line_isolation():
@@ -193,7 +207,7 @@ def _rx_twin(backlogged_conn):
         for i in range(4):
             assert pairs[1].rx.rx_deliver(protocol.encode_entry(RpcEntry(0, 1, 80 + i, 0, b"")))
         nic1.rx_arrival(1, protocol.encode_entry(RpcEntry(0, 1, 84, 0, b"")), 84)
-        assert nic1._rx_queued == 1
+        assert [rpc for _, rpc in nic1.conns[1].rx_backlog] == [84]
     return engine, nic1, pairs, delivered
 
 
@@ -211,19 +225,86 @@ def test_rx_arrival_batch_lands_like_its_entries_one_by_one(backlogged_conn):
         engine.run_until(1e6)
         states.append((
             [bytes(pair.rx.slab) for pair in pairs],
-            [list(ep.rx_backlog) for ep in nic1._endpoints],
-            nic1._rx_queued,
-            dict(nic1.rx_service_counts),
-            nic1._rx_cursor,
+            [list(ep.rx_backlog) for ep in nic1.conns.values()],
             delivered,
             engine.trace,
             engine.events_processed,
         ))
     batched, one_by_one = states
     assert batched == one_by_one
-    backlogs, service_counts = batched[1], batched[3]
+    backlogs, delivered = batched[1], batched[2]
     assert [rpc for _, rpc in backlogs[0]] == [2, 3]  # two fit, two wait
-    assert service_counts[0] == 2
+    assert [c for c, _ in delivered] == [0, 0]
+
+
+_RX_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("arrival"), st.integers(0, 2), st.just(1)),
+        st.tuples(st.just("batch"), st.integers(0, 2), st.integers(2, 5)),
+        st.tuples(st.just("pickup"), st.integers(0, 2), st.just(1)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(n_conns=st.integers(2, 3), depth=st.sampled_from([2, 4]), steps=_RX_STEPS)
+def test_rx_delivery_is_fifo_exactly_once_and_backlogs_only_behind_full_rings(
+        n_conns, depth, steps):
+    engine, wire, nic0, nic1 = _rig()
+    pairs = [RingPair(depth) for _ in range(n_conns)]
+    visible = [0] * n_conns  # entries the NIC has made host-visible, not yet picked up
+    sent = [[] for _ in range(n_conns)]
+    picked = [[] for _ in range(n_conns)]
+
+    def deliver(c, ts, n):
+        visible[c] += n
+
+    def pickup(c):  # as host _ConnHost._pickup: poll, release, notify the NIC
+        slot, block = pairs[c].rx.rx_poll()
+        picked[c].append(protocol.decode_entry(block).rpc_id)
+        pairs[c].rx.rx_release(slot)
+        visible[c] -= 1
+        nic1.on_rx_slot_freed(c)
+
+    def settle_and_check():
+        engine.run_until(engine.now + 10_000.0)  # arrivals land and are delivered
+        for c in range(n_conns):
+            backlog = nic1.conns[c].rx_backlog
+            in_ring = sum(pairs[c].rx.slab[i * protocol.ENTRY_SIZE] != 0 for i in range(depth))
+            # FIFO and exactly once: picked, visible and waiting entries are the
+            # sent ones, in order, each once
+            assert picked[c] == sent[c][:len(picked[c])]
+            assert [rpc for _, rpc in backlog] == sent[c][len(sent[c]) - len(backlog):]
+            assert len(picked[c]) + in_ring + len(backlog) == len(sent[c])
+            assert in_ring == visible[c]
+            if backlog:
+                assert in_ring == depth  # a backlog waits only behind a full ring
+
+    for c in range(n_conns):
+        nic1.attach_connection(c, pairs[c], 0, deliver, _noop)
+    next_rpc = 0
+    for op, c, k in steps:
+        c %= n_conns
+        if op == "pickup":
+            if visible[c]:
+                pickup(c)
+        else:
+            blocks = []
+            for rpc in range(next_rpc, next_rpc + k):
+                blocks.append(protocol.encode_entry(RpcEntry(0, c, rpc, 0, b"")))
+                sent[c].append(rpc)
+            next_rpc += k
+            if op == "arrival":
+                wire.send(0, 1, c, blocks[0], next_rpc - 1)
+            else:
+                wire.send_batch(0, 1, c, list(enumerate(blocks)), 0.0)
+        settle_and_check()
+    for c in range(n_conns):
+        while visible[c]:
+            pickup(c)
+            settle_and_check()
+    assert picked == sent
 
 
 # -- the batch in flight ------------------------------------------------------------
@@ -278,7 +359,7 @@ def test_attach_connection_rejects_a_taken_id_or_ring_pair():
         nic0.attach_connection(1, pair, 1, _noop, _noop)
     # a refused attach changes nothing
     assert list(nic0.conns) == [0] and nic0.conns[0] is first
-    assert nic0.rx_service_counts == {0: 0}
+    assert nic0.next_conn_id == 1
 
 
 def test_short_fetch_is_reported_explicitly():
