@@ -104,9 +104,6 @@ class Engine:
         batch.__qualname__ = fn.__qualname__
         self.schedule(ts_ns, batch)
 
-    def ended(self, ts_ns: float) -> bool:
-        return ts_ns >= self.end_ns
-
     def run_until(self, end_ns: float) -> None:
         """Dispatch every event with timestamp <= end_ns."""
         self.end_ns = end_ns
@@ -140,7 +137,8 @@ class Engine:
             raise
         finally:
             self.events_processed += n
-        self.now = max(self.now, end_ns)
+        if end_ns > self.now:
+            self.now = end_ns
 
     def run_while(self, cond, limit_ns: float) -> bool:
         """Dispatch events while cond() holds; True if cond turned false.

@@ -195,14 +195,16 @@ def closed_form_rate(params: CostParams, mode: str, batch: int = 1) -> float:
     raise ValueError(f"unknown tx mode {mode!r}")
 
 
-def tx_occupancy_ns(params: CostParams, mode: str, k: int) -> float:
-    """Channel occupancy of one fetch of k entries (serialization time)."""
+def tx_occupancy_terms(params: CostParams, mode: str) -> tuple[float, float]:
+    """(fixed, per_entry): one fetch of k entries occupies the channel for
+    fixed + k * per_entry ns (serialization time). mmio's fixed term is 0.0,
+    and 0.0 + x is exactly x."""
     if mode == MODE_MMIO:
-        return k * params.t_mmio
+        return 0.0, params.t_mmio
     if mode == MODE_DOORBELL:
-        return params.t_doorbell + k * params.t_entry
+        return params.t_doorbell, params.t_entry
     if mode == MODE_COHERENT:
-        return params.t_poll + k * params.t_cl
+        return params.t_poll, params.t_cl
     raise ValueError(f"unknown tx mode {mode!r}")
 
 
@@ -261,11 +263,14 @@ class BusArbiter:
         if count < 1:
             raise ValueError(f"transaction count must be >= 1, got {count}")
         self.grant_counts[issuer] += count
-        t = max(self._free_at, now)
+        t = self._free_at
+        if now > t:
+            t = now
         slot_ns = self.slot_ns
         # one slot at a time: t + count * slot_ns rounds differently
-        for _ in range(count):
+        while count > 0:
             t += slot_ns
+            count -= 1
         self._free_at = t
         return t
 

@@ -12,10 +12,20 @@ taken by another.
 Each endpoint's recurring event callbacks (poll, the direct-submode fetch
 trigger, the invalidation notice, the end of a fetch and RX delivery to the
 host, for one entry and for a batch) are built once, in attach_connection,
-not per event. The one piece of TX state between events is the endpoint's
-batch in flight: _fetch stores the fetched entries and _forward, at fetch
-end, sends and releases them. No fetch starts while a batch is in flight; RX
-delivery keeps no state between events but each connection's backlog.
+not per event. The TX ones are the event bodies themselves, one Python frame
+per event: the poll re-arms itself, and the end of a fetch chains the next
+fetch or re-arms the poll, with no NIC method between the engine and the
+trigger check (_trigger_batch), the fetch (_fetch) or the arbiter. The one
+piece of TX state between events is the endpoint's batch in flight: _fetch
+stores the fetched entries and the end-of-fetch callback sends and releases
+them. No fetch starts while a batch is in flight; RX delivery keeps no state
+between events but each connection's backlog.
+
+The per-event code calls no generic builtin: a two-argument max(a, b) is
+written ``b if b > a else a`` and min(a, b) ``b if b < a else a``, which
+give the same float in every case, signed zeros and NaN included, and cost
+a fraction of the call (README, "Benchmark and exactness checks").
+tests/test_hot_path.py holds the per-event functions to that.
 
 A fetch of two or more entries stays one engine callback per stage after
 the wire (Engine.schedule_batch): Wire.send_batch lands it as one arrival,
@@ -146,15 +156,15 @@ class NicConfig:
 
 
 class _ConnEndpoint:
-    """NIC-side state for one connection: rings, the batch in flight, callbacks."""
+    """NIC-side state for one connection: rings, the batch in flight, callbacks.
 
-    def __init__(self, conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb):
+    The peer NIC and the host callbacks live in the event callbacks that
+    attach_connection builds."""
+
+    def __init__(self, conn_id, ring_pair):
         self.conn_id = conn_id
         self.rings = ring_pair
-        self.remote_nic = remote_nic
-        self.deliver_cb = deliver_cb  # (conn_id, ts, n) -> None, n entries are host-visible
-        self.tx_free_cb = tx_free_cb  # (conn_id, ts) -> None, TX slots released
-        self.in_flight = None  # fetched (slot, block) list awaiting _forward
+        self.in_flight = None  # fetched (slot, block) list awaiting forward_event
         self.busy_until = 0.0
         self.inval_known = 0  # publish notifications seen (inval submode)
         self.poll_scheduled = False
@@ -238,6 +248,7 @@ class Nic:
         self.window_publishes = 0
         self.controller_log = []  # (ts_ns, controller, old, new)
         self._controller_started = False
+        self._set_fetch_costs()
 
     # -- connection management --------------------------------------------
 
@@ -250,12 +261,83 @@ class Nic:
         if owner is not None:
             raise DuplicateConnection(
                 f"ring pair of connection {conn_id} already bound to connection {owner}")
-        ep = _ConnEndpoint(conn_id, ring_pair, remote_nic, deliver_cb, tx_free_cb)
-        engine = self.engine
-        ep.poll_event = lambda: self._poll(ep)
-        ep.fetch_event = lambda: self._try_fetch(ep)
+        ep = _ConnEndpoint(conn_id, ring_pair)
+        nic_id, engine, arbiter, wire = self.nic_id, self.engine, self.arbiter, self.wire
+        tx = ring_pair.tx
+        trigger, fetch = self._trigger_batch, self._fetch
+        t_poll = self.params.t_poll
+        direct = ic.SUBMODE_DIRECT
+
+        def poll_event():
+            """Idle spin of the direct-polling loop. Empty polls consume bus
+            budget but never hold the channel: fetch starts are
+            publish-driven (on_tx_publish) or chained at fetch end
+            (forward_event), so the steady state does not depend on poll
+            phase."""
+            ep.poll_scheduled = False
+            if self.submode != direct:
+                return  # submode switched; the invalidation path takes over
+            now = engine.now
+            if ep.busy_until > now:
+                ts = ep.busy_until  # fetch in flight; not a miss
+            elif trigger(ep):
+                ts = now + t_poll  # data is pending and a fetch check owns it; spin silently
+            else:
+                # empty poll: consumes bus budget
+                trace = engine.trace
+                if trace is not None:
+                    trace.append(ic.Transaction(now, f"nic{nic_id}", ic.KIND_POLL_MISS, 1,
+                                                conn_id))
+                granted = arbiter.request(nic_id, 1, now)
+                ts = now + t_poll
+                if granted > ts:
+                    ts = granted
+            if ts < engine.end_ns:
+                ep.poll_scheduled = True
+                engine.schedule(ts, poll_event)
+
+        def fetch_event():
+            # with a batch in flight the channel is busy, or its
+            # forward_event is due at this very timestamp (a publish can
+            # land at fetch end) and checks again there
+            if ep.in_flight is None:
+                k = trigger(ep)
+                if k:
+                    fetch(ep, k)
+
+        def forward_event():
+            """Channel freed: hand the batch in flight to the interconnect
+            (any remaining traversal latency rides the delivery path),
+            release it, then chain the next batch or resume polling."""
+            entries = ep.in_flight
+            if entries is None:
+                raise ContractViolation(
+                    f"nic {nic_id} connection {conn_id}: forward with no batch in flight")
+            extra = self._tx_extra_ns
+            if len(entries) == 1:
+                slot, block = entries[0]
+                wire.send(nic_id, remote_nic, conn_id, block, _rpc_id_of(block)[0], extra)
+                tx.nic_release([slot])
+            else:
+                wire.send_batch(nic_id, remote_nic, conn_id, entries, extra)
+                tx.nic_release([slot for slot, _ in entries])
+            ep.in_flight = None
+            now = engine.now
+            tx_free_cb(conn_id, now)
+            if self.submode == direct:
+                k = trigger(ep)
+                if k:
+                    fetch(ep, k)  # the channel is hot: back-to-back batch
+                elif not ep.poll_scheduled and now < engine.end_ns:
+                    ep.poll_scheduled = True
+                    engine.schedule(now, poll_event)
+            else:
+                fetch_event()  # tx_free_cb may have started a fetch (mmio)
+
+        ep.poll_event = poll_event
+        ep.fetch_event = fetch_event
         ep.inval_event = lambda: self._on_inval(ep)
-        ep.forward_event = lambda: self._forward(ep)
+        ep.forward_event = forward_event
         ep.deliver_event = lambda: deliver_cb(conn_id, engine.now, 1)
         ep.deliver_batch_event = lambda it: deliver_cb(conn_id, engine.now, len(list(it)))
         self.conns[conn_id] = ep
@@ -265,10 +347,26 @@ class Nic:
             self._controller_started = True
             self._schedule_controller_tick()
         if self.submode == ic.SUBMODE_DIRECT:
-            self._arm_poll(ep, self.engine.now)
+            self._arm_poll(ep)
         return ep
 
+    def _arm_poll(self, ep: _ConnEndpoint) -> None:
+        """Start ep's poll loop now, unless it runs or the run has ended."""
+        engine = self.engine
+        if not ep.poll_scheduled and engine.now < engine.end_ns:
+            ep.poll_scheduled = True
+            engine.schedule(engine.now, ep.poll_event)
+
     # -- TX path ------------------------------------------------------------
+
+    def _set_fetch_costs(self) -> None:
+        """The per-fetch costs of the configured tx_mode (interconnect's
+        tx_occupancy_terms, tx_batch_units and tx_extra_latency_ns), fixed
+        until hard_reconfigure changes the mode."""
+        mode = self.config.tx_mode
+        self._occ_fixed_ns, self._occ_entry_ns = ic.tx_occupancy_terms(self.params, mode)
+        self._fixed_units = ic.tx_batch_units(mode, 0)  # bus units beyond one per entry
+        self._tx_extra_ns = ic.tx_extra_latency_ns(self.params, mode)
 
     def on_tx_publish(self, conn_id: int) -> None:
         """Host published one entry into this connection's TX ring."""
@@ -290,11 +388,11 @@ class Nic:
                 # is phase-free
                 self.engine.schedule(now + self.params.t_poll / 2, ep.fetch_event)
         else:
-            self._try_fetch(ep)
+            ep.fetch_event()
 
     def _on_inval(self, ep: _ConnEndpoint) -> None:
         ep.inval_known += 1
-        self._try_fetch(ep)
+        ep.fetch_event()
 
     def _trigger_batch(self, ep: _ConnEndpoint) -> int:
         """How many entries the next fetch should take; 0 = no trigger yet.
@@ -310,27 +408,20 @@ class Nic:
         if mode == ic.MODE_MMIO:
             return 1
         want = self.effective_B
-        avail = min(dirty, ep.inval_known) if (
-            mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_INVAL
-        ) else dirty
+        avail = dirty
+        if mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_INVAL:
+            known = ep.inval_known
+            if known < dirty:
+                avail = known
         if avail >= want:
             return want
         if avail and self.engine.now < self.settle_until:
             return avail
         return 0
 
-    def _try_fetch(self, ep: _ConnEndpoint) -> None:
-        if ep.in_flight is not None:
-            # the channel is busy, or its _forward is due at this very
-            # timestamp (a publish can land at fetch end); re-checked there
-            return
-        k = self._trigger_batch(ep)
-        if k:
-            self._fetch(ep, k)
-
     def _fetch(self, ep: _ConnEndpoint, k: int) -> None:
-        now = self.engine.now
-        mode = self.config.tx_mode
+        engine = self.engine
+        now = engine.now
         if ep.in_flight is not None:
             raise ContractViolation(
                 f"nic {self.nic_id} connection {ep.conn_id}: fetch while a batch is in flight")
@@ -340,80 +431,23 @@ class Nic:
                 f"nic {self.nic_id} connection {ep.conn_id}: fetch returned "
                 f"{len(entries)} entries, trigger said {k} were dirty"
             )
+        mode = self.config.tx_mode
         if mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_INVAL:
             ep.inval_known -= k
-        trace = self.engine.trace
+        trace = engine.trace
         if trace is not None:
             for kind, count in ic.tx_batch_transactions(mode, k):
                 # the CPU store of mmio mode was traced at publish time
                 if kind != ic.KIND_MMIO_STORE:
                     trace.append(ic.Transaction(now, f"nic{self.nic_id}", kind, count, ep.conn_id,
                                                 critical=(kind != ic.KIND_DOORBELL)))
-        granted = self.arbiter.request(self.nic_id, ic.tx_batch_units(mode, k), now)
-        occ_end = max(now + ic.tx_occupancy_ns(self.params, mode, k), granted)
+        granted = self.arbiter.request(self.nic_id, k + self._fixed_units, now)
+        occ_end = now + (self._occ_fixed_ns + k * self._occ_entry_ns)
+        if granted > occ_end:
+            occ_end = granted
         ep.busy_until = occ_end
         ep.in_flight = entries
-        self.engine.schedule(occ_end, ep.forward_event)
-
-    def _forward(self, ep: _ConnEndpoint) -> None:
-        """Channel freed: hand the batch in flight to the interconnect (any
-        remaining traversal latency rides the delivery path) and release it."""
-        entries = ep.in_flight
-        if entries is None:
-            raise ContractViolation(
-                f"nic {self.nic_id} connection {ep.conn_id}: forward with no batch in flight")
-        extra = ic.tx_extra_latency_ns(self.params, self.config.tx_mode)
-        nic_id, remote, conn_id = self.nic_id, ep.remote_nic, ep.conn_id
-        if len(entries) == 1:
-            block = entries[0][1]
-            self.wire.send(nic_id, remote, conn_id, block, _rpc_id_of(block)[0], extra)
-        else:
-            self.wire.send_batch(nic_id, remote, conn_id, entries, extra)
-        ep.rings.tx.nic_release([slot for slot, _ in entries])
-        ep.in_flight = None
-        ep.tx_free_cb(conn_id, self.engine.now)
-        self._tx_resume(ep)
-
-    def _tx_resume(self, ep: _ConnEndpoint) -> None:
-        """Channel became free: chain the next batch or resume polling."""
-        if self.submode == ic.SUBMODE_DIRECT:
-            k = self._trigger_batch(ep)
-            if k:
-                self._fetch(ep, k)  # the channel is hot: back-to-back batch
-            else:
-                self._arm_poll(ep, self.engine.now)
-        else:
-            self._try_fetch(ep)
-
-    # -- direct-poll loop ----------------------------------------------------
-
-    def _arm_poll(self, ep: _ConnEndpoint, ts: float) -> None:
-        if not ep.poll_scheduled and not self.engine.ended(ts):
-            ep.poll_scheduled = True
-            self.engine.schedule(ts, ep.poll_event)
-
-    def _poll(self, ep: _ConnEndpoint) -> None:
-        """Idle spin of the direct-polling loop. Empty polls consume bus
-        budget but never hold the channel: fetch starts are publish-driven
-        (on_tx_publish) or chained at fetch end (_tx_resume), so the steady
-        state does not depend on poll phase."""
-        ep.poll_scheduled = False
-        if self.submode != ic.SUBMODE_DIRECT:
-            return  # submode switched; the invalidation path takes over
-        now = self.engine.now
-        if ep.busy_until > now:
-            self._arm_poll(ep, ep.busy_until)  # fetch in flight; not a miss
-            return
-        if self._trigger_batch(ep):
-            # data is pending and a fetch check owns it; spin silently
-            self._arm_poll(ep, now + self.params.t_poll)
-            return
-        # empty poll: consumes bus budget
-        trace = self.engine.trace
-        if trace is not None:
-            trace.append(ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_POLL_MISS, 1, ep.conn_id))
-        granted = self.arbiter.request(self.nic_id, 1, now)
-        self._arm_poll(ep, max(now + self.params.t_poll, granted))
+        engine.schedule(occ_end, ep.forward_event)
 
     # -- RX path ---------------------------------------------------------------
 
@@ -480,7 +514,8 @@ class Nic:
         measured_rate = self.window_publishes / window_s
         self.window_publishes = 0
         self.adaptive_controllers_step(measured_rate)
-        if not self.engine.ended(self.engine.now):
+        engine = self.engine
+        if engine.now < engine.end_ns:
             self._schedule_controller_tick()
 
     def adaptive_controllers_step(self, measured_rate: float) -> None:
@@ -511,8 +546,8 @@ class Nic:
         for ep in self.conns.values():
             if new == ic.SUBMODE_DIRECT:
                 ep.inval_known = 0
-                self._arm_poll(ep, self.engine.now)
-                self._try_fetch(ep)  # pick up any backlog published pre-switch
+                self._arm_poll(ep)
+                ep.fetch_event()  # pick up any backlog published pre-switch
             else:
                 # entries published under direct polling are already visible
                 ep.inval_known = ep.rings.tx.dirty_run()
@@ -522,7 +557,7 @@ class Nic:
         self.effective_B = new_b
         self._settle(now)
         for ep in self.conns.values():
-            self._try_fetch(ep)
+            ep.fetch_event()
 
     def controller_csv(self) -> str:
         lines = [CONTROLLER_CSV_HEADER]
@@ -548,7 +583,7 @@ class Nic:
         if field_name == "batch_B" and not self.config.adaptive_batching.enabled:
             self.effective_B = value
             for ep in self.conns.values():
-                self._try_fetch(ep)
+                ep.fetch_event()
 
     def outstanding(self) -> int:
         total = 0
@@ -567,6 +602,7 @@ class Nic:
         if self.outstanding():
             raise HardFieldViolation("NIC not drained; outstanding entries remain")
         self.config = new_config
+        self._set_fetch_costs()
         self.submode = ic.SUBMODE_INVAL
         self.effective_B = new_config.batch_B
         for ep in self.conns.values():

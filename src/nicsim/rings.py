@@ -157,15 +157,20 @@ class TxRing:
         slab, mv, depth, fetched = self.slab, self._mv, self.depth, self._fetched
         idx = self.nic_fetch_cursor
         out = []
-        for _ in range(min(max_batch, depth - len(fetched))):
+        n = depth - len(fetched)
+        if max_batch < n:
+            n = max_batch
+        while n > 0:
             base = idx * _SLOT
             if slab[base] != 1:
                 break
             out.append((idx, mv[base : base + _SLOT].tobytes()))
             fetched.append(idx)
             idx = (idx + 1) % depth
+            n -= 1
         self.nic_fetch_cursor = idx
-        self._dirty_seen = max(self._dirty_seen - len(out), 0)
+        seen = self._dirty_seen - len(out)
+        self._dirty_seen = seen if seen > 0 else 0
         return out
 
     def nic_release(self, slots) -> None:
@@ -182,15 +187,16 @@ class TxRing:
             # anything but the exact oldest fetched slot: check the whole set
             slots = list(slots)
             prefix = list(islice(fetched, len(slots)))
-            if slots != prefix and (
-                sorted(slots) != sorted(prefix) or len(set(slots)) != len(slots)
-            ):
+            # fetched slots are distinct, so distinct slots with the same set
+            # are the prefix in another order
+            distinct = set(slots)
+            if slots != prefix and (len(distinct) != len(slots) or distinct != set(prefix)):
                 raise ContractViolation(
                     f"release {slots} is not the oldest fetched prefix {prefix}"
                 )
         slab, comp, depth = self.slab, self._comp, self.depth
         wr = self._comp_wr
-        for _ in range(len(slots)):  # completion ring keeps circular order
+        for _ in slots:  # completion ring keeps circular order
             idx = fetched.popleft()
             slab[idx * _SLOT] = 0
             comp[wr % depth] = idx

@@ -15,6 +15,7 @@ issued during warmup are excluded from the reduced metrics.
 
 from __future__ import annotations
 
+import heapq
 import random
 import struct
 from dataclasses import asdict, dataclass, replace
@@ -493,16 +494,19 @@ def raw_bus_benchmark(params: CostParams, thread_counts: list[int],
     out = []
     for t in thread_counts:
         arbiter = BusArbiter(list(range(t)), params.bus_cap_rps)
-        ready = [0.0] * t
+        # (ready time, thread id): the next thread is the earliest ready,
+        # the lowest id among equals; the list in id order is a heap
+        ready = [(0.0, tid) for tid in range(t)]
         done = 0
         while True:
-            tid = min(range(t), key=lambda k: (ready[k], k))
-            now = ready[tid]
+            now, tid = ready[0]
             if now >= end_ns:
                 break
             granted = arbiter.request(tid, 1, now)
-            finish = max(now + params.t_cl, granted)
-            ready[tid] = finish
+            finish = now + params.t_cl
+            if granted > finish:
+                finish = granted
+            heapq.heapreplace(ready, (finish, tid))
             if warmup_ns <= finish <= end_ns:
                 done += 1
         out.append((t, done / (duration_us - warmup_us)))

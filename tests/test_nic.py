@@ -1,6 +1,7 @@
 """NIC behavior: the in-flight batch guards, transport, per-connection RX delivery,
 reconfiguration, controllers."""
 
+import heapq
 import subprocess
 import sys
 
@@ -324,7 +325,7 @@ nic = Nic(0, NicConfig(), P, engine, BusArbiter([0], P.bus_cap_rps), wire)
 pair = RingPair(64)
 ep = nic.attach_connection(0, pair, 1, lambda *a: None, lambda *a: None)
 try:
-    nic._forward(ep)  # nothing fetched yet
+    ep.forward_event()  # nothing fetched yet
 except ContractViolation:
     print("forward-without-batch")
 for rpc in range(2):
@@ -645,6 +646,66 @@ def test_zero_load_submode_bus_behavior():
     late = [t for t in engine.trace if t.kind == ic.KIND_POLL_MISS and t.ts_ns >= 50_000]
     assert not early  # invalidation-driven mode is silent when quiescent
     assert len(late) > 500  # ~one empty poll per t_poll
+
+
+def _direct_poll_misses(params, n_conns, end_ns):
+    """CoherentPollMiss timestamps per connection of one idle NIC that polls
+    directly from t=0 until end_ns, before its first controller tick."""
+    engine = Engine(trace=True)
+    arbiter = BusArbiter([0, 1], params.bus_cap_rps)
+    wire = Wire(engine, params)
+    nic0 = Nic(0, NicConfig(), params, engine, arbiter, wire)
+    Nic(1, NicConfig(), params, engine, arbiter, wire)
+    for c in range(n_conns):
+        nic0.attach_connection(c, RingPair(64), 1, _noop, _noop)
+    nic0._set_submode(ic.SUBMODE_DIRECT, 0.0)
+    engine.run_until(end_ns)
+    misses = {c: [] for c in range(n_conns)}
+    for t in engine.trace:
+        if t.kind == ic.KIND_POLL_MISS:
+            misses[t.conn].append(t.ts_ns)
+    return misses
+
+
+def test_direct_poll_rearm_waits_for_a_late_grant():
+    # a 200 ns bus slot is longer than t_poll, so the grant of each empty
+    # poll, not t_poll, decides when its connection polls again; replayed
+    # by hand: first come, first served grants a slot at a time, and polls
+    # due at one timestamp run in the order they were armed
+    params = P.replace(bus_cap_rps=5e6)
+    end_ns = 20_000.0
+    misses = _direct_poll_misses(params, 4, end_ns)
+    slot_ns = 1e9 / params.bus_cap_rps
+    assert slot_ns > params.t_poll
+    free_at = 0.0
+    due = [(0.0, c, c) for c in range(4)]  # (ts, arm order, connection)
+    armed = 4
+    expected = {c: [] for c in range(4)}
+    while due:
+        ts, _, c = heapq.heappop(due)
+        expected[c].append(ts)
+        free_at = (free_at if free_at > ts else ts) + slot_ns
+        again = ts + params.t_poll
+        if free_at > again:
+            again = free_at
+        if again < end_ns:
+            heapq.heappush(due, (again, armed, c))
+            armed += 1
+    assert misses == expected
+    assert all(len(ts) > 10 for ts in misses.values())
+    assert all(b - a > params.t_poll for ts in misses.values() for a, b in zip(ts, ts[1:]))
+
+
+def test_direct_poll_rearm_is_t_poll_on_an_idle_bus():
+    # on the default bus four connections' empty polls leave the bus idle
+    # before each re-arm, so every connection polls exactly t_poll apart
+    end_ns = 20_000.0
+    misses = _direct_poll_misses(P, 4, end_ns)
+    expected, t = [], 0.0
+    while t < end_ns:
+        expected.append(t)
+        t += P.t_poll
+    assert misses == {c: expected for c in range(4)}
 
 
 @pytest.mark.parametrize("field_name,value", [
