@@ -6,16 +6,21 @@ Design notes:
   each owned by exactly one thread, enforced at first use. The simulated
   backend drives both sides from the single event-loop thread, which
   trivially satisfies the constraint.
-- No locks. The valid byte at offset 0 of each 64-byte slot is the
-  publication point: the writer stores the 63 body bytes first and flips
-  the flag last, the reader inspects the flag before touching the body.
-  Under CPython each of those is a single atomic bytecode operation, so a
-  reader that observes flag=1 observes the full entry.
-- Entry bodies are copied through one memoryview of each ring's slab,
-  made once per ring: a slice store writes a body and ``tobytes()`` reads
-  an entry, so no bytearray slice is made per copy. Flags are read and
-  stored on the slab itself. The publication contract above
-  (body first, flag last, one writer per side) is unchanged.
+- No locks. Each slot's valid byte is the publication point: the writer
+  stores the entry first and flips the flag last, the reader inspects the
+  flag before reading the entry. Under CPython each of those is a single
+  atomic bytecode operation, so a reader that observes flag=1 observes the
+  full entry.
+- A ring holds each slot's entry by reference, never by copy: one list
+  of immutable 64-byte ``bytes`` blocks and one ``bytearray`` of valid
+  bytes per ring. A write stores the block's reference and then the flag;
+  a read checks the flag and returns the stored block itself. A block
+  that is not ``bytes`` with byte 0 equal to 1 is normalised to one on
+  the way in (a rare path; the codec's blocks already are), so a reader
+  gets exactly the bytes a copy-out of the memory image would give (its
+  flag byte, 1, then the body), and a caller that mutates its buffer
+  afterwards cannot change the ring. The publication contract above
+  (entry first, flag last, one writer per side) is unchanged.
 - ``TxRing.dirty_run`` resumes from the last dirty slot it saw: it caches
   the dirty run at the fetch cursor and scans only past it. The cache is
   exact because only the host sets a flag ahead of the cursor and the NIC
@@ -23,8 +28,10 @@ Design notes:
   took, and ``restore`` resets it to 0.
 - Completion ring and cursors use monotonically increasing counters, each
   written by one side only.
-- Ring state is fully described by the slab bytes plus cursors; snapshot()
-  and restore() give an exact round trip (used for determinism checks).
+- Ring state is fully described by the ``slab`` memory image (each
+  slot's flag byte, then bytes 1..63 of the last block written to it;
+  freed slots keep their stale body) plus cursors; snapshot() and
+  restore() give an exact round trip (used for determinism checks).
 """
 
 from __future__ import annotations
@@ -40,12 +47,30 @@ DEFAULT_DEPTH = 64  # slots per ring; 64 x 64B = one 4KB page per direction
 COMPLETION_QUEUE_CAPACITY = 4096
 
 _SLOT = protocol.ENTRY_SIZE
+_ZERO_BLOCK = bytes(_SLOT)  # the body of every slot not yet written
 
 
 def _require_pow2(depth: int) -> int:
     if depth < 1 or depth & (depth - 1):
         raise ValueError(f"ring depth must be a power of two, got {depth}")
     return depth
+
+
+def _as_entry(block) -> bytes:
+    """An immutable copy of a 64-byte block with its valid byte set to 1."""
+    return b"\x01" + block[1:]
+
+
+def _image(flags: bytearray, blocks: list) -> bytes:
+    """The memory image of a ring: per slot its flag byte, then bytes 1..63
+    of its last block."""
+    return b"".join(bytes((flag,)) + block[1:] for flag, block in zip(flags, blocks))
+
+
+def _from_image(image: bytes) -> tuple[bytearray, list]:
+    """The flags and blocks that _image maps to a given memory image."""
+    blocks = [_as_entry(image[base:base + _SLOT]) for base in range(0, len(image), _SLOT)]
+    return bytearray(image[::_SLOT]), blocks
 
 
 _get_ident = threading.get_ident
@@ -60,7 +85,8 @@ def _claim_side(ring, attr: str, name: str) -> None:
 
 
 class TxRing:
-    """Host-to-NIC ring: slot slab + completion ring for freed indices.
+    """Host-to-NIC ring: slot entries and flags + completion ring for freed
+    indices.
 
     Slot lifecycle: free -> acquired -> published(dirty) -> fetched -> free.
     The host may write a slot only if it was never used or its index came
@@ -72,8 +98,8 @@ class TxRing:
 
     def __init__(self, depth: int = DEFAULT_DEPTH):
         self.depth = _require_pow2(depth)
-        self.slab = bytearray(_SLOT * self.depth)
-        self._mv = memoryview(self.slab)  # body copies; fixes the slab's size
+        self._blocks = [_ZERO_BLOCK] * self.depth  # each slot's last entry
+        self._flags = bytearray(self.depth)  # each slot's valid byte
         # completion ring: NIC writes freed indices, host consumes them.
         # Starts pre-populated in ring order so the host's allocation order
         # always matches the NIC's circular fetch cursor.
@@ -105,7 +131,9 @@ class TxRing:
 
         Publishes follow acquire order (one writer, one entry at a time),
         which keeps publish order aligned with the NIC's circular cursor.
-        The flag byte is stored last; the caller's flag byte is ignored.
+        The flag byte is stored last; the caller's flag byte is ignored:
+        the ring keeps the block itself when it is ``bytes`` with byte 0
+        equal to 1, and such a copy of it otherwise.
         """
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "TxRing host")
@@ -117,10 +145,11 @@ class TxRing:
             )
         if len(block) != _SLOT:
             raise ContractViolation(f"publish needs {_SLOT} bytes, got {len(block)}")
-        base = slot * _SLOT
-        self._mv[base + 1 : base + _SLOT] = block[1:]
+        if block.__class__ is not bytes or block[0] != 1:
+            block = _as_entry(block)
+        self._blocks[slot] = block
         acquired.popleft()
-        self.slab[base] = 1  # publication point
+        self._flags[slot] = 1  # publication point
 
     def free_slots(self) -> int:
         return self._comp_wr - self._comp_rd
@@ -136,10 +165,10 @@ class TxRing:
         """
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
-        slab, cursor, depth = self.slab, self.nic_fetch_cursor, self.depth
+        flags, cursor, depth = self._flags, self.nic_fetch_cursor, self.depth
         n = self._dirty_seen
         limit = depth - len(self._fetched)
-        while n < limit and slab[((cursor + n) % depth) * _SLOT] == 1:
+        while n < limit and flags[(cursor + n) % depth] == 1:
             n += 1
         self._dirty_seen = n
         return n
@@ -147,24 +176,23 @@ class TxRing:
     def nic_fetch(self, max_batch: int):
         """Fetch up to max_batch consecutive dirty entries, in publish order.
 
-        Returns a list of (slot index, 64-byte copy); empty when nothing is
-        dirty.
+        Returns a list of (slot index, 64-byte entry as published); empty
+        when nothing is dirty.
         """
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
         if max_batch < 1:
             raise ContractViolation("max_batch must be >= 1")
-        slab, mv, depth, fetched = self.slab, self._mv, self.depth, self._fetched
+        flags, blocks, depth, fetched = self._flags, self._blocks, self.depth, self._fetched
         idx = self.nic_fetch_cursor
         out = []
         n = depth - len(fetched)
         if max_batch < n:
             n = max_batch
         while n > 0:
-            base = idx * _SLOT
-            if slab[base] != 1:
+            if flags[idx] != 1:
                 break
-            out.append((idx, mv[base : base + _SLOT].tobytes()))
+            out.append((idx, blocks[idx]))
             fetched.append(idx)
             idx = (idx + 1) % depth
             n -= 1
@@ -194,16 +222,22 @@ class TxRing:
                 raise ContractViolation(
                     f"release {slots} is not the oldest fetched prefix {prefix}"
                 )
-        slab, comp, depth = self.slab, self._comp, self.depth
+        flags, comp, depth = self._flags, self._comp, self.depth
         wr = self._comp_wr
         for _ in slots:  # completion ring keeps circular order
             idx = fetched.popleft()
-            slab[idx * _SLOT] = 0
+            flags[idx] = 0
             comp[wr % depth] = idx
             wr += 1
         self._comp_wr = wr  # publish the freed indices to the host side
 
     # -- diagnostics -----------------------------------------------------
+
+    @property
+    def slab(self) -> bytes:
+        """The ring's memory image: per slot its flag byte, then bytes 1..63
+        of the last entry written to it."""
+        return _image(self._flags, self._blocks)
 
     def outstanding(self) -> int:
         """Slots out of the free pool: mid-copy, published or fetched."""
@@ -222,12 +256,12 @@ class TxRing:
 
     def restore(self, state: dict) -> None:
         slab = bytes.fromhex(state["slab"])
-        if len(slab) != len(self.slab) or len(state["comp"]) != self.depth:
+        if len(slab) != _SLOT * self.depth or len(state["comp"]) != self.depth:
             raise ContractViolation(
                 f"snapshot of a depth-{len(state['comp'])} TX ring "
                 f"({len(slab)} slab bytes) restored into a depth-{self.depth} ring"
             )
-        self.slab[:] = slab
+        self._flags, self._blocks = _from_image(slab)
         self._dirty_seen = 0
         self._comp = list(state["comp"])
         self._comp_wr = state["comp_wr"]
@@ -246,28 +280,35 @@ class RxRing:
     the host and not yet released. The NIC writes only free slots and the
     host polls only delivered ones, so a poll cursor that laps onto a slot
     the host still holds reads an empty ring, not the same entry twice.
+    Entries are held by reference, as in TxRing.
     """
 
     def __init__(self, depth: int = DEFAULT_DEPTH):
         self.depth = _require_pow2(depth)
-        self.slab = bytearray(_SLOT * self.depth)
-        self._mv = memoryview(self.slab)  # body copies; fixes the slab's size
+        self._blocks = [_ZERO_BLOCK] * self.depth  # each slot's last entry
+        self._flags = bytearray(self.depth)  # each slot's state byte
         self.nic_free_cursor = 0
         self.host_poll_cursor = 0
         self._host_thread = None  # owning thread of each side, bound on first use
         self._nic_thread = None
 
     def rx_deliver(self, block: bytes) -> bool:
-        """NIC side: write one entry; False signals backpressure (ring full)."""
+        """NIC side: write one entry; False signals backpressure (ring full).
+
+        The ring keeps the block as tx_publish does.
+        """
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "RxRing nic")
+        if len(block) != _SLOT:
+            raise ContractViolation(f"delivery needs {_SLOT} bytes, got {len(block)}")
         idx = self.nic_free_cursor
-        base = idx * _SLOT
-        slab = self.slab
-        if slab[base] != 0:
+        flags = self._flags
+        if flags[idx] != 0:
             return False
-        self._mv[base + 1 : base + _SLOT] = block[1:]
-        slab[base] = 1
+        if block.__class__ is not bytes or block[0] != 1:
+            block = _as_entry(block)
+        self._blocks[idx] = block
+        flags[idx] = 1
         self.nic_free_cursor = (idx + 1) % self.depth
         return True
 
@@ -276,12 +317,11 @@ class RxRing:
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "RxRing host")
         idx = self.host_poll_cursor
-        base = idx * _SLOT
-        slab = self.slab
-        if slab[base] != 1:
+        flags = self._flags
+        if flags[idx] != 1:
             return None
-        block = self._mv[base : base + _SLOT].tobytes()
-        slab[base] = 2  # held until rx_release
+        block = self._blocks[idx]
+        flags[idx] = 2  # held until rx_release
         self.host_poll_cursor = (idx + 1) % self.depth
         return idx, block
 
@@ -289,11 +329,16 @@ class RxRing:
         """Host side: mark a polled slot free for the NIC again."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "RxRing host")
-        base = slot * _SLOT
-        if self.slab[base] != 2:
+        flags = self._flags
+        if flags[slot] != 2:
             raise ContractViolation(f"release of RX slot {slot}, which the host "
                                     f"has not polled")
-        self.slab[base] = 0
+        flags[slot] = 0
+
+    @property
+    def slab(self) -> bytes:
+        """The ring's memory image, laid out as TxRing.slab."""
+        return _image(self._flags, self._blocks)
 
     def snapshot(self) -> dict:
         return {
@@ -304,12 +349,12 @@ class RxRing:
 
     def restore(self, state: dict) -> None:
         slab = bytes.fromhex(state["slab"])
-        if len(slab) != len(self.slab):
+        if len(slab) != _SLOT * self.depth:
             raise ContractViolation(
                 f"snapshot of a depth-{len(slab) // _SLOT} RX ring restored into "
                 f"a depth-{self.depth} ring"
             )
-        self.slab[:] = slab
+        self._flags, self._blocks = _from_image(slab)
         self.nic_free_cursor = state["free_cursor"]
         self.host_poll_cursor = state["poll_cursor"]
 

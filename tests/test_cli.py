@@ -187,6 +187,28 @@ def test_bad_list_flag_exits_1_with_the_flag_name(case):
     assert message in proc.stderr
 
 
+# Open loops that offer more calls than any interface serves. Each used to
+# queue every call in host memory until the process died or was killed; the
+# sweep's bad row is its last, so it is refused before any row runs.
+OPEN_LOOP_OVER_CAP = {
+    "sweep_last_load": (["sweep", "--modes", "coherent:B1", "--loads", "1,10000"],
+                        "got 2e+07 (10000 Mrps x 2000 us)"),
+    "bars_rate": (["bars", "--override", "loadgen.rate_mrps=1e9"],
+                  "got 2e+12 (1e+09 Mrps x 2000 us)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPEN_LOOP_OVER_CAP))
+def test_open_loop_over_the_call_cap_exits_1_before_running(case):
+    args, message = OPEN_LOOP_OVER_CAP[case]
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "loadgen.rate_mrps x duration_us must be <= 262144 calls, " + message in proc.stderr
+    assert proc.stdout == ""
+
+
 NON_FINITE = {
     "sweep_loads_nan": (["sweep", "--modes", "coherent:B1", "--loads", "nan"],
                         "loadgen.rate_mrps must be a number, got nan"),

@@ -28,7 +28,7 @@ HOT = {
     "rings": [
         "TxRing.tx_acquire", "TxRing.tx_publish", "TxRing.dirty_run",
         "TxRing.nic_fetch", "TxRing.nic_release",
-        "RxRing.rx_deliver", "RxRing.rx_poll", "RxRing.rx_release",
+        "RxRing.rx_deliver", "RxRing.rx_poll", "RxRing.rx_release", "_as_entry",
     ],
     "nic": [
         "Wire.send", "Wire.send_batch",

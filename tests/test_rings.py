@@ -422,6 +422,101 @@ def test_restore_rejects_snapshot_of_another_depth(ring_cls, depth, other_depth)
 
 
 # --------------------------------------------------------------------------
+# entries held by reference
+# --------------------------------------------------------------------------
+
+
+def _block(rpc, valid=1):
+    return protocol.pack_entry(protocol.KIND_REQUEST, 3, rpc, 0, b"p%d" % rpc, valid)
+
+
+def _tx_rx_roundtrip(tx_block, rx_block):
+    """(entry fetched from a depth-2 TX ring, entry polled from a depth-2 RX
+    ring) after each ring is given one block."""
+    tx, rx = TxRing(2), RxRing(2)
+    tx.tx_publish(tx.tx_acquire(), tx_block)
+    assert rx.rx_deliver(rx_block)
+    if isinstance(tx_block, bytearray):
+        tx_block[:] = bytes(64)  # the caller reuses its buffer
+    if isinstance(rx_block, bytearray):
+        rx_block[:] = bytes(64)
+    [(_, fetched)] = tx.nic_fetch(1)
+    _, polled = rx.rx_poll()
+    return fetched, polled
+
+
+def test_a_published_entry_is_handed_on_by_reference():
+    block = _block(1)
+    tx, rx = TxRing(2), RxRing(2)
+    tx.tx_publish(tx.tx_acquire(), block)
+    [(_, fetched)] = tx.nic_fetch(1)
+    assert fetched is block
+    assert rx.rx_deliver(fetched)
+    assert rx.rx_poll()[1] is block
+
+
+def test_a_mutable_block_is_copied_in():
+    fetched, polled = _tx_rx_roundtrip(bytearray(_block(1)), bytearray(_block(2)))
+    assert (fetched, polled) == (_block(1), _block(2))
+    assert type(fetched) is bytes and type(polled) is bytes
+
+
+@pytest.mark.parametrize("valid", [0, 2])
+def test_an_entry_is_read_with_its_valid_byte_set(valid):
+    fetched, polled = _tx_rx_roundtrip(_block(1, valid), _block(2, valid))
+    assert (fetched, polled) == (_block(1), _block(2))
+
+
+def test_rx_deliver_refuses_a_block_of_another_length():
+    rx = RxRing(2)
+    before = rx.snapshot()
+    with pytest.raises(ContractViolation, match="delivery needs 64 bytes, got 63"):
+        rx.rx_deliver(_block(1)[:63])
+    assert rx.snapshot() == before
+
+
+# The memory images of a TX and an RX ring after the scripted sequence of
+# test_slab_image_matches_the_recorded_one, as the slab-copying rings wrote
+# them: each slot's flag byte, then the body of the last entry written to it,
+# freed slots included.
+TX_IMAGE = (
+    "0100030003000000000002000000000070330000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0000030002000000000002000000000070320000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+)
+RX_IMAGE = (
+    "0000030004000000000002000000000070340000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+    "0200030005000000000002000000000070350000000000000000000000000000"
+    "0000000000000000000000000000000000000000000000000000000000000000"
+)
+
+
+def test_slab_image_matches_the_recorded_one():
+    tx = TxRing(2)
+    a = tx.tx_acquire()
+    tx.tx_publish(a, _block(1))
+    b = tx.tx_acquire()
+    tx.tx_publish(b, bytearray(_block(2)))
+    tx.nic_fetch(2)
+    tx.nic_release([a])
+    tx.tx_publish(tx.tx_acquire(), _block(3, valid=0))
+    tx.nic_release([b])  # slot b is free and keeps entry 2's body
+    rx = RxRing(2)
+    rx.rx_deliver(_block(4))
+    rx.rx_deliver(_block(5, valid=2))
+    rx.rx_release(rx.rx_poll()[0])  # slot 0 is free and keeps entry 4's body
+    rx.rx_poll()  # slot 1 is held
+    assert tx.snapshot()["slab"] == TX_IMAGE
+    assert rx.snapshot()["slab"] == RX_IMAGE
+    for ring in (tx, rx):
+        clone = type(ring)(2)
+        clone.restore(ring.snapshot())
+        assert clone.slab == ring.slab
+
+
+# --------------------------------------------------------------------------
 # RX ring and completion queue
 # --------------------------------------------------------------------------
 

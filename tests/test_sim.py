@@ -11,6 +11,7 @@ from nicsim.errors import ConfigInvalid, ContractViolation
 from nicsim.interconnect import CostParams
 from nicsim.sim import (
     MAX_CONNECTIONS,
+    MAX_OPEN_LOOP_CALLS,
     MAX_RING_DEPTH,
     MAX_WINDOW,
     LoadGenSpec,
@@ -299,6 +300,18 @@ def test_connection_count_is_capped_before_any_ring_is_allocated():
                                 f"got {MAX_CONNECTIONS + 1}"]
     s = default_scenario()
     replace(s, connections=s.connections * MAX_CONNECTIONS).validate()  # the limit is inclusive
+
+
+def test_open_loop_call_count_limit_is_inclusive():
+    rate = MAX_OPEN_LOOP_CALLS / 2048
+    s = default_scenario(loadgen=LoadGenSpec(mode="open_loop", rate_mrps=rate),
+                         duration_us=2048.0)
+    with pytest.raises(ConfigInvalid) as exc:
+        replace(s, duration_us=2049.0).validate()
+    assert exc.value.errors == [f"loadgen.rate_mrps x duration_us must be <= "
+                                f"{MAX_OPEN_LOOP_CALLS} calls, got 262272 (128 Mrps x 2049 us)"]
+    # a closed loop offers no calls beyond its window
+    replace(s, duration_us=2049.0, loadgen=LoadGenSpec(mode="closed_loop", rate_mrps=rate)).validate()
 
 
 def test_scenario_duration_warmup_ratio_enforced():
