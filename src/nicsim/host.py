@@ -152,7 +152,6 @@ class ClientEndpoint:
         self.cq = CompletionQueue() if threading_model == "async" else None
         self.pending: dict[int, float] = {}  # rpc_id -> issue timestamp
         self.abandoned: set[int] = set()  # timed-out rpc ids whose response is still due
-        self.blocked_on: int | None = None  # sync: rpc id the caller waits for
         self.on_complete = None  # harness hook: (rpc, issue, complete, payload, kind)
         self.issued = 0
         self.completed = 0
@@ -171,8 +170,6 @@ class ClientEndpoint:
         rpc_id = self.record.take_rpc_id()
         self.issued += 1
         self.pending[rpc_id] = self.engine.now if issue_ts is None else issue_ts
-        if self.threading_model == "sync":
-            self.blocked_on = rpc_id
         self.conn._submit(
             pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload),
             rpc_id,
@@ -197,8 +194,6 @@ class ClientEndpoint:
         self.completed += 1
         if self.cq is not None:
             self.cq.cq_push((rpc_id, payload, kind))
-        else:
-            self.blocked_on = None
         if self.on_complete is not None:
             self.on_complete(rpc_id, issue_ts, self.engine.now, payload, kind)
 
@@ -207,8 +202,6 @@ class ClientEndpoint:
         del self.pending[rpc_id]
         self.abandoned.add(rpc_id)
         self.abandoned_total += 1
-        if self.blocked_on == rpc_id:
-            self.blocked_on = None
 
     def outstanding(self) -> int:
         # a call blocked on a full TX ring is already in pending

@@ -45,7 +45,6 @@ rate window with a +/-5% hysteresis band (HYSTERESIS):
 
 from __future__ import annotations
 
-import struct
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -58,9 +57,8 @@ from .errors import (
     InvalidValue,
     UnknownDestination,
 )
+from .protocol import rpc_id_of
 from .rings import DEFAULT_DEPTH, RingPair
-
-_rpc_id_of = struct.Struct("<4xI").unpack_from  # rpc_id, bytes 4..8 of an entry
 
 HARD_FIELDS = ("tx_mode", "threading_model")
 SOFT_FIELDS = ("batch_B", "poll_threshold_rps", "adaptive_batching", "rate_window_us")
@@ -218,7 +216,7 @@ class Wire:
             issuer = f"nic{src_nic_id}"
             for _, block in entries:
                 trace.append(ic.Transaction(now, issuer, ic.KIND_WIRE_HOP, 1, conn_id,
-                                            _rpc_id_of(block)[0], critical=True))
+                                            rpc_id_of(block)[0], critical=True))
         arrive = dst.rx_arrival_batch
         engine.schedule_batch(now + extra_ns + self.params.t_wire,
                               lambda it: arrive(conn_id, it), entries)
@@ -316,7 +314,7 @@ class Nic:
             extra = self._tx_extra_ns
             if len(entries) == 1:
                 slot, block = entries[0]
-                wire.send(nic_id, remote_nic, conn_id, block, _rpc_id_of(block)[0], extra)
+                wire.send(nic_id, remote_nic, conn_id, block, rpc_id_of(block)[0], extra)
                 tx.nic_release([slot])
             else:
                 wire.send_batch(nic_id, remote_nic, conn_id, entries, extra)
@@ -474,11 +472,11 @@ class Nic:
         n = 0
         for _, block in it:
             if backlog or not deliver(block):
-                backlog.append((block, _rpc_id_of(block)[0]))
+                backlog.append((block, rpc_id_of(block)[0]))
                 continue
             if trace is not None:
                 trace.append(ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_DMA_WRITE, 1,
-                                            conn_id, _rpc_id_of(block)[0], critical=True))
+                                            conn_id, rpc_id_of(block)[0], critical=True))
             n += 1
         if n:
             engine.schedule_batch(now + self.params.t_dma_write, ep.deliver_batch_event, range(n))

@@ -45,6 +45,7 @@ _ENTRY = struct.Struct(_ENTRY_FMT)
 _pack = _ENTRY.pack
 _unpack = _ENTRY.unpack
 _RESERVED = bytes(5)
+rpc_id_of = struct.Struct("<4xI").unpack_from  # (rpc_id,): bytes 4..8, as in the table above
 
 RPC_ID_MODULUS = 1 << 32
 

@@ -1,11 +1,10 @@
 """Per-connection TX/RX rings with the dirty-bit publication contract.
 
 Design notes:
-- Strict SPSC per side: the host side (acquire/publish, completion-ring
-  read, RX poll/release) and the NIC side (fetch/release, RX deliver) are
-  each owned by exactly one thread, enforced at first use. The simulated
-  backend drives both sides from the single event-loop thread, which
-  trivially satisfies the constraint.
+- Strict SPSC per side: the host side (acquire/publish, RX poll/release)
+  and the NIC side (fetch/release, RX deliver) are each owned by exactly
+  one thread, enforced at first use. The simulated backend drives both
+  sides from the single event-loop thread, which trivially satisfies it.
 - No locks. Each slot's valid byte is the publication point: the writer
   stores the entry first and flips the flag last, the reader inspects the
   flag before reading the entry. Under CPython each of those is a single
@@ -13,32 +12,23 @@ Design notes:
   full entry.
 - A ring holds each slot's entry by reference, never by copy: one list
   of immutable 64-byte ``bytes`` blocks and one ``bytearray`` of valid
-  bytes per ring. A write stores the block's reference and then the flag;
-  a read checks the flag and returns the stored block itself. A block
-  that is not ``bytes`` with byte 0 equal to 1 is normalised to one on
-  the way in (a rare path; the codec's blocks already are), so a reader
-  gets exactly the bytes a copy-out of the memory image would give (its
-  flag byte, 1, then the body), and a caller that mutates its buffer
-  afterwards cannot change the ring. The publication contract above
-  (entry first, flag last, one writer per side) is unchanged.
-- ``TxRing.dirty_run`` resumes from the last dirty slot it saw: it caches
-  the dirty run at the fetch cursor and scans only past it. The cache is
-  exact because only the host sets a flag ahead of the cursor and the NIC
-  clears flags only behind it; ``nic_fetch`` lowers it by the entries it
-  took, and ``restore`` resets it to 0.
-- Completion ring and cursors use monotonically increasing counters, each
-  written by one side only.
-- Ring state is fully described by the ``slab`` memory image (each
-  slot's flag byte, then bytes 1..63 of the last block written to it;
-  freed slots keep their stale body) plus cursors; snapshot() and
-  restore() give an exact round trip (used for determinism checks).
+  bytes per ring. A block that is not ``bytes`` with byte 0 equal to 1 is
+  copied to one on the way in (the codec's blocks already are), so a
+  reader always sees valid byte 1 and a caller's later change to its
+  buffer cannot reach the ring.
+- ``TxRing.dirty_run`` caches the dirty run at the fetch cursor and scans
+  only past it. The cache is exact because only the host sets a flag
+  ahead of the cursor and the NIC clears flags only behind it.
+- The TX ring's bookkeeping is four monotonic counters, two written by
+  each side; the RX ring's is one cursor per side.
+- snapshot() returns a ring's state itself (flags, blocks, counters or
+  cursors) and restore() copies it back: an exact round trip.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from itertools import islice
 
 from . import protocol
 from .errors import ContractViolation
@@ -61,16 +51,14 @@ def _as_entry(block) -> bytes:
     return b"\x01" + block[1:]
 
 
-def _image(flags: bytearray, blocks: list) -> bytes:
-    """The memory image of a ring: per slot its flag byte, then bytes 1..63
-    of its last block."""
-    return b"".join(bytes((flag,)) + block[1:] for flag, block in zip(flags, blocks))
-
-
-def _from_image(image: bytes) -> tuple[bytearray, list]:
-    """The flags and blocks that _image maps to a given memory image."""
-    blocks = [_as_entry(image[base:base + _SLOT]) for base in range(0, len(image), _SLOT)]
-    return bytearray(image[::_SLOT]), blocks
+def _check_depth(ring, state: dict, name: str) -> None:
+    """Refuse a snapshot whose flags or blocks do not cover one slot each."""
+    n_flags, n_blocks = len(state["flags"]), len(state["blocks"])
+    if n_flags != ring.depth or n_blocks != ring.depth:
+        raise ContractViolation(
+            f"snapshot of a depth-{n_flags} {name} ring ({n_blocks} blocks) "
+            f"restored into a depth-{ring.depth} ring"
+        )
 
 
 _get_ident = threading.get_ident
@@ -85,31 +73,22 @@ def _claim_side(ring, attr: str, name: str) -> None:
 
 
 class TxRing:
-    """Host-to-NIC ring: slot entries and flags + completion ring for freed
-    indices.
+    """Host-to-NIC ring: slot entries and flags plus four counters.
 
     Slot lifecycle: free -> acquired -> published(dirty) -> fetched -> free.
-    The host may write a slot only if it was never used or its index came
-    back through the completion ring; the NIC fetches only dirty slots.
-    Fetches follow the circular cursor and releases free the oldest fetched
-    entries, so the fetched-but-unreleased slots are always the
-    len(_fetched) slots just behind the cursor.
+    Each step follows one circular order, so counter n stands for slot
+    n % depth: the acquired slots are [_published, _acquired), the fetched
+    ones [_released, _fetched), and the host acquires while fewer than
+    depth slots lie in [_released, _acquired).
     """
 
     def __init__(self, depth: int = DEFAULT_DEPTH):
         self.depth = _require_pow2(depth)
         self._blocks = [_ZERO_BLOCK] * self.depth  # each slot's last entry
         self._flags = bytearray(self.depth)  # each slot's valid byte
-        # completion ring: NIC writes freed indices, host consumes them.
-        # Starts pre-populated in ring order so the host's allocation order
-        # always matches the NIC's circular fetch cursor.
-        self._comp = list(range(self.depth))
-        self._comp_wr = self.depth  # advanced by the NIC side only
-        self._comp_rd = 0  # advanced by the host side only
-        self.nic_fetch_cursor = 0
+        self._acquired = self._published = 0  # written by the host side only
+        self._fetched = self._released = 0  # by the NIC side only; the host reads _released
         self._dirty_seen = 0  # dirty run at the cursor that dirty_run already scanned
-        self._acquired: deque[int] = deque()  # acquire order; published as a FIFO prefix
-        self._fetched: deque[int] = deque()  # fetch order; released as a FIFO prefix
         self._host_thread = None  # owning thread of each side, bound on first use
         self._nic_thread = None
 
@@ -119,12 +98,11 @@ class TxRing:
         """Take ownership of a free slot; None when all slots outstanding."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "TxRing host")
-        if self._comp_rd >= self._comp_wr:
+        n = self._acquired
+        if n - self._released >= self.depth:
             return None
-        idx = self._comp[self._comp_rd % self.depth]
-        self._comp_rd += 1
-        self._acquired.append(idx)
-        return idx
+        self._acquired = n + 1
+        return n % self.depth
 
     def tx_publish(self, slot: int, block: bytes) -> None:
         """Write an encoded entry into an acquired slot and flip its flag.
@@ -137,22 +115,22 @@ class TxRing:
         """
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "TxRing host")
-        acquired = self._acquired
-        if not acquired or acquired[0] != slot:
+        n = self._published
+        if n == self._acquired or slot != n % self.depth:
+            oldest = [n % self.depth] if n < self._acquired else []
             raise ContractViolation(
-                f"publish of slot {slot} out of acquire order "
-                f"(oldest acquired: {list(islice(acquired, 1))})"
+                f"publish of slot {slot} out of acquire order (oldest acquired: {oldest})"
             )
         if len(block) != _SLOT:
             raise ContractViolation(f"publish needs {_SLOT} bytes, got {len(block)}")
         if block.__class__ is not bytes or block[0] != 1:
             block = _as_entry(block)
         self._blocks[slot] = block
-        acquired.popleft()
+        self._published = n + 1
         self._flags[slot] = 1  # publication point
 
     def free_slots(self) -> int:
-        return self._comp_wr - self._comp_rd
+        return self.depth - (self._acquired - self._released)
 
     # -- NIC side --------------------------------------------------------
 
@@ -165,10 +143,10 @@ class TxRing:
         """
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
-        flags, cursor, depth = self._flags, self.nic_fetch_cursor, self.depth
+        flags, depth, fetched = self._flags, self.depth, self._fetched
         n = self._dirty_seen
-        limit = depth - len(self._fetched)
-        while n < limit and flags[(cursor + n) % depth] == 1:
+        limit = depth - (fetched - self._released)
+        while n < limit and flags[(fetched + n) % depth] == 1:
             n += 1
         self._dirty_seen = n
         return n
@@ -184,60 +162,60 @@ class TxRing:
         if max_batch < 1:
             raise ContractViolation("max_batch must be >= 1")
         flags, blocks, depth, fetched = self._flags, self._blocks, self.depth, self._fetched
-        idx = self.nic_fetch_cursor
+        idx = fetched % depth
         out = []
-        n = depth - len(fetched)
+        n = depth - (fetched - self._released)
         if max_batch < n:
             n = max_batch
         while n > 0:
             if flags[idx] != 1:
                 break
             out.append((idx, blocks[idx]))
-            fetched.append(idx)
             idx = (idx + 1) % depth
             n -= 1
-        self.nic_fetch_cursor = idx
-        seen = self._dirty_seen - len(out)
+        taken = len(out)
+        self._fetched = fetched + taken
+        seen = self._dirty_seen - taken
         self._dirty_seen = seen if seen > 0 else 0
         return out
 
     def nic_release(self, slots) -> None:
-        """Reset flags and hand the indices back through the completion ring.
+        """Reset flags and hand the slots back to the host.
 
         Bookkeeping follows fetch order: the released slots (a sequence) must
         be the oldest fetched entries (the NIC frees the batch it just
-        forwarded).
+        forwarded), in any order.
         """
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
-        fetched = self._fetched
-        if not (len(slots) == 1 and fetched and slots[0] == fetched[0]):
-            # anything but the exact oldest fetched slot: check the whole set
-            slots = list(slots)
-            prefix = list(islice(fetched, len(slots)))
-            # fetched slots are distinct, so distinct slots with the same set
-            # are the prefix in another order
-            distinct = set(slots)
-            if slots != prefix and (len(distinct) != len(slots) or distinct != set(prefix)):
-                raise ContractViolation(
-                    f"release {slots} is not the oldest fetched prefix {prefix}"
-                )
-        flags, comp, depth = self._flags, self._comp, self.depth
-        wr = self._comp_wr
-        for _ in slots:  # completion ring keeps circular order
-            idx = fetched.popleft()
-            flags[idx] = 0
-            comp[wr % depth] = idx
-            wr += 1
-        self._comp_wr = wr  # publish the freed indices to the host side
+        depth, n, fetched = self.depth, self._released, self._fetched
+        for slot in slots:  # the oldest fetched slots in fetch order need no other check
+            if n == fetched or slot != n % depth:
+                self._check_release_set(list(slots))
+                break
+            n += 1
+        flags = self._flags
+        for slot in slots:  # clear the flags before the host can see the slots
+            flags[slot] = 0
+        self._released += len(slots)  # hand the slots to the host side
+
+    def _check_release_set(self, slots: list) -> None:
+        """Refuse a release that is not the oldest fetched slots in some order."""
+        depth, n, prefix = self.depth, self._released, []
+        k = self._fetched - n
+        if len(slots) < k:
+            k = len(slots)
+        while k > 0:
+            prefix.append(n % depth)
+            n += 1
+            k -= 1
+        # fetched slots are distinct, so distinct slots with the same set
+        # are the prefix in another order
+        distinct = set(slots)
+        if len(distinct) != len(slots) or distinct != set(prefix):
+            raise ContractViolation(f"release {slots} is not the oldest fetched prefix {prefix}")
 
     # -- diagnostics -----------------------------------------------------
-
-    @property
-    def slab(self) -> bytes:
-        """The ring's memory image: per slot its flag byte, then bytes 1..63
-        of the last entry written to it."""
-        return _image(self._flags, self._blocks)
 
     def outstanding(self) -> int:
         """Slots out of the free pool: mid-copy, published or fetched."""
@@ -245,30 +223,23 @@ class TxRing:
 
     def snapshot(self) -> dict:
         return {
-            "slab": self.slab.hex(),
-            "comp": list(self._comp),
-            "comp_wr": self._comp_wr,
-            "comp_rd": self._comp_rd,
-            "fetch_cursor": self.nic_fetch_cursor,
-            "acquired": list(self._acquired),
-            "fetched": list(self._fetched),
+            "flags": bytes(self._flags),
+            "blocks": tuple(self._blocks),
+            "acquired": self._acquired,
+            "published": self._published,
+            "fetched": self._fetched,
+            "released": self._released,
         }
 
     def restore(self, state: dict) -> None:
-        slab = bytes.fromhex(state["slab"])
-        if len(slab) != _SLOT * self.depth or len(state["comp"]) != self.depth:
-            raise ContractViolation(
-                f"snapshot of a depth-{len(state['comp'])} TX ring "
-                f"({len(slab)} slab bytes) restored into a depth-{self.depth} ring"
-            )
-        self._flags, self._blocks = _from_image(slab)
+        _check_depth(self, state, "TX")
+        a, p, f, r = (state[k] for k in ("acquired", "published", "fetched", "released"))
+        if not r <= f <= p <= a <= r + self.depth:
+            raise ContractViolation(f"snapshot counters (released {r}, fetched {f}, published "
+                                    f"{p}, acquired {a}) out of order for a depth-{self.depth} ring")
+        self._flags, self._blocks = bytearray(state["flags"]), list(state["blocks"])
+        self._acquired, self._published, self._fetched, self._released = a, p, f, r
         self._dirty_seen = 0
-        self._comp = list(state["comp"])
-        self._comp_wr = state["comp_wr"]
-        self._comp_rd = state["comp_rd"]
-        self.nic_fetch_cursor = state["fetch_cursor"]
-        self._acquired = deque(state["acquired"])
-        self._fetched = deque(state["fetched"])
 
 
 class RxRing:
@@ -293,10 +264,8 @@ class RxRing:
         self._nic_thread = None
 
     def rx_deliver(self, block: bytes) -> bool:
-        """NIC side: write one entry; False signals backpressure (ring full).
-
-        The ring keeps the block as tx_publish does.
-        """
+        """NIC side: write one entry, kept as tx_publish keeps it; False
+        signals backpressure (ring full)."""
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "RxRing nic")
         if len(block) != _SLOT:
@@ -335,26 +304,17 @@ class RxRing:
                                     f"has not polled")
         flags[slot] = 0
 
-    @property
-    def slab(self) -> bytes:
-        """The ring's memory image, laid out as TxRing.slab."""
-        return _image(self._flags, self._blocks)
-
     def snapshot(self) -> dict:
         return {
-            "slab": self.slab.hex(),
+            "flags": bytes(self._flags),
+            "blocks": tuple(self._blocks),
             "free_cursor": self.nic_free_cursor,
             "poll_cursor": self.host_poll_cursor,
         }
 
     def restore(self, state: dict) -> None:
-        slab = bytes.fromhex(state["slab"])
-        if len(slab) != _SLOT * self.depth:
-            raise ContractViolation(
-                f"snapshot of a depth-{len(slab) // _SLOT} RX ring restored into "
-                f"a depth-{self.depth} ring"
-            )
-        self._flags, self._blocks = _from_image(slab)
+        _check_depth(self, state, "RX")
+        self._flags, self._blocks = bytearray(state["flags"]), list(state["blocks"])
         self.nic_free_cursor = state["free_cursor"]
         self.host_poll_cursor = state["poll_cursor"]
 

@@ -104,7 +104,14 @@ class Scenario:
                 errors.append(f"connections[{i}]: server nic {s} not defined")
             if c == s:
                 errors.append(f"connections[{i}]: client_nic and server_nic must differ")
-        errors.extend(self.loadgen.validate())
+        lg = self.loadgen
+        errors.extend(lg.validate())
+        if lg.mode == "closed_loop" and ic.is_int(lg.window) and lg.window > 1:
+            for c in dict.fromkeys(c for c, _ in self.connections):
+                cfg = self.nic_configs.get(c)
+                if cfg is not None and cfg.threading_model == "sync":
+                    errors.append(f"nics[{c}]: a sync client holds one call in flight, so a "
+                                  f"closed loop needs loadgen.window 1, got {lg.window}")
         bad_spans = [f"{name} must be a number, got {getattr(self, name)!r}"
                      for name in ("duration_us", "warmup_us")
                      if not ic.is_number(getattr(self, name))]
@@ -116,7 +123,6 @@ class Scenario:
                 errors.append("warmup_us must be >= 0")
             if self.duration_us < 10 * self.warmup_us:
                 errors.append("duration_us must be >= 10x warmup_us")
-            lg = self.loadgen
             if lg.mode == "open_loop" and ic.is_number(lg.rate_mrps):
                 calls = lg.rate_mrps * self.duration_us
                 if calls > MAX_OPEN_LOOP_CALLS:

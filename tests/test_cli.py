@@ -209,6 +209,22 @@ def test_open_loop_over_the_call_cap_exits_1_before_running(case):
     assert proc.stdout == ""
 
 
+def test_sync_client_with_a_saturation_window_exits_1_before_running(tmp_path):
+    # bars' saturation rows run a closed loop of window 64 on the scenario's
+    # client, which a sync client cannot hold
+    data = json.loads((GOLDEN.parent.parent / "scenarios" / "echo_64b.json").read_text())
+    data["nics"][0]["config"]["threading_model"] = "sync"
+    scenario = tmp_path / "sync.json"
+    scenario.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", "bars", "--scenario", str(scenario)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "nics[0]: a sync client holds one call in flight, so a closed loop needs " \
+           "loadgen.window 1, got 64" in proc.stderr
+    assert proc.stdout == ""
+
+
 NON_FINITE = {
     "sweep_loads_nan": (["sweep", "--modes", "coherent:B1", "--loads", "nan"],
                         "loadgen.rate_mrps must be a number, got nan"),

@@ -52,14 +52,14 @@ def test_sync_call_after_long_virtual_time():
     engine, client, *_ = _stack("sync")
     engine.run_until(1.5e9)
     assert call_sync(client, ECHO_FN, b"late") == b"late"
-    assert not client.pending and client.blocked_on is None
+    assert not client.pending
 
 
 def test_sync_timeout_abandons_the_call():
     engine, client, *_ = _stack("sync")
     with pytest.raises(ContractViolation):
         call_sync(client, ECHO_FN, b"slow", limit_ns=100.0)  # an RTT is ~2 us
-    assert not client.pending and client.blocked_on is None
+    assert not client.pending
     assert client.outstanding() == 1  # the abandoned request is still in flight
     # the endpoint takes the next call; the stale response is dropped on arrival
     assert call_sync(client, ECHO_FN, b"next") == b"next"

@@ -225,7 +225,7 @@ def test_rx_arrival_batch_lands_like_its_entries_one_by_one(backlogged_conn):
                 nic1.rx_arrival(0, block, rpc)
         engine.run_until(1e6)
         states.append((
-            [bytes(pair.rx.slab) for pair in pairs],
+            [pair.rx.snapshot() for pair in pairs],
             [list(ep.rx_backlog) for ep in nic1.conns.values()],
             delivered,
             engine.trace,
@@ -272,7 +272,7 @@ def test_rx_delivery_is_fifo_exactly_once_and_backlogs_only_behind_full_rings(
         engine.run_until(engine.now + 10_000.0)  # arrivals land and are delivered
         for c in range(n_conns):
             backlog = nic1.conns[c].rx_backlog
-            in_ring = sum(pairs[c].rx.slab[i * protocol.ENTRY_SIZE] != 0 for i in range(depth))
+            in_ring = depth - pairs[c].rx.snapshot()["flags"].count(0)
             # FIFO and exactly once: picked, visible and waiting entries are the
             # sent ones, in order, each once
             assert picked[c] == sent[c][:len(picked[c])]

@@ -179,3 +179,8 @@ def test_rpc_id_wraps():
     rec.next_rpc_id = (1 << 32) - 1
     assert rec.take_rpc_id() == (1 << 32) - 1
     assert rec.take_rpc_id() == 0
+
+
+def test_rpc_id_of_reads_the_rpc_id_field():
+    block = protocol.pack_entry(protocol.KIND_RESPONSE, 7, 0xDEADBEEF, 3, b"x")
+    assert protocol.rpc_id_of(block) == (0xDEADBEEF,)

@@ -78,18 +78,28 @@ class AbstractRing:
         self.slots[idx] = FREE
 
 
+def _image(snap) -> bytes:
+    """A ring's memory image from its snapshot: per slot its flag byte, then
+    bytes 1..63 of the last entry written to it."""
+    return b"".join(bytes((flag,)) + block[1:]
+                    for flag, block in zip(snap["flags"], snap["blocks"]))
+
+
+def _runs(snap):
+    """(acquired, fetched, free) slot runs of a TX snapshot, oldest first."""
+    depth = len(snap["flags"])
+
+    def run(start, stop):
+        return tuple(n % depth for n in range(start, stop))
+
+    return (run(snap["published"], snap["acquired"]),
+            run(snap["released"], snap["fetched"]),
+            run(snap["acquired"], snap["released"] + depth))
+
+
 def _canonical(ring: TxRing):
     snap = ring.snapshot()
-    avail = tuple(
-        snap["comp"][i % ring.depth] for i in range(snap["comp_rd"], snap["comp_wr"])
-    )
-    return (
-        snap["slab"],
-        tuple(snap["acquired"]),
-        tuple(snap["fetched"]),
-        avail,
-        snap["fetch_cursor"],
-    )
+    return (_image(snap), *_runs(snap), snap["fetched"] % ring.depth)
 
 
 def _clone(ring: TxRing) -> TxRing:
@@ -99,17 +109,18 @@ def _clone(ring: TxRing) -> TxRing:
 
 
 def _check_invariants(ring: TxRing, model: AbstractRing):
-    acquired = set(ring._acquired)
-    fetched = set(ring._fetched)
+    snap = ring.snapshot()
+    r, f, p, a = (snap[k] for k in ("released", "fetched", "published", "acquired"))
+    assert r <= f <= p <= a <= r + ring.depth, "counters out of order"
+    acquired, fetched, free = (set(run) for run in _runs(snap))
+    flags = snap["flags"]
     assert not (acquired & fetched), "slot owned by host and NIC at once"
-    published = {
-        i for i in range(ring.depth)
-        if ring.slab[i * 64] == 1 and i not in fetched
-    }
+    published = {i for i in range(ring.depth) if flags[i] == 1 and i not in fetched}
     assert not (acquired & published)
     for idx in fetched:
-        assert ring.slab[idx * 64] == 1, "fetched slot lost its dirty bit"
+        assert flags[idx] == 1, "fetched slot lost its dirty bit"
     n_free = ring.free_slots()
+    assert len(free) == n_free
     assert len(acquired) + len(published) + len(fetched) + n_free == ring.depth, "slot leak"
     # cross-check occupancy classes against the abstract machine
     for idx in range(ring.depth):
@@ -119,6 +130,14 @@ def _check_invariants(ring: TxRing, model: AbstractRing):
             PUB if idx in published else FREE
         )
         assert impl == model.slots[idx], f"slot {idx}: impl {impl} != model {model.slots[idx]}"
+
+
+def _acquired_run(ring: TxRing):
+    return _runs(ring.snapshot())[0]
+
+
+def _fetched_run(ring: TxRing):
+    return _runs(ring.snapshot())[1]
 
 
 def test_exhaustive_state_space_depth2():
@@ -153,9 +172,9 @@ def test_exhaustive_state_space_depth2():
 
         try_action(do_acquire)
 
-        if ring._acquired:
+        if _acquired_run(ring):
             # one host writer publishes in acquire order
-            oldest_acq = ring._acquired[0]
+            oldest_acq = _acquired_run(ring)[0]
 
             def do_publish(r2, m2, slot=oldest_acq):
                 r2.tx_publish(slot, _entry_block(slot))
@@ -170,9 +189,9 @@ def test_exhaustive_state_space_depth2():
 
             try_action(do_fetch)
 
-        if ring._fetched:
+        if _fetched_run(ring):
             # the NIC FSM bookkeeps in fetch order: release the oldest
-            oldest = ring._fetched[0]
+            oldest = _fetched_run(ring)[0]
 
             def do_release(r2, m2, slot=oldest):
                 r2.nic_release([slot])
@@ -220,7 +239,7 @@ def test_random_sequences_match_abstract_ring(depth, ops, shuffle):
 
     def publish():
         nonlocal next_rpc
-        slot = ring._acquired[0]
+        slot = _acquired_run(ring)[0]
         ring.tx_publish(slot, _entry_block(next_rpc))
         model.on_publish(slot)
         rpc_of_slot[slot] = next_rpc
@@ -229,27 +248,27 @@ def test_random_sequences_match_abstract_ring(depth, ops, shuffle):
     for op, arg in ops:
         if op == "acquire":
             acquire()
-        elif op == "publish" and ring._acquired:
+        elif op == "publish" and _acquired_run(ring):
             publish()
         elif op == "fill":
             for _ in range(arg):
                 acquire()
-                if ring._acquired:
+                if _acquired_run(ring):
                     publish()
         elif op == "fetch":
             got = ring.nic_fetch(arg)
             model.on_fetch([idx for idx, _ in got], arg)
             for idx, block in got:
                 assert protocol.decode_entry(block).rpc_id == rpc_of_slot[idx]
-        elif op == "release" and ring._fetched:
+        elif op == "release" and _fetched_run(ring):
             # any order of the oldest fetched prefix is a legal release
-            slots = list(ring._fetched)[:arg]
+            slots = list(_fetched_run(ring)[:arg])
             shuffle.shuffle(slots)
             ring.nic_release(slots)
             for idx in slots:
                 model.on_release(idx)
         elif op == "bad_release":
-            prefix = list(ring._fetched)[:1]
+            prefix = list(_fetched_run(ring)[:1])
             if [arg % depth] != prefix:
                 before = ring.snapshot()
                 with pytest.raises(ContractViolation):
@@ -415,10 +434,32 @@ def test_restore_rejects_snapshot_of_another_depth(ring_cls, depth, other_depth)
     before = ring.snapshot()
     with pytest.raises(ContractViolation, match=f"depth-{other_depth} .*depth-{depth} ring"):
         ring.restore(ring_cls(other_depth).snapshot())
+    # flags of the ring's depth with blocks of another
+    mixed = dict(before, blocks=ring_cls(other_depth).snapshot()["blocks"])
+    with pytest.raises(ContractViolation, match=f"depth-{depth} .*{other_depth} blocks"):
+        ring.restore(mixed)
     assert ring.snapshot() == before  # nothing was written
     if ring_cls is RxRing:
         assert all(ring.rx_deliver(_entry_block(i)) for i in range(depth))
         assert not ring.rx_deliver(_entry_block(depth))
+
+
+@pytest.mark.parametrize("counters", [
+    (1, 0, 0, 0),  # released past fetched
+    (0, 1, 0, 1),  # fetched past published
+    (0, 0, 2, 1),  # published past acquired
+    (0, 0, 0, 5),  # more than depth slots out of the free pool
+])
+def test_restore_rejects_tx_counters_out_of_order(counters):
+    ring = TxRing(4)
+    slot = ring.tx_acquire()
+    ring.tx_publish(slot, _entry_block(0))
+    before = ring.snapshot()
+    bad = dict(before, **dict(zip(("released", "fetched", "published", "acquired"), counters)))
+    with pytest.raises(ContractViolation, match="out of order for a depth-4 ring"):
+        ring.restore(bad)
+    assert ring.snapshot() == before
+    ring.restore(dict(before, released=3, fetched=4, published=5, acquired=7))  # the bounds hold
 
 
 # --------------------------------------------------------------------------
@@ -508,12 +549,12 @@ def test_slab_image_matches_the_recorded_one():
     rx.rx_deliver(_block(5, valid=2))
     rx.rx_release(rx.rx_poll()[0])  # slot 0 is free and keeps entry 4's body
     rx.rx_poll()  # slot 1 is held
-    assert tx.snapshot()["slab"] == TX_IMAGE
-    assert rx.snapshot()["slab"] == RX_IMAGE
+    assert _image(tx.snapshot()).hex() == TX_IMAGE
+    assert _image(rx.snapshot()).hex() == RX_IMAGE
     for ring in (tx, rx):
         clone = type(ring)(2)
         clone.restore(ring.snapshot())
-        assert clone.slab == ring.slab
+        assert clone.snapshot() == ring.snapshot()
 
 
 # --------------------------------------------------------------------------

@@ -314,6 +314,22 @@ def test_open_loop_call_count_limit_is_inclusive():
     replace(s, duration_us=2049.0, loadgen=LoadGenSpec(mode="closed_loop", rate_mrps=rate)).validate()
 
 
+def test_sync_client_closed_loop_needs_window_1():
+    # a sync endpoint refuses a second call in flight, so a wider closed loop
+    # used to die in the harness after every ring was allocated
+    closed = LoadGenSpec(mode="closed_loop", window=4)
+    with pytest.raises(ConfigInvalid) as exc:
+        default_scenario(threading_model="sync", loadgen=closed)
+    assert exc.value.errors == ["nics[0]: a sync client holds one call in flight, so a "
+                                "closed loop needs loadgen.window 1, got 4"]
+    assert run(default_scenario(threading_model="sync", duration_us=200.0, warmup_us=20.0,
+                                loadgen=replace(closed, window=1))).metrics.n_samples > 0
+    # an open loop's window is unused, and async clients take any window
+    default_scenario(threading_model="sync",
+                     loadgen=LoadGenSpec(mode="open_loop", rate_mrps=0.1, window=4))
+    default_scenario(loadgen=closed)
+
+
 def test_scenario_duration_warmup_ratio_enforced():
     with pytest.raises(ConfigInvalid, match="10x"):
         default_scenario(duration_us=500, warmup_us=100)
