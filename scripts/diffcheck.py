@@ -15,8 +15,9 @@ compares the latency samples, the reduced metrics, the controller logs,
 The scenarios cover the three TX modes, batch sizes 1-16, 1-8 connections,
 ring depths 8-64, open loops (Poisson and deterministic) and closed loops,
 sync endpoints, adaptive batching, a second server NIC, t_wire/t_memcpy
-overrides (some on round values, which line events up on equal timestamps)
-and slow DMA writes (which fill RX rings).
+overrides (some on round values, which line events up on equal timestamps),
+slow DMA writes (which fill RX rings) and DMA writes as long as the publish
+copy (which put RX-backlog deliveries on the timestamps of publishes).
 ``--seed`` may be given more than once: each seed is its own scenario set,
 checked in turn with one summary line, and a total line follows.
 Exit status: 0 when every scenario matches, 1 on any difference at any seed
@@ -76,6 +77,12 @@ def random_scenario(rng: random.Random) -> dict:
         # a slow DMA write holds RX slots longer without slowing publishes, so
         # RX rings fill and arrivals wait in their connection's backlog
         cost["t_dma_write"] = rng.choice((1000.0, 3000.0, round(rng.uniform(500, 6000), 3)))
+    if rng.random() < 0.15:
+        # a DMA write as long as the publish copy: a pickup that frees a slot
+        # of a full RX ring schedules the backlog's next delivery and then its
+        # own publish for one timestamp, so a delivery lies between the
+        # publishes of consecutive pickups there
+        cost["t_memcpy"] = cost["t_dma_write"] = rng.choice((100.0, 300.0, 1000.0))
     return {
         "scenario": {
             "nics": [{"id": i, "config": dict(config)} for i in range(n_nics)],

@@ -30,9 +30,24 @@ work. The contract:
   function or a bound method): the batch callback takes both, so anything
   that names callbacks by them names the batch after ``fn``.
 
+``schedule_run(ts, fn, runs, item)`` batches work that arrives one item at
+a time: item joins ``runs[-1]``, the run ``fn`` was last scheduled for,
+while that run is still the last thing scheduled and is due at ``ts``; else
+``[item]`` opens a new run on ``runs`` and ``fn`` is scheduled for it.
+``fn`` takes ``runs[0]``, so one owner's runs must fall due in the order
+they are scheduled (each at now plus one fixed delay, say). The
+engine keeps the entry its last run went into and how many callbacks that
+entry held then, so a join is exactly the case in which the item's own
+callback would have landed right behind the run's last item. ``fn`` is one
+pre-bound callback per owner (no closure per run); when it fires it takes
+its items with ``take_run(runs)`` and, if one of them raises, hands the
+rest back with ``untaken(runs, rest)``. The contract is ``schedule_batch``'s:
+``run_while`` hands a run over one item at a time, and a raising item is
+taken first, its untaken successors staying queued.
+
 ``events_processed`` counts model events: one per plain callback and one
-per batch item, not dispatched callbacks or heap entries. A batch of B items
-therefore counts as the B callbacks it stands for.
+per batch or run item, not dispatched callbacks or heap entries. A batch of
+B items therefore counts as the B callbacks it stands for.
 """
 
 from __future__ import annotations
@@ -57,6 +72,11 @@ class Engine:
         self.events_processed = 0
         self._stepping = False  # run_while hands batches over one item at a time
         self._unfinished = False  # the batch just dispatched has items left
+        # schedule_run's last run: its callback, the entry it went into and
+        # how many callbacks that entry held beyond its first one then
+        self._run_fn = None
+        self._run_entry = None
+        self._run_size = 0
 
     def schedule(self, ts_ns: float, fn) -> None:
         tail = self._tail
@@ -103,6 +123,45 @@ class Engine:
         batch.__module__ = fn.__module__
         batch.__qualname__ = fn.__qualname__
         self.schedule(ts_ns, batch)
+
+    def schedule_run(self, ts_ns: float, fn, runs, item) -> None:
+        """Queue item for fn() at ts_ns in fn's run queue runs (a deque of
+        lists): joined to runs[-1] while fn's last run is the last thing
+        scheduled and due at ts_ns, else as a new run (module docstring)."""
+        tail = self._tail
+        if fn is self._run_fn and tail is self._run_entry and ts_ns == tail[0]:
+            more = tail[3]
+            if (0 if more is None else len(more)) == self._run_size:
+                runs[-1].append(item)
+                return
+        runs.append([item])
+        self.schedule(ts_ns, fn)
+        tail = self._tail
+        more = tail[3]
+        self._run_fn = fn
+        self._run_entry = tail
+        self._run_size = 0 if more is None else len(more)
+
+    def take_run(self, runs) -> list:
+        """For the run callback being dispatched: the items of runs[0] to
+        handle now, in order. That is the whole run, unless run_while is
+        stepping, which gets its first item alone."""
+        run = runs[0]
+        if self._stepping and len(run) > 1:
+            self._unfinished = True  # run_while dispatches the callback again
+            return [run.pop(0)]
+        runs.popleft()
+        self.events_processed += len(run) - 1  # the dispatch counts one
+        return run
+
+    def untaken(self, runs, rest) -> None:
+        """A run callback raised: the items it did not take (the iterator
+        rest) stay queued, ahead of runs, and fn stays due for them."""
+        rest = list(rest)
+        if rest:
+            self.events_processed -= len(rest)
+            runs.appendleft(rest)
+            self._unfinished = True
 
     def run_until(self, end_ns: float) -> None:
         """Dispatch every event with timestamp <= end_ns."""

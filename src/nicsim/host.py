@@ -17,6 +17,13 @@ Entries travel through the host path as packed 64-byte blocks: a request
 is packed straight from the call's arguments, a pickup unpacks a block
 into locals, and the server packs its response from those same locals
 (protocol.pack_entry/unpack_entry). No decoded entry object is built.
+
+A publish outside mmio mode lands t_memcpy after it starts, when the copy
+into the TX ring ends. Publishes of one end due at one timestamp with
+nothing scheduled between them (a server answering a pickup batch, a client
+re-issuing on each completion of one) end in one engine callback, _copied,
+through Engine.schedule_run: it publishes each entry of the run and tells
+the NIC, in order, as one callback per publish would.
 """
 
 from __future__ import annotations
@@ -61,6 +68,8 @@ class _ConnHost:
         self.tx, self.rx = rings.tx, rings.rx  # the hot path's shortcuts into rings
         self._take = take
         self._blocked = deque()  # (block, rpc) waiting for a free TX slot
+        self._copies = deque()  # runs of (slot, block) whose publish copy is under way
+        self._copied_event = self._copied  # bound once: Engine.schedule_run joins by identity
 
     # -- publish path ---------------------------------------------------------
 
@@ -90,11 +99,28 @@ class _ConnHost:
             if trace is not None:
                 trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
                                             self.connection_id, rpc, critical=True))
-            engine.schedule(now + nic.params.t_memcpy, lambda: self._finish_publish(slot, block))
+            engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, self._copies,
+                                (slot, block))
 
-    def _finish_publish(self, slot: int, block: bytes) -> None:
-        self.tx.tx_publish(slot, block)
-        self.nic.on_tx_publish(self.connection_id)
+    def _copied(self) -> None:
+        """The publish copy of the oldest run ended: publish each of its
+        entries in order, as one callback per entry would."""
+        copies = self._copies
+        if len(copies[0]) == 1:  # a lone publish: nothing for run_while to split
+            slot, block = copies.popleft()[0]
+            self.tx.tx_publish(slot, block)
+            self.nic.on_tx_publish(self.connection_id)
+            return
+        engine = self.engine
+        run = iter(engine.take_run(copies))
+        tx, nic, conn = self.tx, self.nic, self.connection_id
+        try:
+            for slot, block in run:
+                tx.tx_publish(slot, block)
+                nic.on_tx_publish(conn)
+        except BaseException:
+            engine.untaken(copies, run)
+            raise
 
     def on_tx_free(self, conn_id: int, ts: float) -> None:
         blocked = self._blocked

@@ -29,9 +29,10 @@ tests/test_hot_path.py holds the per-event functions to that.
 
 A fetch of two or more entries stays one engine callback per stage after
 the wire (Engine.schedule_batch): Wire.send_batch lands it as one arrival,
-rx_arrival_batch DMA-writes it and hands the written entries to the host as
-one delivery, and the host picks them up in one callback. Each stage does
-exactly what its per-entry callbacks would do back to back.
+rx_arrival_batch DMA-writes it with one ring call (RxRing.rx_deliver_run)
+and hands the written entries to the host as one delivery, and the host
+picks them up in one callback. Each stage does exactly what its per-entry
+callbacks would do back to back.
 
 Hard config fields (tx_mode, threading_model) require a drained restart;
 soft fields (batch size, poll threshold, adaptive batching, rate window)
@@ -458,28 +459,29 @@ class Nic:
 
     def rx_arrival_batch(self, conn_id: int, it) -> None:
         """rx_arrival for the block of each (slot, block) the iterator it
-        yields, in one call: the entries DMA-written become host-visible as
-        one delivery batch, the rest join the connection's backlog."""
+        yields, in one call: one ring call (RxRing.rx_deliver_run) DMA-writes
+        the blocks up to the first full slot, and those become host-visible
+        as one delivery batch; the rest join the connection's backlog. The
+        handler takes every item before it can raise."""
         ep = self.conns.get(conn_id)
         if ep is None:
             next(it, None)  # a batch handler takes the item it raises for
             raise UnknownDestination(f"nic {self.nic_id} has no connection {conn_id}")
-        engine = self.engine
-        now = engine.now
-        trace = engine.trace
-        deliver = ep.rings.rx.rx_deliver
+        blocks = [block for _, block in it]
         backlog = ep.rx_backlog
-        n = 0
-        for _, block in it:
-            if backlog or not deliver(block):
-                backlog.append((block, rpc_id_of(block)[0]))
-                continue
-            if trace is not None:
-                trace.append(ic.Transaction(now, f"nic{self.nic_id}", ic.KIND_DMA_WRITE, 1,
-                                            conn_id, rpc_id_of(block)[0], critical=True))
-            n += 1
+        n = 0 if backlog else ep.rings.rx.rx_deliver_run(blocks)
         if n:
+            engine = self.engine
+            now = engine.now
+            trace = engine.trace
+            if trace is not None:
+                issuer = f"nic{self.nic_id}"
+                for block in blocks[:n]:
+                    trace.append(ic.Transaction(now, issuer, ic.KIND_DMA_WRITE, 1, conn_id,
+                                                rpc_id_of(block)[0], critical=True))
             engine.schedule_batch(now + self.params.t_dma_write, ep.deliver_batch_event, range(n))
+        for block in blocks[n:]:
+            backlog.append((block, rpc_id_of(block)[0]))
 
     def _rx_deliver(self, ep: _ConnEndpoint, block: bytes, rpc: int) -> bool:
         """DMA-write one arrival into ep's RX ring; False on backpressure."""

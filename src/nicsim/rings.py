@@ -16,9 +16,14 @@ Design notes:
   copied to one on the way in (the codec's blocks already are), so a
   reader always sees valid byte 1 and a caller's later change to its
   buffer cannot reach the ring.
-- ``TxRing.dirty_run`` caches the dirty run at the fetch cursor and scans
-  only past it. The cache is exact because only the host sets a flag
-  ahead of the cursor and the NIC clears flags only behind it.
+- ``TxRing.dirty_run`` is a difference of counters, published minus
+  fetched, with no scan: publishes follow the circular order, so every
+  published slot past the fetch cursor is dirty. ``tx_publish`` sets the
+  flag before it advances ``_published``, so a NIC thread that reads the
+  counter finds every counted flag set.
+- ``RxRing.rx_deliver_run`` writes a DMA-written batch in one call: what
+  one ``rx_deliver`` per block does, up to the first full slot, with one
+  side-ownership check per call and every per-entry check kept.
 - The TX ring's bookkeeping is four monotonic counters, two written by
   each side; the RX ring's is one cursor per side.
 - snapshot() returns a ring's state itself (flags, blocks, counters or
@@ -88,7 +93,6 @@ class TxRing:
         self._flags = bytearray(self.depth)  # each slot's valid byte
         self._acquired = self._published = 0  # written by the host side only
         self._fetched = self._released = 0  # by the NIC side only; the host reads _released
-        self._dirty_seen = 0  # dirty run at the cursor that dirty_run already scanned
         self._host_thread = None  # owning thread of each side, bound on first use
         self._nic_thread = None
 
@@ -126,8 +130,8 @@ class TxRing:
         if block.__class__ is not bytes or block[0] != 1:
             block = _as_entry(block)
         self._blocks[slot] = block
-        self._published = n + 1
         self._flags[slot] = 1  # publication point
+        self._published = n + 1  # never ahead of the flags (dirty_run)
 
     def free_slots(self) -> int:
         return self.depth - (self._acquired - self._released)
@@ -135,21 +139,11 @@ class TxRing:
     # -- NIC side --------------------------------------------------------
 
     def dirty_run(self) -> int:
-        """Length of the consecutive dirty run at the fetch cursor.
-
-        Resumes the scan after the run seen by the previous call, less the
-        slots nic_fetch has taken since (restore forgets it), so each dirty
-        slot is scanned once; the scan stops short of fetched slots.
-        """
+        """Length of the consecutive dirty run at the fetch cursor: the
+        published slots not yet fetched."""
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
-        flags, depth, fetched = self._flags, self.depth, self._fetched
-        n = self._dirty_seen
-        limit = depth - (fetched - self._released)
-        while n < limit and flags[(fetched + n) % depth] == 1:
-            n += 1
-        self._dirty_seen = n
-        return n
+        return self._published - self._fetched
 
     def nic_fetch(self, max_batch: int):
         """Fetch up to max_batch consecutive dirty entries, in publish order.
@@ -173,10 +167,7 @@ class TxRing:
             out.append((idx, blocks[idx]))
             idx = (idx + 1) % depth
             n -= 1
-        taken = len(out)
-        self._fetched = fetched + taken
-        seen = self._dirty_seen - taken
-        self._dirty_seen = seen if seen > 0 else 0
+        self._fetched = fetched + len(out)
         return out
 
     def nic_release(self, slots) -> None:
@@ -239,7 +230,6 @@ class TxRing:
                                     f"{p}, acquired {a}) out of order for a depth-{self.depth} ring")
         self._flags, self._blocks = bytearray(state["flags"]), list(state["blocks"])
         self._acquired, self._published, self._fetched, self._released = a, p, f, r
-        self._dirty_seen = 0
 
 
 class RxRing:
@@ -281,6 +271,30 @@ class RxRing:
         self.nic_free_cursor = (idx + 1) % self.depth
         return True
 
+    def rx_deliver_run(self, blocks) -> int:
+        """NIC side: rx_deliver each of the sequence blocks, in order, up to
+        the first full slot; the number delivered. A block of the wrong
+        length raises as rx_deliver does, after the blocks before it."""
+        if self._nic_thread != _get_ident():
+            _claim_side(self, "_nic_thread", "RxRing nic")
+        flags, stored, depth = self._flags, self._blocks, self.depth
+        idx = self.nic_free_cursor
+        n = 0
+        for block in blocks:
+            if len(block) != _SLOT:
+                self.nic_free_cursor = idx
+                raise ContractViolation(f"delivery needs {_SLOT} bytes, got {len(block)}")
+            if flags[idx] != 0:
+                break
+            if block.__class__ is not bytes or block[0] != 1:
+                block = _as_entry(block)
+            stored[idx] = block
+            flags[idx] = 1
+            idx = (idx + 1) % depth
+            n += 1
+        self.nic_free_cursor = idx
+        return n
+
     def rx_poll(self):
         """Host side: next delivered entry as (slot, bytes), or None."""
         if self._host_thread != _get_ident():
@@ -314,6 +328,11 @@ class RxRing:
 
     def restore(self, state: dict) -> None:
         _check_depth(self, state, "RX")
+        for key in ("free_cursor", "poll_cursor"):
+            cursor = state[key]
+            if not (isinstance(cursor, int) and 0 <= cursor < self.depth):
+                raise ContractViolation(f"snapshot {key} {cursor} outside 0..{self.depth - 1} "
+                                        f"for a depth-{self.depth} ring")
         self._flags, self._blocks = bytearray(state["flags"]), list(state["blocks"])
         self.nic_free_cursor = state["free_cursor"]
         self.host_poll_cursor = state["poll_cursor"]

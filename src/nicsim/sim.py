@@ -45,6 +45,10 @@ MAX_CONNECTIONS = 1 << 16
 # per call. Far above the 24,000 of the widest shipped sweep (12 Mrps x
 # 2000 us).
 MAX_OPEN_LOOP_CALLS = 1 << 18
+# Virtual run length. A closed loop keeps its window busy for the whole run,
+# so the wall grows with it, whatever the load; 25x the longest shipped
+# scenario or workload (4000 us).
+MAX_DURATION_US = 10**5
 
 
 @dataclass
@@ -119,6 +123,8 @@ class Scenario:
         if not bad_spans:
             if self.duration_us <= 0:
                 errors.append("duration_us must be > 0")
+            elif self.duration_us > MAX_DURATION_US:
+                errors.append(f"duration_us must be <= {MAX_DURATION_US}, got {self.duration_us:g}")
             if self.warmup_us < 0:
                 errors.append("warmup_us must be >= 0")
             if self.duration_us < 10 * self.warmup_us:

@@ -209,6 +209,18 @@ def test_open_loop_over_the_call_cap_exits_1_before_running(case):
     assert proc.stdout == ""
 
 
+def test_a_duration_over_the_cap_exits_1_before_running():
+    # the closed-loop rows offer no calls past their window, so the call cap
+    # never bounded them, and this ran until killed
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", "bars",
+                           "--override", "duration_us=1e12"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "duration_us must be <= 100000, got 1e+12" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_sync_client_with_a_saturation_window_exits_1_before_running(tmp_path):
     # bars' saturation rows run a closed loop of window 64 on the scenario's
     # client, which a sync client cannot hold

@@ -1,0 +1,59 @@
+"""Recorded outcomes of scripts/diffcheck.py scenarios that guard an
+ordering argument of the engine.
+
+Each digest was recorded with diffcheck's own ``outcome`` (samples, metrics,
+controller logs, engine_events, completions and the ordered trace) from the
+tree before the change that the scenario guards, so a reordering of
+same-timestamp events shows up here, not only in a diffcheck run against
+another checkout.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import nicsim.sim as sim
+
+DIFFCHECK = Path(__file__).resolve().parent.parent / "scripts" / "diffcheck.py"
+
+
+def _diffcheck():
+    spec = importlib.util.spec_from_file_location("diffcheck", DIFFCHECK)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# A DMA write as long as the publish copy (diffcheck's last draw; this was
+# scenario 79 of seed 2 when it was recorded), with a closed-loop window of
+# twice the ring depth, so the server's RX rings fill. Each server pickup
+# frees a slot, which
+# schedules the backlog's next delivery at t + t_dma_write, and then publishes
+# its answer at t + t_memcpy: the same timestamp. Consecutive publishes of one
+# pickup batch therefore have a delivery scheduled between them, and must not
+# be joined into one publish run (Engine.schedule_run).
+EQUAL_DMA_AND_COPY = {
+    "scenario": {
+        "nics": [{"id": i, "config": {"tx_mode": "doorbell", "batch_B": 8}} for i in (0, 1)],
+        "connections": [{"client_nic": 0, "server_nic": 1}] * 3,
+        "loadgen": {"mode": "closed_loop", "window": 16},
+        "duration_us": 250.0,
+        "warmup_us": 25.0,
+        "seed": 829,
+        "ring_depth": 8,
+    },
+    "cost": {"t_memcpy": 1000.0, "t_dma_write": 1000.0},
+}
+EQUAL_DMA_AND_COPY_OUTCOME = {
+    "metrics": "RunMetrics(offered_mrps=2.986666666666667, achieved_mrps=2.986666666666667, "
+               "median_us=16.156382533160738, p99_us=16.156382533160766, saturated=False, "
+               "n_samples=624)",
+    "samples": "7f1b185888e66fe91ba357ddb657793894a95e04d7d9ce298663f0efd3b9af58",
+    "controller_logs": "[(0, []), (1, [])]",
+    "engine_events": 6046,
+    "total_completed": 720,
+    "trace": "67abb0f937128c5476cd5be51af082f2912899a38f7fa7f717d4db7bc5c0783a",
+}
+
+
+def test_backlog_deliveries_on_publish_timestamps_keep_their_order():
+    assert _diffcheck().outcome(sim, EQUAL_DMA_AND_COPY) == EQUAL_DMA_AND_COPY_OUTCOME

@@ -23,12 +23,14 @@ BANNED = {"min", "max", "range", "length_hint", "sorted", "sum"}
 
 # module -> functions that run per event or per entry
 HOT = {
-    "engine": ["Engine.schedule", "Engine.schedule_batch", "Engine.run_until"],
+    "engine": ["Engine.schedule", "Engine.schedule_batch", "Engine.schedule_run",
+               "Engine.take_run", "Engine.run_until"],
     "interconnect": ["BusArbiter.request"],
     "rings": [
         "TxRing.tx_acquire", "TxRing.tx_publish", "TxRing.dirty_run",
         "TxRing.nic_fetch", "TxRing.nic_release",
-        "RxRing.rx_deliver", "RxRing.rx_poll", "RxRing.rx_release", "_as_entry",
+        "RxRing.rx_deliver", "RxRing.rx_deliver_run", "RxRing.rx_poll", "RxRing.rx_release",
+        "_as_entry",
     ],
     "nic": [
         "Wire.send", "Wire.send_batch",
@@ -38,7 +40,7 @@ HOT = {
         "Nic._rx_deliver", "Nic.on_rx_slot_freed",
     ],
     "host": [
-        "_ConnHost._submit", "_ConnHost._publish", "_ConnHost._finish_publish",
+        "_ConnHost._submit", "_ConnHost._publish", "_ConnHost._copied",
         "_ConnHost.on_tx_free", "_ConnHost.on_rx_visible", "_ConnHost._pickups",
         "_ConnHost._pickup",
     ],

@@ -462,6 +462,89 @@ def test_restore_rejects_tx_counters_out_of_order(counters):
     ring.restore(dict(before, released=3, fetched=4, published=5, acquired=7))  # the bounds hold
 
 
+@pytest.mark.parametrize("key,cursor", [("poll_cursor", 4), ("free_cursor", -1)])
+def test_rx_restore_rejects_a_cursor_outside_the_ring(key, cursor):
+    ring = RxRing(4)
+    assert ring.rx_deliver(_entry_block(0))
+    before = ring.snapshot()
+    with pytest.raises(ContractViolation, match=f"{key} {cursor} outside 0..3 for a depth-4 ring"):
+        ring.restore(dict(before, **{key: cursor}))
+    assert ring.snapshot() == before
+    ring.restore(dict(before, free_cursor=3, poll_cursor=0))  # the bounds hold
+
+
+# --------------------------------------------------------------------------
+# RX delivery runs
+# --------------------------------------------------------------------------
+
+
+def _rx_ring_with_held_slots(depth, delivered, polled):
+    """A depth-deep RX ring with delivered entries, the first polled of them
+    still held by the host."""
+    ring = RxRing(depth)
+    for i in range(delivered):
+        assert ring.rx_deliver(_entry_block(100 + i))
+    for _ in range(polled):
+        assert ring.rx_poll() is not None
+    return ring
+
+
+def _deliver_each(ring, blocks):
+    """rx_deliver per block up to the first full slot: (delivered, raised)."""
+    n = 0
+    try:
+        for block in blocks:
+            if not ring.rx_deliver(block):
+                break
+            n += 1
+    except ContractViolation as exc:
+        return n, str(exc)
+    return n, None
+
+
+def _deliver_run(ring, blocks):
+    try:
+        return ring.rx_deliver_run(blocks), None
+    except ContractViolation as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("depth,delivered,polled,count", [
+    (8, 0, 0, 5),  # all fit
+    (8, 3, 3, 8),  # fill the ring exactly, after the cursor wrapped
+    (8, 3, 1, 9),  # the ring fills after 5: the rest are refused
+    (4, 4, 0, 2),  # already full: none delivered
+    (4, 2, 2, 0),  # an empty run
+])
+def test_rx_deliver_run_is_a_sequence_of_rx_deliver(depth, delivered, polled, count):
+    blocks = [_entry_block(i) for i in range(count)]
+    each = _rx_ring_with_held_slots(depth, delivered, polled)
+    run = _rx_ring_with_held_slots(depth, delivered, polled)
+    n, raised = _deliver_each(each, blocks)
+    assert raised is None
+    assert run.rx_deliver_run(blocks) == n
+    assert run.snapshot() == each.snapshot()
+
+
+@pytest.mark.parametrize("free_before,raises", [(8, True), (2, True), (1, False)])
+def test_rx_deliver_run_raises_mid_run_as_rx_deliver_does(free_before, raises):
+    # a 63-byte third block: the two before it are delivered and it raises,
+    # full ring or not, unless the ring fills before it is reached
+    blocks = [_entry_block(0), bytearray(_entry_block(1)), _entry_block(2)[:63], _entry_block(3)]
+    each = _rx_ring_with_held_slots(8, 8 - free_before, 0)
+    run = _rx_ring_with_held_slots(8, 8 - free_before, 0)
+    n, raised = _deliver_each(each, blocks)
+    assert (raised is not None) == raises
+    if raises:
+        assert _deliver_run(run, blocks) == (None, raised)
+        assert raised == "delivery needs 64 bytes, got 63"
+    else:
+        assert _deliver_run(run, blocks) == (n, None)
+    assert run.snapshot() == each.snapshot()
+    assert run.rx_deliver(_entry_block(9)) == each.rx_deliver(_entry_block(9))
+    assert run.snapshot() == each.snapshot()
+
+
 # --------------------------------------------------------------------------
 # entries held by reference
 # --------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from nicsim.errors import ConfigInvalid, ContractViolation
 from nicsim.interconnect import CostParams
 from nicsim.sim import (
     MAX_CONNECTIONS,
+    MAX_DURATION_US,
     MAX_OPEN_LOOP_CALLS,
     MAX_RING_DEPTH,
     MAX_WINDOW,
@@ -312,6 +313,14 @@ def test_open_loop_call_count_limit_is_inclusive():
                                 f"{MAX_OPEN_LOOP_CALLS} calls, got 262272 (128 Mrps x 2049 us)"]
     # a closed loop offers no calls beyond its window
     replace(s, duration_us=2049.0, loadgen=LoadGenSpec(mode="closed_loop", rate_mrps=rate)).validate()
+
+
+def test_duration_limit_is_inclusive():
+    closed = LoadGenSpec(mode="closed_loop", window=4)
+    s = default_scenario(loadgen=closed, duration_us=float(MAX_DURATION_US))  # validates
+    with pytest.raises(ConfigInvalid) as exc:
+        replace(s, duration_us=MAX_DURATION_US * 1.5).validate()
+    assert exc.value.errors == [f"duration_us must be <= {MAX_DURATION_US}, got 150000"]
 
 
 def test_sync_client_closed_loop_needs_window_1():
