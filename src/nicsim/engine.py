@@ -11,49 +11,51 @@ entry is still queued and its timestamp matches. Nothing can sort between
 two consecutive sequence numbers at one timestamp, so this changes the
 number of heap operations, not the firing order.
 
-``schedule_batch(ts, fn, items)`` goes one step further for work the model
-does once per item, back to back at one timestamp: at ``ts`` it calls
-``fn(it)`` once, ``it`` an iterator over ``items``, where the model would
-otherwise schedule one callback per item. ``fn`` handles the items in
-order, so the batch behaves exactly like its items scheduled back to back:
-whatever item i schedules still comes after item i and before item i+1's
-work. The contract:
+Work the model does once per item, back to back at one timestamp, goes
+through a run queue made once per owner, ``runs, fn =
+engine.run_queue(handle)``: ``runs`` is a deque of runs (sequences of
+items), and when the engine dispatches ``fn`` it calls ``handle(it)`` once,
+``it`` an iterator over the oldest run, where the model would otherwise
+dispatch one callback per item. ``handle`` takes the items in order, so a
+run behaves exactly like its items scheduled back to back: whatever item i
+schedules still comes after item i and before item i+1's work. Two
+producers queue runs:
 
-- ``fn`` takes every item; an item counts as taken once ``fn`` pulls it
-  from ``it``. A handler that raises for an item must take that item first:
-  the items not yet taken then stay queued under the entry's (ts, seq),
-  ahead of the rest of that entry, as a raising callback leaves the rest of
-  its entry queued.
-- ``run_while`` hands a batch over one item at a time, as ``fn(iter((item,)))``,
-  and checks its condition before each item.
-- ``fn`` must carry ``__module__`` and ``__qualname__`` (a lambda, a nested
-  function or a bound method): the batch callback takes both, so anything
-  that names callbacks by them names the batch after ``fn``.
+- ``schedule_batch(ts, fn, runs, items)`` queues the non-empty sequence
+  ``items`` as a new run and schedules ``fn`` at ``ts``;
+- ``schedule_run(ts, fn, runs, item)`` batches work that arrives one item
+  at a time: ``item`` joins ``runs[-1]``, the run ``fn`` was last scheduled
+  for, while that run is still the last thing scheduled and is due at
+  ``ts``; else ``[item]`` opens a new run. The engine keeps the entry its
+  last run went into and how many callbacks that entry held then, so a
+  join is exactly the case in which the item's own callback would have
+  landed right behind the run's last item.
 
-``schedule_run(ts, fn, runs, item)`` batches work that arrives one item at
-a time: item joins ``runs[-1]``, the run ``fn`` was last scheduled for,
-while that run is still the last thing scheduled and is due at ``ts``; else
-``[item]`` opens a new run on ``runs`` and ``fn`` is scheduled for it.
 ``fn`` takes ``runs[0]``, so one owner's runs must fall due in the order
-they are scheduled (each at now plus one fixed delay, say). The
-engine keeps the entry its last run went into and how many callbacks that
-entry held then, so a join is exactly the case in which the item's own
-callback would have landed right behind the run's last item. ``fn`` is one
-pre-bound callback per owner (no closure per run); when it fires it takes
-its items with ``take_run(runs)`` and, if one of them raises, hands the
-rest back with ``untaken(runs, rest)``. The contract is ``schedule_batch``'s:
-``run_while`` hands a run over one item at a time, and a raising item is
-taken first, its untaken successors staying queued.
+they are queued (each at now plus one fixed delay, say). ``fn`` alone
+steps, counts and requeues:
+
+- ``handle`` takes every item; an item counts as taken once ``handle``
+  pulls it from ``it``, and ``fn`` raises ``ContractViolation`` for a run
+  left with items untaken. A handler that raises for an item must take
+  that item first: the items not yet taken go back at the head of ``runs``
+  and ``fn`` stays queued under the entry's (ts, seq), ahead of the rest of
+  that entry, as a raising callback leaves the rest of its entry queued.
+- ``run_while`` hands a run over one item at a time and checks its
+  condition before each item; the rest of the run stays queued.
+- ``fn`` carries ``handle``'s ``__module__`` and ``__qualname__`` (a
+  nested function or a bound method has both), so anything that names
+  callbacks by them names the run callback after ``handle``.
 
 ``events_processed`` counts model events: one per plain callback and one
-per batch or run item, not dispatched callbacks or heap entries. A batch of
-B items therefore counts as the B callbacks it stands for.
+per run item, not dispatched callbacks or heap entries. A run of B items
+therefore counts as the B callbacks it stands for.
 """
 
 from __future__ import annotations
 
 import heapq
-from operator import length_hint
+from collections import deque
 
 from .errors import ContractViolation
 
@@ -70,8 +72,8 @@ class Engine:
         self.end_ns = float("inf")
         self.trace = [] if trace else None
         self.events_processed = 0
-        self._stepping = False  # run_while hands batches over one item at a time
-        self._unfinished = False  # the batch just dispatched has items left
+        self._stepping = False  # run_while hands runs over one item at a time
+        self._unfinished = False  # the run just dispatched has items left
         # schedule_run's last run: its callback, the entry it went into and
         # how many callbacks that entry held beyond its first one then
         self._run_fn = None
@@ -95,39 +97,48 @@ class Engine:
         self._seq += 1
         self._tail = entry
 
-    def schedule_batch(self, ts_ns: float, fn, items) -> None:
-        """At ts_ns call fn(it) once, it an iterator over the non-empty
-        sequence items; each item counts as one event (module docstring)."""
+    def run_queue(self, handle):
+        """A run queue for handle: (runs, fn), runs a deque of runs and fn
+        the callback that hands handle an iterator over the oldest run
+        (module docstring)."""
+        runs = deque()
+
+        def fn():
+            run = runs.popleft()
+            if self._stepping and len(run) > 1:
+                runs.appendleft(run[1:])
+                self._unfinished = True  # run_while dispatches fn again
+                run = run[:1]
+            it = iter(run)
+            try:
+                handle(it)
+            except BaseException:
+                rest = list(it)
+                self.events_processed += len(run) - len(rest) - 1  # the dispatch counted one
+                if rest:
+                    runs.appendleft(rest)
+                    self._unfinished = True
+                raise
+            self.events_processed += len(run) - 1
+            for _ in it:
+                raise ContractViolation(f"{fn.__qualname__} left items of its run untaken")
+
+        fn.__module__ = handle.__module__
+        fn.__qualname__ = handle.__qualname__
+        return runs, fn
+
+    def schedule_batch(self, ts_ns: float, fn, runs, items) -> None:
+        """Queue the non-empty sequence items as a new run on fn's run
+        queue runs, fn due for it at ts_ns (module docstring)."""
         if not items:
             raise ValueError("schedule_batch needs at least one item")
-        it = iter(items)
-
-        def batch():
-            if self._stepping:
-                item = next(it)
-                self._unfinished = length_hint(it) > 0
-                fn(iter((item,)))
-                return
-            n = length_hint(it)
-            try:
-                fn(it)
-            except BaseException:
-                left = length_hint(it)
-                self.events_processed += n - left - 1  # the dispatch counted one
-                self._unfinished = left > 0
-                raise
-            self.events_processed += n - 1
-            for _ in it:
-                raise ContractViolation(f"{fn.__qualname__} left items of its batch untaken")
-
-        batch.__module__ = fn.__module__
-        batch.__qualname__ = fn.__qualname__
-        self.schedule(ts_ns, batch)
+        runs.append(items)
+        self.schedule(ts_ns, fn)
 
     def schedule_run(self, ts_ns: float, fn, runs, item) -> None:
-        """Queue item for fn() at ts_ns in fn's run queue runs (a deque of
-        lists): joined to runs[-1] while fn's last run is the last thing
-        scheduled and due at ts_ns, else as a new run (module docstring)."""
+        """Queue item for fn at ts_ns on fn's run queue runs: joined to
+        runs[-1] while fn's last run is the last thing scheduled and due at
+        ts_ns, else as a new run (module docstring)."""
         tail = self._tail
         if fn is self._run_fn and tail is self._run_entry and ts_ns == tail[0]:
             more = tail[3]
@@ -141,27 +152,6 @@ class Engine:
         self._run_fn = fn
         self._run_entry = tail
         self._run_size = 0 if more is None else len(more)
-
-    def take_run(self, runs) -> list:
-        """For the run callback being dispatched: the items of runs[0] to
-        handle now, in order. That is the whole run, unless run_while is
-        stepping, which gets its first item alone."""
-        run = runs[0]
-        if self._stepping and len(run) > 1:
-            self._unfinished = True  # run_while dispatches the callback again
-            return [run.pop(0)]
-        runs.popleft()
-        self.events_processed += len(run) - 1  # the dispatch counts one
-        return run
-
-    def untaken(self, runs, rest) -> None:
-        """A run callback raised: the items it did not take (the iterator
-        rest) stay queued, ahead of runs, and fn stays due for them."""
-        rest = list(rest)
-        if rest:
-            self.events_processed -= len(rest)
-            runs.appendleft(rest)
-            self._unfinished = True
 
     def run_until(self, end_ns: float) -> None:
         """Dispatch every event with timestamp <= end_ns."""
@@ -186,7 +176,7 @@ class Engine:
                     fn()
         except BaseException:
             # an aborted entry keeps its undispatched callbacks queued, led
-            # by the raising batch if it has items left
+            # by the raising run callback if its run has items left
             rest = [] if more is None else list(rest)
             if self._unfinished:
                 self._unfinished = False
@@ -202,11 +192,11 @@ class Engine:
     def run_while(self, cond, limit_ns: float) -> bool:
         """Dispatch events while cond() holds; True if cond turned false.
 
-        cond() is checked before every callback and every batch item, also
+        cond() is checked before every callback and every run item, also
         between the callbacks of one heap entry: the rest of an entry goes
         back on the heap, under the entry's own (ts, seq) key, before its
-        first callback runs, and a batch's remaining items go back at the
-        head of that rest.
+        first callback runs, and a run callback with items left goes back at
+        the head of that rest.
         """
         self.end_ns = max(self.end_ns, limit_ns)
         heap = self._heap

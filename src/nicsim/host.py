@@ -21,9 +21,11 @@ into locals, and the server packs its response from those same locals
 A publish outside mmio mode lands t_memcpy after it starts, when the copy
 into the TX ring ends. Publishes of one end due at one timestamp with
 nothing scheduled between them (a server answering a pickup batch, a client
-re-issuing on each completion of one) end in one engine callback, _copied,
-through Engine.schedule_run: it publishes each entry of the run and tells
-the NIC, in order, as one callback per publish would.
+re-issuing on each completion of one) join one run of the end's copy queue
+(Engine.schedule_run), and _copied publishes each entry of a run and tells
+the NIC, in order, as one callback per publish would. A delivery of two or
+more entries is picked up as one run (_pickups), one of one entry by a
+plain _pickup callback.
 """
 
 from __future__ import annotations
@@ -68,8 +70,10 @@ class _ConnHost:
         self.tx, self.rx = rings.tx, rings.rx  # the hot path's shortcuts into rings
         self._take = take
         self._blocked = deque()  # (block, rpc) waiting for a free TX slot
-        self._copies = deque()  # runs of (slot, block) whose publish copy is under way
-        self._copied_event = self._copied  # bound once: Engine.schedule_run joins by identity
+        # run queues (Engine.run_queue): publish copies under way, as runs of
+        # (slot, block), and pickup batches
+        self._copies, self._copied_event = engine.run_queue(self._copied)
+        self._pickup_runs, self._pickups_event = engine.run_queue(self._pickups)
 
     # -- publish path ---------------------------------------------------------
 
@@ -102,25 +106,13 @@ class _ConnHost:
             engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, self._copies,
                                 (slot, block))
 
-    def _copied(self) -> None:
-        """The publish copy of the oldest run ended: publish each of its
-        entries in order, as one callback per entry would."""
-        copies = self._copies
-        if len(copies[0]) == 1:  # a lone publish: nothing for run_while to split
-            slot, block = copies.popleft()[0]
-            self.tx.tx_publish(slot, block)
-            self.nic.on_tx_publish(self.connection_id)
-            return
-        engine = self.engine
-        run = iter(engine.take_run(copies))
+    def _copied(self, it) -> None:
+        """The publish copy of a run ended: publish each of its entries in
+        order, as one callback per entry would."""
         tx, nic, conn = self.tx, self.nic, self.connection_id
-        try:
-            for slot, block in run:
-                tx.tx_publish(slot, block)
-                nic.on_tx_publish(conn)
-        except BaseException:
-            engine.untaken(copies, run)
-            raise
+        for slot, block in it:
+            tx.tx_publish(slot, block)
+            nic.on_tx_publish(conn)
 
     def on_tx_free(self, conn_id: int, ts: float) -> None:
         blocked = self._blocked
@@ -144,7 +136,8 @@ class _ConnHost:
         if n == 1:
             self.engine.schedule(ts + self.nic.params.t_memcpy, self._pickup)
         else:
-            self.engine.schedule_batch(ts + self.nic.params.t_memcpy, self._pickups, range(n))
+            self.engine.schedule_batch(ts + self.nic.params.t_memcpy, self._pickups_event,
+                                       self._pickup_runs, range(n))
 
     def _pickups(self, it) -> None:
         pickup = self._pickup

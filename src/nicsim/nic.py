@@ -15,11 +15,11 @@ host, for one entry and for a batch) are built once, in attach_connection,
 not per event. The TX ones are the event bodies themselves, one Python frame
 per event: the poll re-arms itself, and the end of a fetch chains the next
 fetch or re-arms the poll, with no NIC method between the engine and the
-trigger check (_trigger_batch), the fetch (_fetch) or the arbiter. The one
-piece of TX state between events is the endpoint's batch in flight: _fetch
-stores the fetched entries and the end-of-fetch callback sends and releases
-them. No fetch starts while a batch is in flight; RX delivery keeps no state
-between events but each connection's backlog.
+trigger check (_trigger_batch), the fetch (_fetch) or the arbiter. The TX
+state between events is the endpoint's batch in flight, which _fetch stores
+and the end-of-fetch callback sends and releases, and when that last ran. No
+fetch starts while a batch is in flight; RX delivery keeps no state between
+events but each connection's backlog and delivery runs.
 
 The per-event code calls no generic builtin: a two-argument max(a, b) is
 written ``b if b > a else a`` and min(a, b) ``b if b < a else a``, which
@@ -27,12 +27,15 @@ give the same float in every case, signed zeros and NaN included, and cost
 a fraction of the call (README, "Benchmark and exactness checks").
 tests/test_hot_path.py holds the per-event functions to that.
 
-A fetch of two or more entries stays one engine callback per stage after
-the wire (Engine.schedule_batch): Wire.send_batch lands it as one arrival,
+A fetch of two or more entries stays one run per stage after the wire
+(Engine.run_queue): Wire.send_batch lands it as one arrival,
 rx_arrival_batch DMA-writes it with one ring call (RxRing.rx_deliver_run)
 and hands the written entries to the host as one delivery, and the host
 picks them up in one callback. Each stage does exactly what its per-entry
-callbacks would do back to back.
+callbacks would do back to back; a fetch of one entry takes the cheaper
+per-entry path. A run queue's runs must fall due in queue order, so a
+hard_reconfigure, which changes the TX latency, waits until the last batch
+forwarded has landed (outstanding).
 
 Hard config fields (tx_mode, threading_model) require a drained restart;
 soft fields (batch size, poll threshold, adaptive batching, rate window)
@@ -165,6 +168,7 @@ class _ConnEndpoint:
         self.rings = ring_pair
         self.in_flight = None  # fetched (slot, block) list awaiting forward_event
         self.busy_until = 0.0
+        self.forwarded_at = float("-inf")  # when the last batch went onto the wire
         self.inval_known = 0  # publish notifications seen (inval submode)
         self.poll_scheduled = False
         # event callbacks, built once by Nic.attach_connection
@@ -173,7 +177,7 @@ class _ConnEndpoint:
         self.inval_event = None
         self.forward_event = None
         self.deliver_event = None
-        self.deliver_batch_event = None
+        self.deliveries = self.deliver_batch_event = None  # a run queue (Engine.run_queue)
         # wire arrivals awaiting a free RX slot; non-empty only while the ring is full
         self.rx_backlog = deque()
 
@@ -185,6 +189,9 @@ class Wire:
         self.engine = engine
         self.params = params
         self.nics = {}
+        # (destination NIC, connection id) -> the run queue of its arrival
+        # batches (Engine.run_queue), made on first use
+        self._arrivals = {}
 
     def attach(self, nic: "Nic") -> None:
         self.nics[nic.nic_id] = nic
@@ -218,9 +225,13 @@ class Wire:
             for _, block in entries:
                 trace.append(ic.Transaction(now, issuer, ic.KIND_WIRE_HOP, 1, conn_id,
                                             rpc_id_of(block)[0], critical=True))
-        arrive = dst.rx_arrival_batch
-        engine.schedule_batch(now + extra_ns + self.params.t_wire,
-                              lambda it: arrive(conn_id, it), entries)
+        arrivals = self._arrivals.get((dst, conn_id))
+        if arrivals is None:
+            arrive = dst.rx_arrival_batch
+            arrivals = self._arrivals[dst, conn_id] = engine.run_queue(
+                lambda it: arrive(conn_id, it))
+        runs, fn = arrivals
+        engine.schedule_batch(now + extra_ns + self.params.t_wire, fn, runs, entries)
 
 
 class Nic:
@@ -321,7 +332,7 @@ class Nic:
                 wire.send_batch(nic_id, remote_nic, conn_id, entries, extra)
                 tx.nic_release([slot for slot, _ in entries])
             ep.in_flight = None
-            now = engine.now
+            ep.forwarded_at = now = engine.now
             tx_free_cb(conn_id, now)
             if self.submode == direct:
                 k = trigger(ep)
@@ -338,7 +349,8 @@ class Nic:
         ep.inval_event = lambda: self._on_inval(ep)
         ep.forward_event = forward_event
         ep.deliver_event = lambda: deliver_cb(conn_id, engine.now, 1)
-        ep.deliver_batch_event = lambda it: deliver_cb(conn_id, engine.now, len(list(it)))
+        ep.deliveries, ep.deliver_batch_event = engine.run_queue(
+            lambda it: deliver_cb(conn_id, engine.now, len(list(it))))
         self.conns[conn_id] = ep
         self._ring_owners[ring_pair] = conn_id
         self.next_conn_id = max(self.next_conn_id, conn_id + 1)
@@ -479,7 +491,8 @@ class Nic:
                 for block in blocks[:n]:
                     trace.append(ic.Transaction(now, issuer, ic.KIND_DMA_WRITE, 1, conn_id,
                                                 rpc_id_of(block)[0], critical=True))
-            engine.schedule_batch(now + self.params.t_dma_write, ep.deliver_batch_event, range(n))
+            engine.schedule_batch(now + self.params.t_dma_write, ep.deliver_batch_event,
+                                  ep.deliveries, range(n))
         for block in blocks[n:]:
             backlog.append((block, rpc_id_of(block)[0]))
 
@@ -586,10 +599,13 @@ class Nic:
                 ep.fetch_event()
 
     def outstanding(self) -> int:
-        total = 0
-        for ep in self.conns.values():
-            total += ep.rings.tx.outstanding() + len(ep.rx_backlog)
-        return total
+        """Entries the NIC holds, plus one per connection whose last
+        forwarded batch has not landed (a faster tx_mode would overtake it)."""
+        now = self.engine.now
+        extra, t_wire = self._tx_extra_ns, self.wire.params.t_wire
+        return sum(ep.rings.tx.outstanding() + len(ep.rx_backlog)
+                   + (ep.forwarded_at + extra + t_wire > now)  # lands as in Wire.send
+                   for ep in self.conns.values())
 
     def hard_reconfigure(self, new_config: NicConfig) -> None:
         """Restart the pipeline with new hard fields. Caller must have

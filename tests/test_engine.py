@@ -3,10 +3,12 @@
 import heapq
 from collections import defaultdict, deque
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nicsim.engine import Engine
+from nicsim.errors import ContractViolation
 
 
 class NaiveEngine:
@@ -25,19 +27,21 @@ class NaiveEngine:
         heapq.heappush(self._heap, (ts_ns, self._seq, fn))
         self._seq += 1
 
-    def schedule_batch(self, ts_ns, fn, items):
-        for item in items:
-            self.schedule(ts_ns, lambda item=item: fn(iter((item,))))
+    def run_queue(self, handle):
+        runs = deque()
+
+        def fn():
+            handle(iter(runs.popleft()))
+
+        return runs, fn
+
+    def schedule_batch(self, ts_ns, fn, runs, items):
+        for item in items:  # one run and one callback per item
+            self.schedule_run(ts_ns, fn, runs, item)
 
     def schedule_run(self, ts_ns, fn, runs, item):
         runs.append([item])  # never joined: one callback per item
         self.schedule(ts_ns, fn)
-
-    def take_run(self, runs):
-        return runs.popleft()
-
-    def untaken(self, runs, rest):
-        assert not list(rest)
 
     def run_until(self, end_ns):
         self.end_ns = end_ns
@@ -65,28 +69,22 @@ class Boom(Exception):
 
 
 class RunOwner:
-    """A schedule_run user: one run queue and one pre-bound callback that
-    hands each item of its run to handle(item)."""
+    """A schedule_run user: one run queue whose callback hands each item of
+    its run to handle(item)."""
 
     def __init__(self, engine, handle):
         self.engine = engine
         self.handle = handle
-        self.runs = deque()
-        self.fire = self._fire
+        self.runs, self.fire = engine.run_queue(self._take)
         self.dispatched = 0
 
     def schedule(self, ts_ns, item):
         self.engine.schedule_run(ts_ns, self.fire, self.runs, item)
 
-    def _fire(self):
+    def _take(self, it):
         self.dispatched += 1
-        run = iter(self.engine.take_run(self.runs))
-        try:
-            for item in run:
-                self.handle(item)
-        except BaseException:
-            self.engine.untaken(self.runs, run)
-            raise
+        for item in it:
+            self.handle(item)
 
 
 # offset 0 and repeated values put many events on one timestamp
@@ -98,7 +96,8 @@ def programs(draw):
     """Nodes (parent, offset, raises, how): a node fires, schedules its
     children at now + their offset, then raises if flagged. How it schedules
     them: "plain" one callback each; "batch" those that share an offset as
-    one batch, in the place of the first of them; "run" each through
+    one run through schedule_batch on the run queue of that offset, in the
+    place of the first of them; "run" each through
     schedule_run of the owner of its offset and parity, so that consecutive
     children of one owner at one timestamp join a run (an owner's runs fall
     due in the order they are scheduled, as schedule_run requires). Parent
@@ -123,6 +122,12 @@ def execute(engine, program):
     owners = {(offset, parity): RunOwner(engine, lambda c: node(c)())
               for offset in OFFSETS for parity in (0, 1)}
 
+    def fire_each(it):
+        for c in it:
+            node(c)()
+
+    batchers = {offset: engine.run_queue(fire_each) for offset in OFFSETS}
+
     def node(k):
         def fire():
             fired.append((k, engine.now))
@@ -138,14 +143,11 @@ def execute(engine, program):
                 for c in children[k]:
                     by_offset[nodes[c][1]].append(c)
                 for offset, batch in by_offset.items():
-                    engine.schedule_batch(engine.now + offset, fire_each, batch)
+                    runs, fn = batchers[offset]
+                    engine.schedule_batch(engine.now + offset, fn, runs, batch)
             if nodes[k][2]:
                 raise Boom(k)
         return fire
-
-    def fire_each(it):
-        for c in it:
-            node(c)()
 
     for k in children[-1]:
         engine.schedule(nodes[k][1], node(k))
@@ -225,7 +227,8 @@ def test_raising_batch_item_keeps_the_rest_of_its_batch_and_entry():
             if i == 3:
                 raise Boom()
 
-    engine.schedule_batch(1.0, each, [1, 2, 3, 4, 5, 6])
+    runs, fn = engine.run_queue(each)
+    engine.schedule_batch(1.0, fn, runs, [1, 2, 3, 4, 5, 6])
     engine.schedule(1.0, lambda: seen.append("after"))  # same entry, behind the batch
     try:
         engine.run_until(5.0)
@@ -233,6 +236,7 @@ def test_raising_batch_item_keeps_the_rest_of_its_batch_and_entry():
         pass
     assert seen == [1, 2, 3]
     assert engine.events_processed == 3
+    assert list(runs) == [[4, 5, 6]]
     engine.schedule(1.0, lambda: seen.append("new"))  # behind the whole old entry
     engine.run_until(5.0)
     assert seen == [1, 2, 3, 4, 5, 6, "after", "new"]
@@ -248,7 +252,8 @@ def test_run_while_stops_between_batch_items_and_resumes_in_order():
             seen.append(i)
             engine.schedule(engine.now, lambda i=i: seen.append(f"from {i}"))
 
-    engine.schedule_batch(1.0, each, [0, 1, 2, 3])
+    runs, fn = engine.run_queue(each)
+    engine.schedule_batch(1.0, fn, runs, [0, 1, 2, 3])
     engine.schedule(1.0, lambda: seen.append("after"))
     assert engine.run_while(lambda: len(seen) < 2, 10.0)
     # items 2 and 3 wait ahead of the rest of the entry, and "from 0" behind it
@@ -267,9 +272,21 @@ def test_batch_callback_is_named_after_its_handler():
         for _ in it:
             pass
 
-    engine.schedule_batch(1.0, handler, [0, 1])
+    runs, fn = engine.run_queue(handler)
+    engine.schedule_batch(1.0, fn, runs, [0, 1])
     batch = engine._heap[0][2]
+    assert batch is fn
     assert (batch.__module__, batch.__qualname__) == (handler.__module__, handler.__qualname__)
+
+
+def test_batch_rejects_no_items_and_a_handler_that_leaves_items():
+    engine = Engine()
+    runs, fn = engine.run_queue(lambda it: next(it))
+    with pytest.raises(ValueError):
+        engine.schedule_batch(1.0, fn, runs, [])
+    engine.schedule_batch(1.0, fn, runs, [0, 1])
+    with pytest.raises(ContractViolation, match="left items of its run untaken"):
+        engine.run_until(5.0)
 
 
 def test_run_joins_only_what_nothing_was_scheduled_between():

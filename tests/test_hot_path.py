@@ -5,9 +5,10 @@ several times the inline code it stands for (README, "Benchmark and
 exactness checks"), and the functions below run once per engine event or
 per ring entry. Each one is looked up in the package source by its
 qualified name, nested functions included ("Nic.attach_connection.poll_event"
-is the poll callback built there), and its AST may call none of those
-builtins beyond the per-batch exceptions named in ALLOWED. This is a check
-on the code, not a timing.
+is the poll callback built there, "Engine.run_queue.fn" the callback of a
+run queue), and its AST may call none of those builtins beyond the
+per-batch exceptions named in ALLOWED. This is a check on the code, not a
+timing.
 """
 
 import ast
@@ -24,7 +25,7 @@ BANNED = {"min", "max", "range", "length_hint", "sorted", "sum"}
 # module -> functions that run per event or per entry
 HOT = {
     "engine": ["Engine.schedule", "Engine.schedule_batch", "Engine.schedule_run",
-               "Engine.take_run", "Engine.run_until"],
+               "Engine.run_queue.fn", "Engine.run_until"],
     "interconnect": ["BusArbiter.request"],
     "rings": [
         "TxRing.tx_acquire", "TxRing.tx_publish", "TxRing.dirty_run",
@@ -53,8 +54,6 @@ ALLOWED = {
     # the items of the pickup batch handed to schedule_batch, and the
     # record loop that runs only when a trace is collected
     ("host", "_ConnHost.on_rx_visible", "range"): 2,
-    # a batch callback reads how many items its iterator has left
-    ("engine", "Engine.schedule_batch", "length_hint"): 3,
 }
 
 

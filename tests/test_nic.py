@@ -469,25 +469,49 @@ def test_drain_and_reconfigure_timeout_on_blocked_consumer():
                               NicConfig(tx_mode="doorbell"), budget_ns=1e6)
 
 
-@pytest.mark.parametrize("new_mode", ["mmio", "doorbell"])
-def test_drain_and_reconfigure_keeps_serving_every_call(new_mode):
+# (old mode, new mode, batch size, calls issued on each side of the switch:
+# whole batches, since a batch waits until it is full)
+@pytest.mark.parametrize("old_mode,new_mode,batch,n", [
+    pytest.param("coherent", "mmio", 1, 5, id="mmio"),
+    pytest.param("coherent", "doorbell", 1, 5, id="doorbell"),
+    ("mmio", "coherent", 1, 5),
+    ("doorbell", "coherent", 1, 5),
+    ("doorbell", "coherent", 2, 6),
+    ("doorbell", "coherent", 4, 8),
+    ("coherent", "doorbell", 4, 8),
+])
+def test_drain_and_reconfigure_keeps_serving_every_call(old_mode, new_mode, batch, n):
     # calls issued after a hard reconfiguration use the same rings, so
-    # every one completes; so do responses still in flight at the switch
-    engine, wire, nic0, nic1 = _rig()
+    # every one completes, in issue order; so do responses still in flight
+    # at the switch. A call forwarded before the switch may still be on the
+    # wire, where a faster new mode would overtake it unless the drain
+    # waits for it to land.
+    engine, wire, nic0, nic1 = _rig(config0=NicConfig(tx_mode=old_mode, batch_B=batch),
+                                    trace=True)
     server = host_mod.ServerEndpoint(engine, nic1)
     server.register_handler(host_mod.ECHO_FN, host_mod.echo_handler)
     client = host_mod.connect(engine, wire, nic0, nic1, server)
-    for i in range(5):
+    for i in range(n):
         client.start_call(host_mod.ECHO_FN, b"before%d" % i)
-    drain_and_reconfigure(lambda: nic0.outstanding(), engine, nic0, NicConfig(tx_mode=new_mode))
+    drain_and_reconfigure(lambda: nic0.outstanding(), engine, nic0,
+                          NicConfig(tx_mode=new_mode, batch_B=batch))
     assert nic0.config.tx_mode == new_mode
-    for i in range(5):
+    for i in range(n):
         client.start_call(host_mod.ECHO_FN, b"after%d" % i)
     engine.run_until(engine.now + 100_000)
-    assert client.completed == 10 and not client.pending
+    assert client.completed == 2 * n and not client.pending
     assert [p for _, p, _ in client.poll_completions()] == (
-        [b"before%d" % i for i in range(5)] + [b"after%d" % i for i in range(5)])
+        [b"before%d" % i for i in range(n)] + [b"after%d" % i for i in range(n)])
     client.check_conservation()
+    # each request lands one wire hop after nic0 sent it, at the latency of
+    # the mode that sent it
+    sent = {t.rpc: t.ts_ns for t in engine.trace
+            if t.issuer == "nic0" and t.kind == ic.KIND_WIRE_HOP}
+    landed = {t.rpc: t.ts_ns for t in engine.trace
+              if t.issuer == "nic1" and t.kind == ic.KIND_DMA_WRITE}
+    for rpc, mode in enumerate([old_mode] * n + [new_mode] * n):
+        hop = ic.tx_extra_latency_ns(P, mode) + P.t_wire
+        assert landed[rpc] == pytest.approx(sent[rpc] + hop), rpc
 
 
 def test_batch_bound_follows_the_nic_ring_depth():
