@@ -14,12 +14,12 @@ number of heap operations, not the firing order.
 Work the model does once per item, back to back at one timestamp, goes
 through a run queue made once per owner, ``runs, fn =
 engine.run_queue(handle)``: ``runs`` is a deque of runs (sequences of
-items), and when the engine dispatches ``fn`` it calls ``handle(it)`` once,
-``it`` an iterator over the oldest run, where the model would otherwise
-dispatch one callback per item. ``handle`` takes the items in order, so a
-run behaves exactly like its items scheduled back to back: whatever item i
-schedules still comes after item i and before item i+1's work. Two
-producers queue runs:
+items), and when the engine dispatches ``fn`` it calls ``handle(it, n)``
+once, ``it`` an iterator over the oldest run and ``n`` its length, where the
+model would otherwise dispatch one callback per item. ``handle`` takes the
+items in order, so a run behaves exactly like its items scheduled back to
+back: whatever item i schedules still comes after item i and before item
+i+1's work. Two producers queue runs:
 
 - ``schedule_batch(ts, fn, runs, items)`` queues the non-empty sequence
   ``items`` as a new run and schedules ``fn`` at ``ts``;
@@ -41,8 +41,8 @@ steps, counts and requeues:
   that item first: the items not yet taken go back at the head of ``runs``
   and ``fn`` stays queued under the entry's (ts, seq), ahead of the rest of
   that entry, as a raising callback leaves the rest of its entry queued.
-- ``run_while`` hands a run over one item at a time and checks its
-  condition before each item; the rest of the run stays queued.
+- ``run_while`` hands a run over one item at a time (``n`` is 1) and
+  checks its condition before each item; the rest of the run stays queued.
 - ``fn`` carries ``handle``'s ``__module__`` and ``__qualname__`` (a
   nested function or a bound method has both), so anything that names
   callbacks by them names the run callback after ``handle``.
@@ -99,8 +99,8 @@ class Engine:
 
     def run_queue(self, handle):
         """A run queue for handle: (runs, fn), runs a deque of runs and fn
-        the callback that hands handle an iterator over the oldest run
-        (module docstring)."""
+        the callback that hands handle an iterator over the oldest run and
+        its length (module docstring)."""
         runs = deque()
 
         def fn():
@@ -110,16 +110,17 @@ class Engine:
                 self._unfinished = True  # run_while dispatches fn again
                 run = run[:1]
             it = iter(run)
+            n = len(run)
             try:
-                handle(it)
+                handle(it, n)
             except BaseException:
                 rest = list(it)
-                self.events_processed += len(run) - len(rest) - 1  # the dispatch counted one
+                self.events_processed += n - len(rest) - 1  # the dispatch counted one
                 if rest:
                     runs.appendleft(rest)
                     self._unfinished = True
                 raise
-            self.events_processed += len(run) - 1
+            self.events_processed += n - 1
             for _ in it:
                 raise ContractViolation(f"{fn.__qualname__} left items of its run untaken")
 

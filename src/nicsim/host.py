@@ -22,15 +22,35 @@ A publish outside mmio mode lands t_memcpy after it starts, when the copy
 into the TX ring ends. Publishes of one end due at one timestamp with
 nothing scheduled between them (a server answering a pickup batch, a client
 re-issuing on each completion of one) join one run of the end's copy queue
-(Engine.schedule_run), and _copied publishes each entry of a run and tells
-the NIC, in order, as one callback per publish would. A delivery of two or
-more entries is picked up as one run (_pickups), one of one entry by a
-plain _pickup callback.
+(Engine.schedule_run). A delivery of two or more entries is picked up as
+one run (_pickups), one of one entry by a plain _pickup callback.
+
+Each stage of a run makes one ring call, and does exactly what one call
+per entry would do back to back:
+
+- _copied publishes a copy run with one TxRing.tx_publish_run and tells the
+  NIC with one Nic.on_tx_publish notice;
+- _pickups reads a pickup run with one RxRing.rx_poll_run and frees it with
+  one rx_release_run;
+- the server answers a pickup run by running its handlers in order and
+  publishing the answers with one TxRing.tx_acquire_run and one
+  schedule_run join (_submit_run): nothing is scheduled between them, so
+  that is the run each answer would have joined on its own.
+
+A run that Engine.run_while steps one entry at a time is a run of one. One
+call per entry stays where the order needs it: for a mmio server's answers,
+whose publish is synchronous, and for a pickup on a connection whose RX
+backlog is non-empty, where each release DMA-writes a backlog entry whose
+delivery is scheduled between two takes. When an entry raises, the entries
+before it are done, it is left as its own call leaves it, and the rest stay
+untaken at the head of the run queue (a pickup run's RX entries delivered
+and unpolled).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import length_hint
 
 from . import interconnect as ic
 from . import protocol
@@ -42,7 +62,7 @@ from .errors import (
     RpcCallError,
     UnknownDestination,
 )
-from .protocol import ConnectionRecord, pack_entry, unpack_entry
+from .protocol import ConnectionRecord, pack_entry, rpc_id_of, unpack_entry
 from .rings import CompletionQueue, RingPair
 
 ECHO_FN = 0
@@ -51,29 +71,48 @@ ERR_UNKNOWN_FN = b"EBADFN"
 ERR_REPLY_TOO_BIG = b"E2BIG"
 
 
+def _taken(it, n: int) -> int:
+    """How many items of a run of n a raising run handler took from it: at
+    least the first, which it raised for (Engine.run_queue)."""
+    left = length_hint(it)
+    if left == n:
+        next(it)
+        left -= 1
+    return n - left
+
+
 class _ConnHost:
     """One connection end on a host: its rings, publish path and pickup path.
 
     take(kind, conn, rpc, fn, payload) gets each picked-up entry: the client
-    endpoint completes a call with it, the server answers it. on_rx_visible
-    and on_tx_free are the NIC's deliver_cb and tx_free_cb for the
-    connection. Both ends are this one class, not a subclass each, so that
-    every attribute and call site on the hot path sees one type (CPython
-    specialises those sites per type).
+    endpoint completes a call with it, the server answers it. take_run, when
+    given, takes a pickup run instead (ServerEndpoint._answer_run).
+    on_rx_visible and on_tx_free are the NIC's deliver_cb and tx_free_cb for
+    the connection (attach). Both ends are this one class, not a subclass
+    each, so that every attribute and call site on the hot path sees one
+    type (CPython specialises those sites per type).
     """
 
-    def __init__(self, engine, nic, conn_id: int, rings: RingPair, take):
+    def __init__(self, engine, nic, conn_id: int, rings: RingPair, take, take_run=None):
         self.engine = engine
         self.nic = nic
         self.connection_id = conn_id
         self.rings = rings
         self.tx, self.rx = rings.tx, rings.rx  # the hot path's shortcuts into rings
         self._take = take
+        self._take_run = take_run
         self._blocked = deque()  # (block, rpc) waiting for a free TX slot
+        self._rx_backlog = ()  # the NIC's arrivals held for a free RX slot (attach)
         # run queues (Engine.run_queue): publish copies under way, as runs of
         # (slot, block), and pickup batches
         self._copies, self._copied_event = engine.run_queue(self._copied)
         self._pickup_runs, self._pickups_event = engine.run_queue(self._pickups)
+
+    def attach(self, remote_nic_id: int) -> None:
+        """Install the connection on this end's NIC, toward remote_nic_id."""
+        ep = self.nic.attach_connection(self.connection_id, self.rings, remote_nic_id,
+                                        self.on_rx_visible, self.on_tx_free)
+        self._rx_backlog = ep.rx_backlog
 
     # -- publish path ---------------------------------------------------------
 
@@ -106,13 +145,47 @@ class _ConnHost:
             engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, self._copies,
                                 (slot, block))
 
-    def _copied(self, it) -> None:
-        """The publish copy of a run ended: publish each of its entries in
-        order, as one callback per entry would."""
-        tx, nic, conn = self.tx, self.nic, self.connection_id
-        for slot, block in it:
-            tx.tx_publish(slot, block)
-            nic.on_tx_publish(conn)
+    def _submit_run(self, blocks: list) -> None:
+        """_submit each packed entry of blocks, in order, outside mmio mode,
+        with one acquire and one schedule_run: the entries after the first
+        join the run it joins, as their own schedule_run calls would, since
+        nothing is scheduled between them. Entries past the last free slot
+        wait for one, as _submit's do."""
+        slots = self.tx.tx_acquire_run(len(blocks))
+        k = len(slots)
+        if k:
+            engine, nic = self.engine, self.nic
+            now = engine.now
+            trace = engine.trace
+            if trace is not None:
+                issuer = f"host{nic.nic_id}"
+                for block in blocks[:k]:
+                    trace.append(ic.Transaction(now, issuer, ic.KIND_HOST_MEMCPY, 1,
+                                                self.connection_id, rpc_id_of(block)[0],
+                                                critical=True))
+            items = zip(slots, blocks)
+            copies = self._copies
+            engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, copies,
+                                next(items))
+            copies[-1].extend(items)
+        if k < len(blocks):
+            blocked = self._blocked
+            for block in blocks[k:]:
+                blocked.append((block, rpc_id_of(block)[0]))
+
+    def _copied(self, it, n: int) -> None:
+        """The publish copy of a run of n entries ended: publish them in
+        order with one ring call and tell the NIC with one notice, as a
+        publish and a notice per entry would."""
+        nic, conn = self.nic, self.connection_id
+        try:
+            self.tx.tx_publish_run(it)
+        except BaseException:
+            published = _taken(it, n) - 1  # the entries before the refused one
+            if published:
+                nic.on_tx_publish(conn, published)
+            raise
+        nic.on_tx_publish(conn, n)
 
     def on_tx_free(self, conn_id: int, ts: float) -> None:
         blocked = self._blocked
@@ -139,10 +212,45 @@ class _ConnHost:
             self.engine.schedule_batch(ts + self.nic.params.t_memcpy, self._pickups_event,
                                        self._pickup_runs, range(n))
 
-    def _pickups(self, it) -> None:
-        pickup = self._pickup
-        for _ in it:
-            pickup()
+    def _pickups(self, it, n: int) -> None:
+        """Pick up a delivery of n entries, in order, as one _pickup each
+        would. The run reads the RX ring and releases it with one call each
+        and hands the entries to take_run, or to take one at a time (a
+        client, or a server whose answers publish at once, in mmio mode).
+        One _pickup per entry stays where the NIC holds arrivals for this
+        ring: each release there DMA-writes the next one, whose delivery is
+        scheduled between two takes."""
+        rx = self.rx
+        blocks = None if self._rx_backlog else rx.rx_poll_run(n)
+        if blocks is None or len(blocks) < n:  # fewer: _pickup raises where they end
+            pickup = self._pickup
+            for _ in it:
+                pickup()
+            return
+        take_run = self._take_run
+        if take_run is not None and self.nic.config.tx_mode != ic.MODE_MMIO:
+            take_run(self, it, blocks, n)
+            return
+        take = self._take
+        i = 0
+        try:
+            for _ in it:
+                kind, conn, rpc, fn, payload = unpack_entry(blocks[i])
+                i += 1
+                take(kind, conn, rpc, fn, payload)
+        except BaseException:
+            self._release_raised_run(it, n, i)
+            raise
+        rx.rx_release_run(n)
+
+    def _release_raised_run(self, it, n: int, unpacked: int) -> None:
+        """A pickup run of n raised: leave the RX ring as _pickup per entry
+        leaves it. The unpacked entries are released, an entry whose unpack
+        raised stays polled, and the untaken rest stay delivered."""
+        rx = self.rx
+        rx.rx_release_run(unpacked)
+        if _taken(it, n) > unpacked:
+            rx.rx_poll()
 
     def _pickup(self) -> None:
         rx = self.rx
@@ -248,6 +356,11 @@ class ServerEndpoint:
         self.served = 0
 
     def register_handler(self, function_id: int, handler) -> None:
+        """Answer requests for function_id with handler(payload), which
+        returns the response payload. A handler computes its response and
+        nothing else: it schedules no engine event and calls no endpoint,
+        since a pickup run's answers publish after all its handlers ran
+        (_answer_run)."""
         if function_id in self.handlers:
             raise DuplicateHandler(f"handler for function {function_id} already registered")
         self.handlers[function_id] = handler
@@ -255,16 +368,50 @@ class ServerEndpoint:
     def _take(self, kind: int, conn: int, rpc: int, fn: int, payload: bytes) -> None:
         """Answer a picked-up request on its connection."""
         self.served += 1
+        block = self._answer(conn, rpc, fn, payload)
+        self.conns[conn]._submit(block, rpc)
+
+    def _answer(self, conn: int, rpc: int, fn: int, payload: bytes) -> bytes:
+        """The packed answer to a request: the handler's response, or an
+        error entry."""
         handler = self.handlers.get(fn)
         if handler is None:
-            kind, payload = protocol.KIND_ERROR, ERR_UNKNOWN_FN
-        else:
-            payload = handler(payload)
-            if len(payload) > protocol.MAX_PAYLOAD:
-                kind, payload = protocol.KIND_ERROR, ERR_REPLY_TOO_BIG
-            else:
-                kind = protocol.KIND_RESPONSE
-        self.conns[conn]._submit(pack_entry(kind, conn, rpc, fn, payload), rpc)
+            return pack_entry(protocol.KIND_ERROR, conn, rpc, fn, ERR_UNKNOWN_FN)
+        payload = handler(payload)
+        if len(payload) > protocol.MAX_PAYLOAD:
+            return pack_entry(protocol.KIND_ERROR, conn, rpc, fn, ERR_REPLY_TOO_BIG)
+        return pack_entry(protocol.KIND_RESPONSE, conn, rpc, fn, payload)
+
+    def _answer_run(self, host: _ConnHost, it, blocks: list, n: int) -> None:
+        """_take for each of the n blocks of a pickup run on host, in order:
+        the handlers run first, and the answers publish together
+        (_ConnHost._submit_run). That is where _take's would publish only
+        because a handler schedules nothing (register_handler). An answer on
+        another connection than host's publishes where _take's would, after
+        the ones before it."""
+        answer, own, answers = self._answer, host.connection_id, []
+        i = 0
+        try:
+            for _ in it:
+                kind, conn, rpc, fn, payload = unpack_entry(blocks[i])
+                i += 1
+                block = answer(conn, rpc, fn, payload)
+                if conn == own:
+                    answers.append(block)
+                else:
+                    if answers:
+                        host._submit_run(answers)
+                        answers = []
+                    self.conns[conn]._submit(block, rpc)
+        except BaseException:
+            self.served += i
+            host._release_raised_run(it, n, i)
+            if answers:
+                host._submit_run(answers)
+            raise
+        self.served += n
+        host.rx.rx_release_run(n)
+        host._submit_run(answers)
 
 
 def echo_handler(payload: bytes) -> bytes:
@@ -293,13 +440,9 @@ def connect(engine, wire, client_nic, server_nic, server_endpoint,
 
     client = ClientEndpoint(engine, client_nic, conn_id, client_rings, threading_model)
     served = _ConnHost(server_endpoint.engine, server_endpoint.nic, conn_id, server_rings,
-                       server_endpoint._take)
-    client_nic.attach_connection(
-        conn_id, client_rings, server_nic.nic_id, client.conn.on_rx_visible, client.conn.on_tx_free
-    )
-    server_nic.attach_connection(
-        conn_id, server_rings, client_nic.nic_id, served.on_rx_visible, served.on_tx_free
-    )
+                       server_endpoint._take, server_endpoint._answer_run)
+    client.conn.attach(server_nic.nic_id)
+    served.attach(client_nic.nic_id)
     server_endpoint.conns[conn_id] = served
     return client
 

@@ -33,9 +33,14 @@ rx_arrival_batch DMA-writes it with one ring call (RxRing.rx_deliver_run)
 and hands the written entries to the host as one delivery, and the host
 picks them up in one callback. Each stage does exactly what its per-entry
 callbacks would do back to back; a fetch of one entry takes the cheaper
-per-entry path. A run queue's runs must fall due in queue order, so a
-hard_reconfigure, which changes the TX latency, waits until the last batch
-forwarded has landed (outstanding).
+per-entry path. A host run of publishes is one notice (on_tx_publish).
+In coherent mode it schedules one invalidation or poll-discovery event per
+entry, as one on_tx_publish each would; otherwise it starts the fetch that
+the run's first triggering publish would. The trigger only grows with the
+dirty count, so that publish is the first (a settle window flushes a
+partial batch) or none before the last (a full batch). A run queue's runs
+must fall due in queue order, so a hard_reconfigure, which changes the TX
+latency, waits until the last batch forwarded has landed (outstanding).
 
 Hard config fields (tx_mode, threading_model) require a drained restart;
 soft fields (batch size, poll threshold, adaptive batching, rate window)
@@ -229,7 +234,7 @@ class Wire:
         if arrivals is None:
             arrive = dst.rx_arrival_batch
             arrivals = self._arrivals[dst, conn_id] = engine.run_queue(
-                lambda it: arrive(conn_id, it))
+                lambda it, n: arrive(conn_id, it))
         runs, fn = arrivals
         engine.schedule_batch(now + extra_ns + self.params.t_wire, fn, runs, entries)
 
@@ -350,7 +355,7 @@ class Nic:
         ep.forward_event = forward_event
         ep.deliver_event = lambda: deliver_cb(conn_id, engine.now, 1)
         ep.deliveries, ep.deliver_batch_event = engine.run_queue(
-            lambda it: deliver_cb(conn_id, engine.now, len(list(it))))
+            lambda it, n: deliver_cb(conn_id, engine.now, len(list(it))))
         self.conns[conn_id] = ep
         self._ring_owners[ring_pair] = conn_id
         self.next_conn_id = max(self.next_conn_id, conn_id + 1)
@@ -379,40 +384,57 @@ class Nic:
         self._fixed_units = ic.tx_batch_units(mode, 0)  # bus units beyond one per entry
         self._tx_extra_ns = ic.tx_extra_latency_ns(self.params, mode)
 
-    def on_tx_publish(self, conn_id: int) -> None:
-        """Host published one entry into this connection's TX ring."""
+    def on_tx_publish(self, conn_id: int, n: int = 1) -> None:
+        """The host published n entries into this connection's TX ring,
+        back to back at this timestamp: what one notice after each publish
+        does, in one call."""
         ep = self.conns[conn_id]
-        self.window_publishes += 1
-        now = self.engine.now
-        mode = self.config.tx_mode
-        if mode == ic.MODE_COHERENT:
+        self.window_publishes += n
+        engine = self.engine
+        if self.config.tx_mode == ic.MODE_COHERENT:
+            now = engine.now
             if self.submode == ic.SUBMODE_INVAL:
                 # a publish invalidates exactly the published line
-                trace = self.engine.trace
-                if trace is not None:
-                    trace.append(ic.Transaction(now, f"host{self.nic_id}", ic.KIND_INVALIDATION,
-                                                1, conn_id))
-                self.engine.schedule(now + self.params.t_inval, ep.inval_event)
+                trace = engine.trace
+                issuer = None if trace is None else f"host{self.nic_id}"
+                ts, event = now + self.params.t_inval, ep.inval_event
+                while n > 0:
+                    if trace is not None:
+                        trace.append(ic.Transaction(now, issuer, ic.KIND_INVALIDATION, 1, conn_id))
+                    engine.schedule(ts, event)
+                    n -= 1
             else:
                 # direct polling discovers the entry half a poll period later
                 # on average; modeled as a fixed half-period so steady state
                 # is phase-free
-                self.engine.schedule(now + self.params.t_poll / 2, ep.fetch_event)
-        else:
-            ep.fetch_event()
+                ts, event = now + self.params.t_poll / 2, ep.fetch_event
+                while n > 0:
+                    engine.schedule(ts, event)
+                    n -= 1
+        elif ep.in_flight is None:
+            # the first publish whose notice triggers fetches. The trigger
+            # only grows with the dirty count: a settle window fires at the
+            # run's first publish, a full batch by its last.
+            k = self._trigger_batch(ep, n - 1)
+            if not k and n > 1:
+                k = self._trigger_batch(ep)
+            if k:
+                self._fetch(ep, k)
 
     def _on_inval(self, ep: _ConnEndpoint) -> None:
         ep.inval_known += 1
         ep.fetch_event()
 
-    def _trigger_batch(self, ep: _ConnEndpoint) -> int:
+    def _trigger_batch(self, ep: _ConnEndpoint, unseen: int = 0) -> int:
         """How many entries the next fetch should take; 0 = no trigger yet.
 
         Batches wait until full (no timeout); inside a short settling window
         after a controller transition a partial batch is flushed instead, so
         the batch alignment left over from the old configuration drains out.
+        unseen newest dirty entries are left out of the count, as if not
+        yet published.
         """
-        dirty = ep.rings.tx.dirty_run()
+        dirty = ep.rings.tx.dirty_run() - unseen
         if not dirty:
             return 0
         mode = self.config.tx_mode

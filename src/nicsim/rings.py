@@ -21,9 +21,15 @@ Design notes:
   published slot past the fetch cursor is dirty. ``tx_publish`` sets the
   flag before it advances ``_published``, so a NIC thread that reads the
   counter finds every counted flag set.
-- ``RxRing.rx_deliver_run`` writes a DMA-written batch in one call: what
-  one ``rx_deliver`` per block does, up to the first full slot, with one
-  side-ownership check per call and every per-entry check kept.
+- A run method does in one call what one call per entry does back to
+  back, with one side-ownership check per call and every per-entry check
+  kept: ``RxRing.rx_deliver_run`` writes a DMA-written batch up to the first
+  full slot, ``TxRing.tx_acquire_run`` and ``tx_publish_run`` acquire and
+  publish a host run, and ``RxRing.rx_poll_run`` reads a pickup run that
+  ``rx_release_run`` then frees. A run read by ``rx_poll_run`` stays
+  delivered until ``rx_release_run``, so a host that stops partway (an
+  entry raised) releases the entries it took and leaves the rest as they
+  were.
 - The TX ring's bookkeeping is four monotonic counters, two written by
   each side; the RX ring's is one cursor per side.
 - snapshot() returns a ring's state itself (flags, blocks, counters or
@@ -108,6 +114,23 @@ class TxRing:
         self._acquired = n + 1
         return n % self.depth
 
+    def tx_acquire_run(self, count: int) -> list:
+        """tx_acquire up to count times in one call: the slots acquired, in
+        order; fewer than count when the ring runs out of free slots."""
+        if self._host_thread != _get_ident():
+            _claim_side(self, "_host_thread", "TxRing host")
+        n, depth = self._acquired, self.depth
+        free = depth - (n - self._released)
+        if count > free:
+            count = free
+        self._acquired = n + count
+        slots = []
+        while count > 0:
+            slots.append(n % depth)
+            n += 1
+            count -= 1
+        return slots
+
     def tx_publish(self, slot: int, block: bytes) -> None:
         """Write an encoded entry into an acquired slot and flip its flag.
 
@@ -120,18 +143,43 @@ class TxRing:
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "TxRing host")
         n = self._published
-        if n == self._acquired or slot != n % self.depth:
-            oldest = [n % self.depth] if n < self._acquired else []
-            raise ContractViolation(
-                f"publish of slot {slot} out of acquire order (oldest acquired: {oldest})"
-            )
-        if len(block) != _SLOT:
-            raise ContractViolation(f"publish needs {_SLOT} bytes, got {len(block)}")
+        if n == self._acquired or slot != n % self.depth or len(block) != _SLOT:
+            self._refuse_publish(n, slot, block)
         if block.__class__ is not bytes or block[0] != 1:
             block = _as_entry(block)
         self._blocks[slot] = block
         self._flags[slot] = 1  # publication point
         self._published = n + 1  # never ahead of the flags (dirty_run)
+
+    def tx_publish_run(self, items) -> None:
+        """tx_publish each (slot, block) of the iterable items, in order, in
+        one call. An entry that tx_publish would refuse raises as it does,
+        taken from items, after the entries before it are published."""
+        if self._host_thread != _get_ident():
+            _claim_side(self, "_host_thread", "TxRing host")
+        stored, flags, depth = self._blocks, self._flags, self.depth
+        n, acquired = self._published, self._acquired
+        try:
+            for slot, block in items:
+                if n == acquired or slot != n % depth or len(block) != _SLOT:
+                    self._refuse_publish(n, slot, block)
+                if block.__class__ is not bytes or block[0] != 1:
+                    block = _as_entry(block)
+                stored[slot] = block
+                flags[slot] = 1
+                n += 1
+        finally:
+            self._published = n  # after the flags it counts (dirty_run)
+
+    def _refuse_publish(self, n: int, slot: int, block) -> None:
+        """Raise for a publish of block into slot that is not the acquired
+        slot next in order (counter n), or not one entry long."""
+        if n == self._acquired or slot != n % self.depth:
+            oldest = [n % self.depth] if n < self._acquired else []
+            raise ContractViolation(
+                f"publish of slot {slot} out of acquire order (oldest acquired: {oldest})"
+            )
+        raise ContractViolation(f"publish needs {_SLOT} bytes, got {len(block)}")
 
     def free_slots(self) -> int:
         return self.depth - (self._acquired - self._released)
@@ -307,6 +355,43 @@ class RxRing:
         flags[idx] = 2  # held until rx_release
         self.host_poll_cursor = (idx + 1) % self.depth
         return idx, block
+
+    def rx_poll_run(self, count: int) -> list:
+        """Host side: the blocks of the next count delivered entries at the
+        poll cursor, in order, in one call; fewer where the delivered run
+        ends. The ring is left as it is: the entries stay delivered, and
+        the cursor stays, until rx_release_run takes them."""
+        if self._host_thread != _get_ident():
+            _claim_side(self, "_host_thread", "RxRing host")
+        flags, stored, depth = self._flags, self._blocks, self.depth
+        if count > depth:
+            count = depth  # each entry once, as rx_poll's held flag ensures
+        idx = self.host_poll_cursor
+        out = []
+        while count > 0 and flags[idx] == 1:
+            out.append(stored[idx])
+            idx = (idx + 1) % depth
+            count -= 1
+        return out
+
+    def rx_release_run(self, count: int) -> None:
+        """Host side: rx_poll then rx_release each of the next count
+        delivered entries, in one call: their slots are freed for the NIC
+        and the poll cursor moves past them. An entry that is not delivered
+        raises, after the entries before it."""
+        if self._host_thread != _get_ident():
+            _claim_side(self, "_host_thread", "RxRing host")
+        flags, depth = self._flags, self.depth
+        idx = self.host_poll_cursor
+        while count > 0:
+            if flags[idx] != 1:
+                self.host_poll_cursor = idx
+                raise ContractViolation(f"release of RX slot {idx}, which holds no "
+                                        f"delivered entry")
+            flags[idx] = 0
+            idx = (idx + 1) % depth
+            count -= 1
+        self.host_poll_cursor = idx
 
     def rx_release(self, slot: int) -> None:
         """Host side: mark a polled slot free for the NIC again."""

@@ -16,6 +16,7 @@ issued during warmup are excluded from the reduced metrics.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 import struct
 from dataclasses import asdict, dataclass, replace
@@ -287,7 +288,7 @@ def default_scenario(tx_mode: str = ic.MODE_COHERENT, batch: int = 1,
 class RunMetrics:
     offered_mrps: float
     achieved_mrps: float
-    median_us: float
+    median_us: float  # median_us and p99_us are NaN when n_samples is 0
     p99_us: float
     saturated: bool
     n_samples: int
@@ -440,8 +441,8 @@ def run(scenario: Scenario, collect_trace: bool = False) -> RunResult:
             lat_us[len(lat_us) // 2 - 1] + lat_us[len(lat_us) // 2]
         )
         p99 = lat_us[min(len(lat_us) - 1, max(0, -(-99 * len(lat_us) // 100) - 1))]
-    else:
-        median = p99 = 0.0
+    else:  # no latency was measured, not a latency of zero
+        median = p99 = math.nan
     saturated = achieved < offered * (1 - SATURATION_EPSILON)
 
     metrics = RunMetrics(

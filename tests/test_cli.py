@@ -364,3 +364,11 @@ def test_sweep_labels_match_the_rows_run_on_a_scenario_file(tmp_path):
     # the file differs from the standard setup only in what each row replaces
     assert out_file.read_text() == out_default.read_text()
     assert out_file.read_text().split("\n")[1].startswith("coherent,4,11.0000,")
+
+
+def test_sweep_reports_no_latency_for_a_run_without_samples(tmp_path):
+    # at 100 Mrps offered no call issued after warmup completes before the
+    # end: the row has no latency to report, which is not a latency of 0
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--loads", "100", "--modes", "coherent:B1", "--out", str(out)]) == 0
+    assert out.read_text().split("\n")[1] == "coherent,1,100.0000,8.1000,nan,nan,1"

@@ -31,7 +31,8 @@ class NaiveEngine:
         runs = deque()
 
         def fn():
-            handle(iter(runs.popleft()))
+            run = runs.popleft()
+            handle(iter(run), len(run))
 
         return runs, fn
 
@@ -81,7 +82,7 @@ class RunOwner:
     def schedule(self, ts_ns, item):
         self.engine.schedule_run(ts_ns, self.fire, self.runs, item)
 
-    def _take(self, it):
+    def _take(self, it, n):
         self.dispatched += 1
         for item in it:
             self.handle(item)
@@ -122,7 +123,7 @@ def execute(engine, program):
     owners = {(offset, parity): RunOwner(engine, lambda c: node(c)())
               for offset in OFFSETS for parity in (0, 1)}
 
-    def fire_each(it):
+    def fire_each(it, n):
         for c in it:
             node(c)()
 
@@ -220,8 +221,10 @@ def test_raising_callback_keeps_the_rest_of_its_entry():
 def test_raising_batch_item_keeps_the_rest_of_its_batch_and_entry():
     engine = Engine()
     seen = []
+    lengths = []
 
-    def each(it):
+    def each(it, n):
+        lengths.append(n)
         for i in it:
             seen.append(i)
             if i == 3:
@@ -241,13 +244,16 @@ def test_raising_batch_item_keeps_the_rest_of_its_batch_and_entry():
     engine.run_until(5.0)
     assert seen == [1, 2, 3, 4, 5, 6, "after", "new"]
     assert engine.events_processed == 8
+    assert lengths == [6, 3]  # the handler is told the length of the run it gets
 
 
 def test_run_while_stops_between_batch_items_and_resumes_in_order():
     engine = Engine()
     seen = []
+    lengths = []
 
-    def each(it):
+    def each(it, n):
+        lengths.append(n)
         for i in it:
             seen.append(i)
             engine.schedule(engine.now, lambda i=i: seen.append(f"from {i}"))
@@ -263,12 +269,13 @@ def test_run_while_stops_between_batch_items_and_resumes_in_order():
     engine.run_until(10.0)
     assert seen == [0, 1, 2, 3, "after", "from 0", "from 1", "from 2", "from 3"]
     assert engine.events_processed == 9
+    assert lengths == [1, 1, 1, 1]  # run_while hands over runs of one
 
 
 def test_batch_callback_is_named_after_its_handler():
     engine = Engine()
 
-    def handler(it):
+    def handler(it, n):
         for _ in it:
             pass
 
@@ -281,7 +288,7 @@ def test_batch_callback_is_named_after_its_handler():
 
 def test_batch_rejects_no_items_and_a_handler_that_leaves_items():
     engine = Engine()
-    runs, fn = engine.run_queue(lambda it: next(it))
+    runs, fn = engine.run_queue(lambda it, n: next(it))
     with pytest.raises(ValueError):
         engine.schedule_batch(1.0, fn, runs, [])
     engine.schedule_batch(1.0, fn, runs, [0, 1])

@@ -57,3 +57,41 @@ EQUAL_DMA_AND_COPY_OUTCOME = {
 
 def test_backlog_deliveries_on_publish_timestamps_keep_their_order():
     assert _diffcheck().outcome(sim, EQUAL_DMA_AND_COPY) == EQUAL_DMA_AND_COPY_OUTCOME
+
+
+# A doorbell NIC whose adaptive batching moves from batch_B 6 to 3 at the
+# first rate window (diffcheck's seed-0 scenario 4). Inside the settle window
+# that follows, the first publish of a publish run fetches a partial batch,
+# so one notice for the whole run (Nic.on_tx_publish with n > 1) must
+# evaluate the fetch trigger as the run's first publish saw it before its
+# last.
+SETTLE_WINDOW = {
+    "scenario": {
+        "nics": [{"id": i, "config": {
+            "tx_mode": "doorbell", "batch_B": 6, "rate_window_us": 10.0,
+            "adaptive_batching": {"enabled": True, "low_B": 3, "high_B": 3,
+                                  "switch_rate_rps": 7e6},
+        }} for i in (0, 1)],
+        "connections": [{"client_nic": 0, "server_nic": 1}] * 2,
+        "loadgen": {"mode": "closed_loop", "window": 14},
+        "duration_us": 150.0,
+        "warmup_us": 0.0,
+        "seed": 27,
+        "ring_depth": 8,
+    },
+    "cost": {},
+}
+SETTLE_WINDOW_OUTCOME = {
+    "metrics": "RunMetrics(offered_mrps=4.933333333333334, achieved_mrps=4.933333333333334, "
+               "median_us=5.244189848410056, p99_us=8.475471535105903, saturated=False, "
+               "n_samples=740)",
+    "samples": "adf7d83466bdfed833a435e3fedbfcce0723947434c92796d24dbccfc38ac554",
+    "controller_logs": "[(0, [(10000.0, 'batch', '6', '3')]), (1, [(10000.0, 'batch', '6', '3')])]",
+    "engine_events": 6562,
+    "total_completed": 740,
+    "trace": "602b6d15a9d9c14d597bf924eccddc0bf57522221c762b821f82335092c407f5",
+}
+
+
+def test_publish_run_fetches_a_settle_window_batch_at_its_first_publish():
+    assert _diffcheck().outcome(sim, SETTLE_WINDOW) == SETTLE_WINDOW_OUTCOME

@@ -258,6 +258,158 @@ def test_response_for_a_never_issued_rpc_is_a_contract_violation():
     assert list(client.pending) == [0] and client.completed == 0
 
 
+class HandlerFailed(Exception):
+    pass
+
+
+FAILING_FN = 9
+
+
+def _failing_handler(payload):
+    raise HandlerFailed()
+
+
+def _picked_up_with_a_bad_entry(end, bad_block, bad_at, exc, as_run):
+    """Four entries delivered to one end's RX ring, the one at bad_at
+    replaced by bad_block, picked up as one delivery run (as_run) or by one
+    _pickup callback each. The client has rpcs 0-3 pending, so the server's
+    answers to good requests complete; the server's handler for FAILING_FN
+    raises. Returns the state when the bad entry has raised and again when
+    the rest has been picked up and answered."""
+    engine, client, server, *_ = _stack("async")
+    server.register_handler(FAILING_FN, _failing_handler)
+    conn = client.connection_id
+    host = client.conn if end == "client" else server.conns[conn]
+    kind = protocol.KIND_RESPONSE if end == "client" else protocol.KIND_REQUEST
+    client.pending = {rpc: 0.0 for rpc in range(4)}
+    client.issued = 4
+    for rpc in range(4):
+        block = bad_block if rpc == bad_at else protocol.pack_entry(kind, conn, rpc, ECHO_FN, b"x")
+        assert host.rx.rx_deliver(block)
+    ts = 100.0
+    if as_run:
+        engine.schedule_batch(ts, host._pickups_event, host._pickup_runs, range(4))
+    else:
+        for _ in range(4):
+            engine.schedule(ts, host._pickup)
+
+    def state():
+        return (client.conn.rings.tx.snapshot(), client.conn.rings.rx.snapshot(),
+                server.conns[conn].rings.tx.snapshot(), server.conns[conn].rings.rx.snapshot(),
+                [list(run) for run in host._copies], server.served, client.completed,
+                sorted(client.pending), engine.events_processed)
+
+    with pytest.raises(exc):
+        engine.run_until(ts)
+    raised = state()
+    # the untaken entries of a run wait at the head of its run queue
+    assert [list(run) for run in host._pickup_runs] == (
+        [list(range(bad_at + 1, 4))] if as_run and bad_at < 3 else [])
+    engine.run_until(1e6)
+    return raised, state()
+
+
+@pytest.mark.parametrize("bad_at", [0, 1, 3])
+@pytest.mark.parametrize("end", ["client", "server"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_pickup_run_with_a_malformed_block_stops_where_per_entry_pickups_do(case, end,
+                                                                               bad_at):
+    kind = protocol.KIND_RESPONSE if end == "client" else protocol.KIND_REQUEST
+    bad = _malformed_block(kind, 0, *MALFORMED[case])
+    run = _picked_up_with_a_bad_entry(end, bad, bad_at, MalformedEntry, as_run=True)
+    assert run == _picked_up_with_a_bad_entry(end, bad, bad_at, MalformedEntry, as_run=False)
+    raised, done = run
+    assert raised[-1] == bad_at + 1  # events: the pickups up to the bad one
+    # the bad entry stays polled (state 2); the untaken ones stay delivered
+    rx = (raised[1] if end == "client" else raised[3])
+    assert rx["flags"][bad_at] == 2
+    assert rx["flags"][bad_at + 1:4] == b"\x01" * (3 - bad_at)
+
+
+@pytest.mark.parametrize("bad_at", [0, 1, 3])
+def test_a_client_pickup_run_with_an_unknown_rpc_stops_where_per_entry_pickups_do(bad_at):
+    bad = protocol.pack_entry(protocol.KIND_RESPONSE, 0, 5, ECHO_FN, b"x")
+    run = _picked_up_with_a_bad_entry("client", bad, bad_at, ContractViolation, as_run=True)
+    assert run == _picked_up_with_a_bad_entry("client", bad, bad_at, ContractViolation,
+                                              as_run=False)
+    raised, done = run
+    assert raised[1]["flags"][bad_at] == 0  # released before its take raised
+    assert done[6] == 3 and done[7] == [bad_at]
+
+
+@pytest.mark.parametrize("bad_at", [0, 1, 3])
+def test_a_server_pickup_run_whose_handler_raises_stops_where_per_entry_pickups_do(bad_at):
+    bad = protocol.pack_entry(protocol.KIND_REQUEST, 0, bad_at, FAILING_FN, b"x")
+    run = _picked_up_with_a_bad_entry("server", bad, bad_at, HandlerFailed, as_run=True)
+    assert run == _picked_up_with_a_bad_entry("server", bad, bad_at, HandlerFailed,
+                                              as_run=False)
+    raised, done = run
+    assert raised[5] == bad_at + 1  # served counts the request whose handler raised
+    assert raised[3]["flags"][bad_at] == 0  # released before its handler ran
+    assert done[6] == 3 and done[7] == [bad_at]
+
+
+def _published_with_a_refused_entry(bad_at, as_run):
+    """Four publish copies of the client end ending at one timestamp, the one
+    at bad_at a short block that tx_publish refuses: as one run, or as four
+    runs of one. The client NIC fetches in doorbell batches of 2. Returns the
+    state once the refused entry has raised."""
+    engine, client, server, nic0, *_ = _stack(
+        client_cfg=NicConfig(tx_mode="doorbell", batch_B=2))
+    host, conn = client.conn, client.connection_id
+    items = [(host.tx.tx_acquire(), protocol.pack_entry(protocol.KIND_REQUEST, conn, rpc,
+                                                       ECHO_FN, b"x")) for rpc in range(4)]
+    items[bad_at] = (items[bad_at][0], items[bad_at][1][:63])
+    for run in ([items] if as_run else [[item] for item in items]):
+        engine.schedule_batch(100.0, host._copied_event, host._copies, run)
+    with pytest.raises(ContractViolation, match="publish needs 64 bytes, got 63"):
+        engine.run_until(100.0)
+    return (host.tx.snapshot(), nic0.window_publishes, nic0.conns[conn].in_flight,
+            [item for run in host._copies for item in run], engine.events_processed)
+
+
+@pytest.mark.parametrize("bad_at", [0, 1, 3])
+def test_a_publish_run_with_a_refused_entry_stops_where_per_entry_publishes_do(bad_at):
+    run = _published_with_a_refused_entry(bad_at, as_run=True)
+    assert run == _published_with_a_refused_entry(bad_at, as_run=False)
+    tx, publishes, in_flight, untaken, events = run
+    assert publishes == tx["published"] == bad_at  # the NIC heard of each published entry
+    assert (in_flight is not None) == (bad_at >= 2)  # a batch of 2 was fetched
+    assert len(untaken) == 3 - bad_at and events == bad_at + 1
+
+
+def _answered_with_a_foreign_request(as_run):
+    """Two connections; four requests delivered to the first one's server
+    end, the second of them carrying the other connection's id, picked up as
+    one run or by one _pickup each and answered until nothing is left."""
+    engine, client, server, nic0, nic1, wire = _stack("async")
+    other = connect(engine, wire, nic0, nic1, server)
+    host = server.conns[client.connection_id]
+    for end in (client, other):
+        end.pending = {rpc: 0.0 for rpc in range(4)}
+    for rpc in range(4):
+        conn = other.connection_id if rpc == 1 else client.connection_id
+        assert host.rx.rx_deliver(protocol.pack_entry(protocol.KIND_REQUEST, conn, rpc,
+                                                      ECHO_FN, b"x"))
+    if as_run:
+        engine.schedule_batch(100.0, host._pickups_event, host._pickup_runs, range(4))
+    else:
+        for _ in range(4):
+            engine.schedule(100.0, host._pickup)
+    engine.run_until(100.0)
+    queued = [[list(run) for run in server.conns[c]._copies] for c in (0, 1)]
+    engine.run_until(1e6)
+    return (queued, [end.conn.rings.rx.snapshot() for end in (client, other)],
+            sorted(client.pending), sorted(other.pending), server.served,
+            engine.events_processed)
+
+
+def test_a_server_pickup_run_answers_a_request_on_the_connection_it_names():
+    run = _answered_with_a_foreign_request(as_run=True)
+    assert run == _answered_with_a_foreign_request(as_run=False)
+    assert run[2] == [1] and run[3] == [0, 2, 3]  # rpc 1 was answered on the other one
+
+
 def test_late_response_to_an_abandoned_sync_call_is_dropped_and_conserved():
     engine, client, *_ = _stack("sync")
     rpc = client.start_call(ECHO_FN, b"x")

@@ -28,22 +28,24 @@ HOT = {
                "Engine.run_queue.fn", "Engine.run_until"],
     "interconnect": ["BusArbiter.request"],
     "rings": [
-        "TxRing.tx_acquire", "TxRing.tx_publish", "TxRing.dirty_run",
-        "TxRing.nic_fetch", "TxRing.nic_release",
-        "RxRing.rx_deliver", "RxRing.rx_deliver_run", "RxRing.rx_poll", "RxRing.rx_release",
-        "_as_entry",
+        "TxRing.tx_acquire", "TxRing.tx_acquire_run", "TxRing.tx_publish",
+        "TxRing.tx_publish_run", "TxRing.dirty_run", "TxRing.nic_fetch", "TxRing.nic_release",
+        "RxRing.rx_deliver", "RxRing.rx_deliver_run", "RxRing.rx_poll", "RxRing.rx_poll_run",
+        "RxRing.rx_release", "RxRing.rx_release_run", "_as_entry",
     ],
     "nic": [
         "Wire.send", "Wire.send_batch",
         "Nic.attach_connection.poll_event", "Nic.attach_connection.fetch_event",
-        "Nic.attach_connection.forward_event", "Nic.on_tx_publish", "Nic._on_inval",
+        "Nic.attach_connection.forward_event", "Nic.on_tx_publish",
+        "Nic._on_inval",
         "Nic._trigger_batch", "Nic._fetch", "Nic.rx_arrival", "Nic.rx_arrival_batch",
         "Nic._rx_deliver", "Nic.on_rx_slot_freed",
     ],
     "host": [
-        "_ConnHost._submit", "_ConnHost._publish", "_ConnHost._copied",
-        "_ConnHost.on_tx_free", "_ConnHost.on_rx_visible", "_ConnHost._pickups",
-        "_ConnHost._pickup",
+        "_ConnHost._submit", "_ConnHost._submit_run", "_ConnHost._publish",
+        "_ConnHost._copied", "_ConnHost.on_tx_free", "_ConnHost.on_rx_visible",
+        "_ConnHost._pickups", "_ConnHost._pickup", "ServerEndpoint._take",
+        "ServerEndpoint._answer", "ServerEndpoint._answer_run",
     ],
 }
 

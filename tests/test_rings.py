@@ -546,6 +546,131 @@ def test_rx_deliver_run_raises_mid_run_as_rx_deliver_does(free_before, raises):
 
 
 # --------------------------------------------------------------------------
+# host runs: one ring call for what one call per entry does
+# --------------------------------------------------------------------------
+
+
+def _tx_ring_at(depth, fetched, acquired):
+    """A depth-deep TX ring whose first fetched entries went through and were
+    released, with acquired slots then taken and not yet published."""
+    ring = TxRing(depth)
+    for i in range(fetched):
+        ring.tx_publish(ring.tx_acquire(), _entry_block(i))
+        ring.nic_release([slot for slot, _ in ring.nic_fetch(1)])
+    for _ in range(acquired):
+        assert ring.tx_acquire() is not None
+    return ring
+
+
+@pytest.mark.parametrize("depth,fetched,acquired,count", [
+    (8, 0, 0, 5),  # all free
+    (8, 6, 2, 6),  # exactly the free slots, across the wrap
+    (4, 3, 1, 5),  # three free: two short
+    (4, 0, 4, 2),  # full: none
+    (4, 2, 0, 0),  # an empty run
+])
+def test_tx_acquire_run_is_a_sequence_of_tx_acquire(depth, fetched, acquired, count):
+    each, run = _tx_ring_at(depth, fetched, acquired), _tx_ring_at(depth, fetched, acquired)
+    slots = []
+    for _ in range(count):
+        slot = each.tx_acquire()
+        if slot is None:
+            break
+        slots.append(slot)
+    assert run.tx_acquire_run(count) == slots
+    assert run.snapshot() == each.snapshot()
+
+
+def _publish_each(ring, items):
+    """tx_publish per (slot, block) up to the first refused: (published, raised)."""
+    n = 0
+    try:
+        for slot, block in items:
+            ring.tx_publish(slot, block)
+            n += 1
+    except ContractViolation as exc:
+        return n, str(exc)
+    return n, None
+
+
+# each run publishes four entries into slots 6, 7, 0, 1 of a depth-8 ring,
+# the one at `at` (if any) replaced by a bad item
+BAD_PUBLISH = {
+    "none": None,
+    "short_block": lambda slot: (slot, _entry_block(9)[:63]),
+    "out_of_order": lambda slot: ((slot + 1) % 8, _entry_block(9)),
+    "bytearray_block": lambda slot: (slot, bytearray(_entry_block(9))),  # copied in, not bad
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_PUBLISH))
+@pytest.mark.parametrize("at", [0, 1, 3])
+def test_tx_publish_run_is_a_sequence_of_tx_publish(bad, at):
+    each, run = _tx_ring_at(8, 6, 4), _tx_ring_at(8, 6, 4)
+    items = [(slot, _entry_block(20 + slot)) for slot in (6, 7, 0, 1)]
+    if BAD_PUBLISH[bad] is not None:
+        items[at] = BAD_PUBLISH[bad](items[at][0])
+    n, raised = _publish_each(each, items)
+    it = iter(items)
+    try:
+        run.tx_publish_run(it)
+    except ContractViolation as exc:
+        assert str(exc) == raised
+        assert len(list(it)) == 3 - at  # the refused item was taken, the rest not
+    else:
+        assert raised is None and n == 4
+    assert run.snapshot() == each.snapshot()
+    assert run.dirty_run() == each.dirty_run() == n
+
+
+def _rx_ring_from(depth, start, delivered):
+    """A depth-deep RX ring whose cursors stand at start (every earlier entry
+    polled and released) with delivered entries waiting."""
+    ring = RxRing(depth)
+    for i in range(start):
+        assert ring.rx_deliver(_entry_block(i))
+        slot, _ = ring.rx_poll()
+        ring.rx_release(slot)
+    for i in range(delivered):
+        assert ring.rx_deliver(_entry_block(100 + i))
+    return ring
+
+
+@pytest.mark.parametrize("depth,start,delivered,count", [
+    (8, 0, 5, 4),  # part of what is delivered
+    (8, 6, 8, 8),  # the whole ring, across the wrap
+    (4, 1, 2, 3),  # more than is delivered: the run ends early
+    (4, 2, 0, 2),  # nothing delivered
+])
+def test_rx_poll_run_and_release_run_are_rx_poll_and_rx_release_each(depth, start,
+                                                                      delivered, count):
+    each, run = _rx_ring_from(depth, start, delivered), _rx_ring_from(depth, start, delivered)
+    before = run.snapshot()
+    blocks = []
+    for _ in range(count):
+        polled = each.rx_poll()
+        if polled is None:
+            break
+        each.rx_release(polled[0])
+        blocks.append(polled[1])
+    got = run.rx_poll_run(count)
+    assert got == blocks
+    assert run.snapshot() == before  # read only: rx_release_run takes them
+    run.rx_release_run(len(got))
+    assert run.snapshot() == each.snapshot()
+
+
+def test_rx_release_run_refuses_an_entry_not_delivered_after_those_before():
+    each, run = _rx_ring_from(4, 3, 2), _rx_ring_from(4, 3, 2)
+    for _ in range(2):
+        slot, _ = each.rx_poll()
+        each.rx_release(slot)
+    with pytest.raises(ContractViolation, match="release of RX slot 1, which holds no delivered"):
+        run.rx_release_run(3)
+    assert run.snapshot() == each.snapshot()
+
+
+# --------------------------------------------------------------------------
 # entries held by reference
 # --------------------------------------------------------------------------
 
