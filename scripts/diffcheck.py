@@ -18,6 +18,9 @@ sync endpoints, adaptive batching, a second server NIC, t_wire/t_memcpy
 overrides (some on round values, which line events up on equal timestamps),
 slow DMA writes (which fill RX rings) and DMA writes as long as the publish
 copy (which put RX-backlog deliveries on the timestamps of publishes).
+A draw that this checkout's ``Scenario.validate`` refuses (a closed loop
+that can never complete a call) is drawn again, so every scenario runs;
+this checkout makes the scenario set and hands both workers the same one.
 ``--seed`` may be given more than once: each seed is its own scenario set,
 checked in turn with one summary line, and a total line follows.
 Exit status: 0 when every scenario matches, 1 on any difference at any seed
@@ -41,7 +44,33 @@ DEFAULT_COUNT = 240
 
 
 def random_scenario(rng: random.Random) -> dict:
-    """One scenario in ``Scenario.from_dict`` form plus cost overrides."""
+    """One scenario in ``Scenario.from_dict`` form plus cost overrides, that
+    this checkout's ``Scenario.validate`` accepts. A refused draw is drawn
+    again from an rng seeded by that draw, so the draws after it stay as
+    they are."""
+    spec = draw(rng)
+    while not accepted(spec):
+        spec = draw(random.Random(json.dumps(spec, sort_keys=True)))
+    return spec
+
+
+def accepted(spec: dict) -> bool:
+    """Whether this checkout's ``Scenario.validate`` accepts the spec."""
+    src = str(ROOT / "src")
+    if src not in sys.path:
+        sys.path.insert(0, src)
+    import nicsim.sim as sim
+
+    try:
+        build(sim, spec)
+    except sim.ConfigInvalid:
+        return False
+    return True
+
+
+def draw(rng: random.Random) -> dict:
+    """One scenario in ``Scenario.from_dict`` form plus cost overrides, as
+    drawn, refused or not."""
     depth = rng.choice((8, 16, 32, 64))
     mode = rng.choice(("mmio", "doorbell", "coherent"))
     config = {"tx_mode": mode, "batch_B": rng.randint(1, min(16, depth))}
@@ -109,11 +138,15 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def build(sim, spec: dict):
+    """The spec's scenario in the tree of sim, at that tree's default cost
+    parameters with the spec's overrides."""
+    return sim.Scenario.from_dict(spec["scenario"], sim.CostParams().replace(**spec["cost"]))
+
+
 def outcome(sim, spec: dict) -> dict:
     try:
-        scenario = sim.Scenario.from_dict(spec["scenario"])  # the tree's default params
-        scenario.cost_params = scenario.cost_params.replace(**spec["cost"])
-        result = sim.run(scenario, collect_trace=True)
+        result = sim.run(build(sim, spec), collect_trace=True)
     except Exception as exc:  # a crash is an outcome too; both trees must agree on it
         return {"error": f"{type(exc).__name__}: {exc}"}
     samples = array("d", (t for sample in result.samples for t in sample))
@@ -130,7 +163,7 @@ def outcome(sim, spec: dict) -> dict:
     }
 
 
-def worker(src: str, seed: int, count: int) -> int:
+def worker(src: str, specs_path: str) -> int:
     src_dir = Path(src).resolve()
     sys.path.insert(0, str(src_dir))
     import nicsim
@@ -138,7 +171,7 @@ def worker(src: str, seed: int, count: int) -> int:
 
     if not Path(nicsim.__file__).resolve().is_relative_to(src_dir):
         raise SystemExit(f"diffcheck: imported nicsim from {nicsim.__file__}, not from {src_dir}")
-    for spec in scenarios(seed, count):
+    for spec in json.loads(Path(specs_path).read_text()):
         print(json.dumps(outcome(sim, spec)))
     return 0
 
@@ -146,11 +179,11 @@ def worker(src: str, seed: int, count: int) -> int:
 # -- main process: one worker per tree, then the comparison ----------------------
 
 
-def start_worker(src: Path, seed: int, count: int):
+def start_worker(src: Path, specs_path: str):
     out = tempfile.TemporaryFile(mode="w+")
     proc = subprocess.Popen(
-        [sys.executable, __file__, str(src), "--worker", "--seed", str(seed),
-         "--count", str(count)], stdout=out, cwd=ROOT)
+        [sys.executable, __file__, str(src), "--worker", "--specs", specs_path],
+        stdout=out, cwd=ROOT)
     return proc, out
 
 
@@ -164,9 +197,12 @@ def collect(proc, out) -> list[dict]:
 def compare(other: Path, seed: int, count: int) -> int | None:
     """Differing scenarios of one seed, each one listed; None if a worker stopped early."""
     specs = scenarios(seed, count)
-    # both trees run at once, one process each
-    workers = [start_worker(src, seed, count) for src in (ROOT / "src", other)]
-    ours, theirs = (collect(*w) for w in workers)
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as specs_file:
+        json.dump(specs, specs_file)
+        specs_file.flush()
+        # both trees run at once, one process each
+        workers = [start_worker(src, specs_file.name) for src in (ROOT / "src", other)]
+        ours, theirs = (collect(*w) for w in workers)
     if len(ours) != len(specs) or len(theirs) != len(specs):
         return None
 
@@ -193,10 +229,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, action="append",
                         help="scenario set; repeat for several (default 0)")
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    parser.add_argument("--specs", help=argparse.SUPPRESS)  # a worker's scenario file
     args = parser.parse_args(argv)
     seeds = args.seed or [0]
     if args.worker:
-        return worker(args.other_src, seeds[0], args.count)
+        return worker(args.other_src, args.specs)
 
     other = Path(args.other_src).resolve()
     if not (other / "nicsim" / "__init__.py").is_file():

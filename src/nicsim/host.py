@@ -32,13 +32,17 @@ per entry would do back to back:
   NIC with one Nic.on_tx_publish notice;
 - _pickups reads a pickup run with one RxRing.rx_poll_run and frees it with
   one rx_release_run;
-- the server answers a pickup run by running its handlers in order and
-  publishing the answers with one TxRing.tx_acquire_run and one
-  schedule_run join (_submit_run): nothing is scheduled between them, so
-  that is the run each answer would have joined on its own.
+- each end takes a pickup run in one pass and publishes what it issued
+  with one TxRing.tx_acquire_run and one schedule_run join (_submit_run):
+  the server runs its handlers in order and publishes their answers
+  (ServerEndpoint._answer_run); the client completes its calls in order,
+  and the calls its completion hook issues meanwhile are collected and
+  published at the end (ClientEndpoint._take_run). Nothing is scheduled
+  between those publishes, so that is the run each would have joined on
+  its own.
 
 A run that Engine.run_while steps one entry at a time is a run of one. One
-call per entry stays where the order needs it: for a mmio server's answers,
+call per entry stays where the order needs it: for an end in mmio mode,
 whose publish is synchronous, and for a pickup on a connection whose RX
 backlog is non-empty, where each release DMA-writes a backlog entry whose
 delivery is scheduled between two takes. When an entry raises, the entries
@@ -85,15 +89,16 @@ class _ConnHost:
     """One connection end on a host: its rings, publish path and pickup path.
 
     take(kind, conn, rpc, fn, payload) gets each picked-up entry: the client
-    endpoint completes a call with it, the server answers it. take_run, when
-    given, takes a pickup run instead (ServerEndpoint._answer_run).
+    endpoint completes a call with it, the server answers it. take_run takes
+    a pickup run instead, outside mmio mode (ClientEndpoint._take_run,
+    ServerEndpoint._answer_run).
     on_rx_visible and on_tx_free are the NIC's deliver_cb and tx_free_cb for
     the connection (attach). Both ends are this one class, not a subclass
     each, so that every attribute and call site on the hot path sees one
     type (CPython specialises those sites per type).
     """
 
-    def __init__(self, engine, nic, conn_id: int, rings: RingPair, take, take_run=None):
+    def __init__(self, engine, nic, conn_id: int, rings: RingPair, take, take_run):
         self.engine = engine
         self.nic = nic
         self.connection_id = conn_id
@@ -215,8 +220,8 @@ class _ConnHost:
     def _pickups(self, it, n: int) -> None:
         """Pick up a delivery of n entries, in order, as one _pickup each
         would. The run reads the RX ring and releases it with one call each
-        and hands the entries to take_run, or to take one at a time (a
-        client, or a server whose answers publish at once, in mmio mode).
+        and hands the entries to take_run, or in mmio mode, where an end's
+        publishes land at once, to take one at a time.
         One _pickup per entry stays where the NIC holds arrivals for this
         ring: each release there DMA-writes the next one, whose delivery is
         scheduled between two takes."""
@@ -227,9 +232,8 @@ class _ConnHost:
             for _ in it:
                 pickup()
             return
-        take_run = self._take_run
-        if take_run is not None and self.nic.config.tx_mode != ic.MODE_MMIO:
-            take_run(self, it, blocks, n)
+        if self.nic.config.tx_mode != ic.MODE_MMIO:
+            self._take_run(self, it, blocks, n)
             return
         take = self._take
         i = 0
@@ -273,13 +277,19 @@ class ClientEndpoint:
     def __init__(self, engine, nic, conn_id: int, rings: RingPair, threading_model: str):
         self.engine = engine
         self.connection_id = conn_id
-        self.conn = _ConnHost(engine, nic, conn_id, rings, self._take)
+        self.conn = _ConnHost(engine, nic, conn_id, rings, self._take, self._take_run)
         self.record = ConnectionRecord(conn_id)
         self.threading_model = threading_model
         self.cq = CompletionQueue() if threading_model == "async" else None
         self.pending: dict[int, float] = {}  # rpc_id -> issue timestamp
         self.abandoned: set[int] = set()  # timed-out rpc ids whose response is still due
-        self.on_complete = None  # harness hook: (rpc, issue, complete, payload, kind)
+        # harness hook, once per completion: (rpc, issue, complete, payload,
+        # kind). It may issue calls on this endpoint (start_call) and does
+        # nothing else that schedules: it schedules no engine event and calls
+        # no other endpoint, since the calls issued over a pickup run publish
+        # after the run's completions (_take_run).
+        self.on_complete = None
+        self._issued_run = None  # while _take_run runs: the blocks start_call packs
         self.issued = 0
         self.completed = 0
         self.abandoned_total = 0  # calls ever abandoned, late response dropped or not
@@ -297,10 +307,12 @@ class ClientEndpoint:
         rpc_id = self.record.take_rpc_id()
         self.issued += 1
         self.pending[rpc_id] = self.engine.now if issue_ts is None else issue_ts
-        self.conn._submit(
-            pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload),
-            rpc_id,
-        )
+        block = pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload)
+        issued_run = self._issued_run
+        if issued_run is None:
+            self.conn._submit(block, rpc_id)
+        else:
+            issued_run.append(block)  # submitted at the pickup run's end
         return rpc_id
 
     def poll_completions(self):
@@ -323,6 +335,41 @@ class ClientEndpoint:
             self.cq.cq_push((rpc_id, payload, kind))
         if self.on_complete is not None:
             self.on_complete(rpc_id, issue_ts, self.engine.now, payload, kind)
+
+    def _take_run(self, host: _ConnHost, it, blocks: list, n: int) -> None:
+        """_take for each of the n blocks of a pickup run on host, in order,
+        with the calls its completions issue (start_call) submitted together
+        at the end (_ConnHost._submit_run). That is the copy run their own
+        submits would have built, since the completion hook schedules nothing
+        else (on_complete). When an entry raises, the calls issued before it
+        are still submitted."""
+        pending, cq = self.pending, self.cq
+        now = self.engine.now
+        self._issued_run = issued = []
+        i = 0
+        try:
+            for _ in it:
+                kind, conn, rpc_id, fn, payload = unpack_entry(blocks[i])
+                i += 1
+                issue_ts = pending.pop(rpc_id, None)  # issue times are never None
+                if issue_ts is None:
+                    self._take(kind, conn, rpc_id, fn, payload)  # dropped late, or unknown
+                    continue
+                self.completed += 1
+                if cq is not None:
+                    cq.cq_push((rpc_id, payload, kind))
+                on_complete = self.on_complete  # read per completion: a call may replace it
+                if on_complete is not None:
+                    on_complete(rpc_id, issue_ts, now, payload, kind)
+        except BaseException:
+            host._release_raised_run(it, n, i)
+            raise
+        else:
+            host.rx.rx_release_run(n)
+        finally:
+            self._issued_run = None
+            if issued:
+                host._submit_run(issued)
 
     def abandon(self, rpc_id: int) -> None:
         """Give up waiting for a call; its response is discarded on arrival."""
@@ -452,6 +499,7 @@ def call_sync(client: ClientEndpoint, function_id: int, payload: bytes,
     """Blocking call: runs the engine until the response arrives.
 
     Returns the response payload; raises RpcCallError on an error response.
+    The endpoint's on_complete hook is back in place however the call ends.
     limit_ns is virtual time from now. On timeout the call is abandoned
     (ContractViolation): the endpoint is free for the next call and the
     late response, when it arrives, is discarded.
@@ -468,10 +516,12 @@ def call_sync(client: ClientEndpoint, function_id: int, payload: bytes,
             prev_hook(rpc, issue, complete, payload, kind)
 
     client.on_complete = hook
-    rpc_id = client.start_call(function_id, payload)
-    deadline = client.engine.now + limit_ns
-    finished = client.engine.run_while(lambda: "value" not in result, deadline)
-    client.on_complete = prev_hook
+    try:
+        rpc_id = client.start_call(function_id, payload)
+        deadline = client.engine.now + limit_ns
+        finished = client.engine.run_while(lambda: "value" not in result, deadline)
+    finally:
+        client.on_complete = prev_hook
     if not finished:
         client.abandon(rpc_id)
         raise ContractViolation(f"sync call did not complete within {limit_ns} ns")

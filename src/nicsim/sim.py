@@ -27,7 +27,7 @@ from . import protocol
 from .engine import Engine
 from .errors import ConfigInvalid, ContractViolation, DrainTimeout
 from .interconnect import BusArbiter, CostParams
-from .nic import Nic, NicConfig, Wire
+from .nic import HYSTERESIS, Nic, NicConfig, Wire
 
 METRICS_CSV_HEADER = "load_mrps,achieved_mrps,median_us,p99_us,saturated"
 SATURATION_EPSILON = 0.01
@@ -145,9 +145,79 @@ class Scenario:
                 cfg.validate(self.ring_depth)
             except ConfigInvalid as exc:
                 errors.extend(f"nics[{nic_id}]: {e}" for e in exc.errors)
+        if not errors and lg.mode == "closed_loop":
+            errors.extend(self._stalled_loop_errors())
         if errors:
             raise ConfigInvalid(errors)
         return self
+
+    def _stalled_loop_errors(self) -> list[str]:
+        """One error per NIC that can never forward an entry of some
+        connection of this closed loop, which then never completes a call.
+
+        Outside mmio mode a NIC fetches a connection's entries when
+        effective_B of them are dirty, or any number inside a settle window
+        (Nic._trigger_batch), and a connection has at most window entries
+        dirty on each of its ends. Settle windows and changes of effective_B
+        come only from the controllers at the rate ticks, every
+        rate_window_us from the start. While a NIC forwards nothing, no call
+        through it completes and none is issued again, so its publishes in
+        any rate window number at most window x its connection ends, which
+        bounds its measured rate (Nic._controller_tick). Two cases never
+        forward:
+        - no controller can change anything: batches wait for batch_B >
+          window entries forever;
+        - a NIC serving only, whose every batch size is above the window,
+          whose only transition is the drop to low_B at its first tick: its
+          one settle window ends before the first answer can be published
+          on it. That answer's request left a client NIC that fetched no
+          earlier than its own first tick (or at once, if it can fill a
+          batch from the start), and then took one fetch of one entry, the
+          traversals, the wire, the DMA write, the pickup copy and the
+          answer's copy (the cost model's lower bound)."""
+        w, params = self.loadgen.window, self.cost_params
+        ends = {}
+        for c, s in self.connections:
+            ends[c] = ends.get(c, 0) + 1
+            ends[s] = ends.get(s, 0) + 1
+        sent = {}  # client NIC -> the earliest a request can go on the wire
+        for c, _ in self.connections:
+            cfg = self.nic_configs[c]
+            fixed, per_entry = ic.tx_occupancy_terms(params, cfg.tx_mode)
+            fetched = (0.0 if cfg.tx_mode == ic.MODE_MMIO or w >= cfg.batch_B
+                       else cfg.rate_window_us * 1000.0)
+            sent[c] = fetched + fixed + per_entry + ic.tx_extra_latency_ns(params, cfg.tx_mode)
+        up = 1 + HYSTERESIS
+        errors = []
+        for nic_id, n_ends in ends.items():
+            cfg = self.nic_configs[nic_id]
+            if cfg.tx_mode == ic.MODE_MMIO or w >= cfg.batch_B:
+                continue
+            ab = cfg.adaptive_batching
+            peak_rate = w * n_ends / (cfg.rate_window_us * 1e-6)
+            if cfg.tx_mode == ic.MODE_COHERENT and peak_rate > cfg.poll_threshold_rps * up:
+                continue  # the poll-mode controller may switch, which flushes
+            if not ab.enabled or (ab.low_B == cfg.batch_B and (
+                    ab.high_B == ab.low_B or not peak_rate > ab.switch_rate_rps * up)):
+                errors.append(
+                    f"nics[{nic_id}]: a {cfg.tx_mode} batch waits for batch_B {cfg.batch_B} "
+                    f"entries and no controller ever flushes a partial one, so a closed "
+                    f"loop needs loadgen.window >= {cfg.batch_B}, got {w}")
+                continue
+            smallest = min(cfg.batch_B, ab.low_B, ab.high_B)
+            if (w >= smallest or nic_id in sent
+                    or not peak_rate < ab.switch_rate_rps * (1 - HYSTERESIS)):
+                continue
+            window_ns = cfg.rate_window_us * 1000.0
+            first_answer = (min(sent[c] for c, s in self.connections if s == nic_id)
+                            + params.t_wire + params.t_dma_write + 2 * params.t_memcpy)
+            if not first_answer < 2 * window_ns:
+                errors.append(
+                    f"nics[{nic_id}]: batches never hold fewer than {smallest} entries, and "
+                    f"the one partial flush (until {2 * window_ns:g} ns) ends before an answer "
+                    f"can reach the TX ring (at {first_answer:g} ns at the earliest), so a "
+                    f"closed loop needs loadgen.window >= {smallest}, got {w}")
+        return errors
 
     @classmethod
     def from_dict(cls, data: dict, cost_params: CostParams | None = None) -> "Scenario":

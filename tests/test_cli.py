@@ -237,6 +237,20 @@ def test_sync_client_with_a_saturation_window_exits_1_before_running(tmp_path):
     assert proc.stdout == ""
 
 
+def test_a_closed_loop_below_the_batch_size_exits_1_before_running():
+    # each doorbell row waits for a full batch, so a window of 2 completed
+    # no call in the B=3 row and printed 0.0000 Mrps
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", "bars",
+                           "--override", "loadgen.window=2", "--override", "duration_us=300",
+                           "--override", "warmup_us=30"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "nics[0]: a doorbell batch waits for batch_B 3 entries and no controller ever " \
+           "flushes a partial one, so a closed loop needs loadgen.window >= 3, got 2" in proc.stderr
+    assert proc.stdout == ""
+
+
 NON_FINITE = {
     "sweep_loads_nan": (["sweep", "--modes", "coherent:B1", "--loads", "nan"],
                         "loadgen.rate_mrps must be a number, got nan"),

@@ -1,5 +1,6 @@
 """Recorded outcomes of scripts/diffcheck.py scenarios that guard an
-ordering argument of the engine.
+ordering argument of the engine, and a check of Scenario.validate's closed
+loop refusal over diffcheck's draws.
 
 Each digest was recorded with diffcheck's own ``outcome`` (samples, metrics,
 controller logs, engine_events, completions and the ordered trace) from the
@@ -9,7 +10,10 @@ another checkout.
 """
 
 import importlib.util
+import random
 from pathlib import Path
+
+import pytest
 
 import nicsim.sim as sim
 
@@ -95,3 +99,71 @@ SETTLE_WINDOW_OUTCOME = {
 
 def test_publish_run_fetches_a_settle_window_batch_at_its_first_publish():
     assert _diffcheck().outcome(sim, SETTLE_WINDOW) == SETTLE_WINDOW_OUTCOME
+
+
+# Closed-loop doorbell pickup runs that meet a nearly full client TX ring: the
+# client NIC fetches only whole rings (batch_B 8 at ring_depth 8) while the
+# server answers in batches of 3, and the window of 16 keeps calls waiting
+# for TX slots. Most client pickup runs get fewer TX slots than the calls
+# their completions issue (TxRing.tx_acquire_run), and the rest wait in the
+# connection's blocked queue behind the calls already there.
+SHORT_ACQUIRE = {
+    "scenario": {
+        "nics": [{"id": 0, "config": {"tx_mode": "doorbell", "batch_B": 8}},
+                 {"id": 1, "config": {"tx_mode": "doorbell", "batch_B": 3}}],
+        "connections": [{"client_nic": 0, "server_nic": 1}],
+        "loadgen": {"mode": "closed_loop", "window": 16},
+        "duration_us": 150.0,
+        "warmup_us": 15.0,
+        "seed": 3,
+        "ring_depth": 8,
+    },
+    "cost": {},
+}
+SHORT_ACQUIRE_OUTCOME = {
+    "metrics": "RunMetrics(offered_mrps=2.1333333333333333, achieved_mrps=2.1333333333333333, "
+               "median_us=6.044332943802773, p99_us=10.434573799741148, saturated=False, "
+               "n_samples=272)",
+    "samples": "29dda4f0b1c9865a143eca39026a72fb94c11af586398646b4d18070f0418695",
+    "controller_logs": "[(0, []), (1, [])]",
+    "engine_events": 2726,
+    "total_completed": 312,
+    "trace": "19ba336e3f747756e7e4039802f007cbfc1e69b96bcb2cf801c408650c935cdf",
+}
+
+
+def test_client_pickup_runs_on_a_nearly_full_tx_ring_keep_their_order():
+    assert _diffcheck().outcome(sim, SHORT_ACQUIRE) == SHORT_ACQUIRE_OUTCOME
+
+
+def _window_below_a_batch(spec):
+    """A closed loop whose window is below some NIC's batch_B outside mmio
+    mode: the draws whose batches may never fill."""
+    sc = spec["scenario"]
+    window = sc["loadgen"].get("window")
+    return sc["loadgen"]["mode"] == "closed_loop" and any(
+        nic["config"]["tx_mode"] != "mmio" and window < nic["config"]["batch_B"]
+        for nic in sc["nics"])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_closed_loop_is_refused_exactly_when_it_never_completes_a_call(seed, monkeypatch):
+    """Both directions over diffcheck's raw draws (before its redraw): every
+    refused draw, run with the refusal switched off, completes no call, and
+    every accepted one completes at least one. The other draws fill their
+    batches."""
+    diffcheck = _diffcheck()
+    rng = random.Random(seed)
+    checked = refused = 0
+    for i in range(diffcheck.DEFAULT_COUNT):
+        spec = diffcheck.draw(rng)
+        if not _window_below_a_batch(spec):
+            continue
+        stalls = not diffcheck.accepted(spec)
+        with monkeypatch.context() as m:
+            m.setattr(sim.Scenario, "_stalled_loop_errors", lambda self: [])
+            completed = sim.run(diffcheck.build(sim, spec)).total_completed
+        assert (completed == 0) == stalls, f"seed {seed} draw {i}: {completed} completed"
+        checked += 1
+        refused += stalls
+    assert (checked, refused) == {0: (29, 14), 1: (47, 34), 2: (32, 29), 3: (36, 28)}[seed]

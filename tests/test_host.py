@@ -17,7 +17,7 @@ from nicsim.errors import (
 from nicsim.host import ECHO_FN, ServerEndpoint, call_sync, connect, echo_handler
 from nicsim.interconnect import BusArbiter, CostParams
 from nicsim.nic import Nic, NicConfig, Wire
-from nicsim.sim import LoadGenSpec, Scenario, _Harness, default_scenario, run
+from nicsim.sim import LoadGenSpec, Scenario, _Harness, default_scenario, make_payload, run
 
 P = CostParams()
 
@@ -347,6 +347,97 @@ def test_a_server_pickup_run_whose_handler_raises_stops_where_per_entry_pickups_
     assert raised[5] == bad_at + 1  # served counts the request whose handler raised
     assert raised[3]["flags"][bad_at] == 0  # released before its handler ran
     assert done[6] == 3 and done[7] == [bad_at]
+
+
+def _closed_loop_client_run(bad, bad_at, as_run):
+    """A closed-loop doorbell client (the harness's completion hook) with
+    rpcs 0-3 pending and six later calls in its TX ring of 8, which the NIC
+    (batch_B 8) leaves there. Four responses, the one at bad_at replaced by
+    bad (None: none), are picked up as one run or by one _pickup each; the
+    calls their completions issue find two free TX slots. Returns the state
+    when the pickups have run or one has raised."""
+    scenario = default_scenario(tx_mode="doorbell", batch=8, ring_depth=8,
+                                loadgen=LoadGenSpec(mode="closed_loop", window=8),
+                                duration_us=100.0, warmup_us=10.0)
+    harness = _Harness(scenario, collect_trace=False)
+    engine, client = harness.engine, harness.clients[0]
+    host, conn = client.conn, client.connection_id
+    client.pending = {rpc: 0.0 for rpc in range(4)}
+    client.issued = client.record.next_rpc_id = 4
+    for _ in range(6):
+        client.start_call(ECHO_FN, make_payload(conn, client.record.next_rpc_id))
+    for rpc in range(4):
+        block = protocol.pack_entry(protocol.KIND_RESPONSE, conn, rpc, ECHO_FN,
+                                    make_payload(conn, rpc))
+        assert host.rx.rx_deliver(bad if rpc == bad_at else block)
+    ts = 1000.0
+    if as_run:
+        engine.schedule_batch(ts, host._pickups_event, host._pickup_runs, range(4))
+    else:
+        for _ in range(4):
+            engine.schedule(ts, host._pickup)
+    if bad is None:
+        engine.run_until(ts)
+    else:
+        with pytest.raises(ContractViolation):
+            engine.run_until(ts)
+        # the untaken entries of a run wait at the head of its run queue
+        assert [list(run) for run in host._pickup_runs] == (
+            [list(range(bad_at + 1, 4))] if as_run and bad_at < 3 else [])
+    return (host.tx.snapshot(), host.rx.snapshot(), [list(run) for run in host._copies],
+            sorted(client.pending), client.issued, client.completed, list(host._blocked),
+            engine.events_processed)
+
+
+CLIENT_RUN_BAD = {
+    "corrupted_echo": lambda at: protocol.pack_entry(protocol.KIND_RESPONSE, 0, at, ECHO_FN,
+                                                     b"not the echo"),
+    "unknown_rpc": lambda at: protocol.pack_entry(protocol.KIND_RESPONSE, 0, 50, ECHO_FN,
+                                                  make_payload(0, 50)),
+}
+
+
+def test_a_closed_loop_client_run_issues_its_calls_as_per_entry_pickups_do():
+    run = _closed_loop_client_run(None, None, as_run=True)
+    assert run == _closed_loop_client_run(None, None, as_run=False)
+    tx, rx, copies, pending, issued, completed, blocked, events = run
+    assert pending == list(range(4, 14)) and (issued, completed) == (14, 4)
+    # two of the four new calls got the last free slots, one copy run
+    assert copies == [[(6, copies[0][0][1]), (7, copies[0][1][1])]]
+    assert [rpc for _, rpc in blocked] == [12, 13]
+
+
+@pytest.mark.parametrize("bad_at", [0, 1, 3])
+@pytest.mark.parametrize("case", sorted(CLIENT_RUN_BAD))
+def test_a_closed_loop_client_run_that_raises_stops_where_per_entry_pickups_do(case, bad_at):
+    bad = CLIENT_RUN_BAD[case](bad_at)
+    run = _closed_loop_client_run(bad, bad_at, as_run=True)
+    assert run == _closed_loop_client_run(bad, bad_at, as_run=False)
+    tx, rx, copies, pending, issued, completed, blocked, events = run
+    # the calls issued before the raise are submitted: two slots, then blocked
+    assert issued == 10 + bad_at
+    assert [len(run) for run in copies] == ([min(bad_at, 2)] if bad_at else [])
+    assert len(blocked) == max(bad_at - 2, 0)
+    assert completed == bad_at + (case == "corrupted_echo")
+    assert events == 6 + bad_at + 1  # the six copies, then the pickups up to the bad one
+
+
+@pytest.mark.parametrize("case", ["payload_too_large", "failed_check"])
+def test_call_sync_puts_the_completion_hook_back_when_the_call_raises(case):
+    harness = _Harness(default_scenario(threading_model="sync"), collect_trace=False)
+    client = harness.clients[0]
+    conn, hook = client.connection_id, client.on_complete
+    if case == "payload_too_large":
+        with pytest.raises(PayloadTooLarge):
+            call_sync(client, ECHO_FN, b"x" * 1000)
+    else:
+        # the harness hook checks the echo of make_payload, so any other one fails
+        with pytest.raises(ContractViolation, match="corrupted echo"):
+            call_sync(client, ECHO_FN, b"x")
+    assert client.on_complete is hook
+    payload = make_payload(conn, client.record.next_rpc_id)
+    assert call_sync(client, ECHO_FN, payload) == payload
+    assert client.on_complete is hook and len(harness.samples) == 1
 
 
 def _published_with_a_refused_entry(bad_at, as_run):

@@ -44,8 +44,9 @@ HOT = {
     "host": [
         "_ConnHost._submit", "_ConnHost._submit_run", "_ConnHost._publish",
         "_ConnHost._copied", "_ConnHost.on_tx_free", "_ConnHost.on_rx_visible",
-        "_ConnHost._pickups", "_ConnHost._pickup", "ServerEndpoint._take",
-        "ServerEndpoint._answer", "ServerEndpoint._answer_run",
+        "_ConnHost._pickups", "_ConnHost._pickup", "ClientEndpoint.start_call",
+        "ClientEndpoint._take_run", "ServerEndpoint._take", "ServerEndpoint._answer",
+        "ServerEndpoint._answer_run",
     ],
 }
 

@@ -323,6 +323,26 @@ def test_duration_limit_is_inclusive():
     assert exc.value.errors == [f"duration_us must be <= {MAX_DURATION_US}, got 150000"]
 
 
+@pytest.mark.parametrize("tx_mode", ["doorbell", "coherent"])
+def test_a_closed_loop_below_the_batch_size_is_refused(tx_mode):
+    closed = LoadGenSpec(mode="closed_loop", window=4)
+    with pytest.raises(ConfigInvalid) as exc:
+        default_scenario(tx_mode=tx_mode, batch=8, loadgen=closed)
+    assert exc.value.errors == [
+        f"nics[{i}]: a {tx_mode} batch waits for batch_B 8 entries and no controller ever "
+        f"flushes a partial one, so a closed loop needs loadgen.window >= 8, got 4"
+        for i in (0, 1)]
+    # a full batch, adaptive batching's drop to low_B at the first rate window
+    # (its settle window flushes a partial batch) and an open loop all run
+    for s in (default_scenario(tx_mode=tx_mode, batch=4, loadgen=closed, duration_us=300,
+                               warmup_us=30),
+              default_scenario(tx_mode=tx_mode, batch=8, loadgen=closed, adaptive=True,
+                               duration_us=300, warmup_us=30),
+              default_scenario(tx_mode=tx_mode, batch=8, duration_us=300, warmup_us=30,
+                               loadgen=LoadGenSpec(mode="open_loop", rate_mrps=4.0, window=4))):
+        assert run(s).total_completed > 0
+
+
 def test_sync_client_closed_loop_needs_window_1():
     # a sync endpoint refuses a second call in flight, so a wider closed loop
     # used to die in the harness after every ring was allocated
