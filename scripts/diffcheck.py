@@ -8,7 +8,7 @@ compares the latency samples, the reduced metrics, the controller logs,
 ``engine_events``, the completion count and the ordered transaction trace
 (every field of every record), or the error a run ended in.
 
-    python3 scripts/diffcheck.py ../parent/src                 # 240 scenarios, seed 0
+    python3 scripts/diffcheck.py ../parent/src                 # 300 scenarios, seed 0
     python3 scripts/diffcheck.py ../parent/src --count 50 --seed 7
     python3 scripts/diffcheck.py ../parent/src --seed 0 --seed 1 --seed 2 --seed 3
 
@@ -18,6 +18,10 @@ sync endpoints, adaptive batching, a second server NIC, t_wire/t_memcpy
 overrides (some on round values, which line events up on equal timestamps),
 slow DMA writes (which fill RX rings) and DMA writes as long as the publish
 copy (which put RX-backlog deliveries on the timestamps of publishes).
+After the ``--count`` scenarios (240) come a quarter as many (60) in which
+each NIC has its own tx_mode and batch_B (``draw_mixed``), such as an mmio
+client answered in batches by a doorbell server. They come from an rng of
+their own, so the first ``--count`` scenarios of a seed stay as they were.
 A draw that this checkout's ``Scenario.validate`` refuses (a closed loop
 that can never complete a call) is drawn again, so every scenario runs;
 this checkout makes the scenario set and hands both workers the same one.
@@ -43,14 +47,15 @@ ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_COUNT = 240
 
 
-def random_scenario(rng: random.Random) -> dict:
+def random_scenario(rng: random.Random, draw_fn=None) -> dict:
     """One scenario in ``Scenario.from_dict`` form plus cost overrides, that
-    this checkout's ``Scenario.validate`` accepts. A refused draw is drawn
-    again from an rng seeded by that draw, so the draws after it stay as
-    they are."""
-    spec = draw(rng)
+    this checkout's ``Scenario.validate`` accepts, drawn by draw_fn (draw by
+    default). A refused draw is drawn again from an rng seeded by that draw,
+    so the draws after it stay as they are."""
+    draw_fn = draw_fn or draw
+    spec = draw_fn(rng)
     while not accepted(spec):
-        spec = draw(random.Random(json.dumps(spec, sort_keys=True)))
+        spec = draw_fn(random.Random(json.dumps(spec, sort_keys=True)))
     return spec
 
 
@@ -126,9 +131,37 @@ def draw(rng: random.Random) -> dict:
     }
 
 
+def draw_mixed(rng: random.Random) -> dict:
+    """draw, then each NIC gets its own tx_mode and batch_B. Half of these
+    draws pair mmio with batching modes: an mmio client whose doorbell or
+    coherent servers answer it in batches, or the reverse, so that an mmio
+    end picks up runs of entries and publishes runs of answers or calls."""
+    spec = draw(rng)
+    sc = spec["scenario"]
+    nics, depth = sc["nics"], sc["ring_depth"]
+    if rng.random() < 0.5:
+        mmio_client = rng.random() < 0.5
+        modes = ["mmio" if (nic["id"] == 0) == mmio_client
+                 else rng.choice(("doorbell", "coherent")) for nic in nics]
+    else:
+        modes = [rng.choice(("mmio", "doorbell", "coherent")) for _ in nics]
+    for nic, mode in zip(nics, modes):
+        nic["config"]["tx_mode"] = mode
+        nic["config"]["batch_B"] = rng.randint(1, min(16, depth))
+    return spec
+
+
+def mixed_rng(seed: int) -> random.Random:
+    """The rng of a seed's mixed-mode draws, apart from its draw rng."""
+    return random.Random(f"mixed {seed}")
+
+
 def scenarios(seed: int, count: int) -> list[dict]:
-    rng = random.Random(seed)
-    return [random_scenario(rng) for _ in range(count)]
+    """count draws, then count // 4 draw_mixed draws from their own rng: the
+    first count stay what they were before the mixed ones existed."""
+    rng, rng_mixed = random.Random(seed), mixed_rng(seed)
+    return ([random_scenario(rng) for _ in range(count)]
+            + [random_scenario(rng_mixed, draw_mixed) for _ in range(count // 4)])
 
 
 # -- worker: runs inside one source tree -------------------------------------------
@@ -217,7 +250,8 @@ def compare(other: Path, seed: int, count: int) -> int | None:
             print(f"  {json.dumps(spec, sort_keys=True)}")
             for k in keys:
                 print(f"  {k}: this tree {a.get(k)!r}, other tree {b.get(k)!r}")
-    print(f"diffcheck: {len(specs)} scenarios (seed {seed}), {differing} differ, "
+    print(f"diffcheck: {len(specs)} scenarios (seed {seed}, {count // 4} of them mixed-mode), "
+          f"{differing} differ, "
           f"{errors} ended in an error on this tree")
     return differing
 
@@ -246,7 +280,7 @@ def main(argv=None) -> int:
             return 2
         total += differing
     print(f"diffcheck: total over seeds {', '.join(map(str, seeds))}: "
-          f"{len(seeds) * args.count} scenarios, {total} differ")
+          f"{len(seeds) * (args.count + args.count // 4)} scenarios, {total} differ")
     return 1 if total else 0
 
 

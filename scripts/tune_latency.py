@@ -10,9 +10,9 @@ were chosen:
   center of its 2.1 us target while the low-rate region of the B=1 curve
   stays within 15% of its high-rate region.
 - t_dma_write / t_memcpy / t_wire: held at their physical-scale defaults
-  (300/100/300 ns); the per-mode traversal counts in
-  interconnect.tx_extra_latency_ns were chosen against the 4 Mrps latency
-  targets with these fixed.
+  (300/100/300 ns); the per-mode traversal counts behind each mode's
+  extra_ns (interconnect.tx_channel) were chosen against the 4 Mrps
+  latency targets with these fixed.
 
 Run it after changing the latency composition to re-pick t_inval:
 

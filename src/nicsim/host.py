@@ -18,35 +18,36 @@ is packed straight from the call's arguments, a pickup unpacks a block
 into locals, and the server packs its response from those same locals
 (protocol.pack_entry/unpack_entry). No decoded entry object is built.
 
-A publish outside mmio mode lands t_memcpy after it starts, when the copy
-into the TX ring ends. Publishes of one end due at one timestamp with
-nothing scheduled between them (a server answering a pickup batch, a client
-re-issuing on each completion of one) join one run of the end's copy queue
-(Engine.schedule_run). A delivery of two or more entries is picked up as
-one run (_pickups), one of one entry by a plain _pickup callback.
+Every TX mode publishes through _ConnHost._submit_run (_submit for one
+entry). In mmio mode the store is the publish; otherwise a publish lands
+t_memcpy later, when the copy into the TX ring ends, and publishes of one
+end due at one timestamp with nothing scheduled between them join one run
+of the end's copy queue (Engine.schedule_run). A delivery of two or more
+entries is picked up as one run (_pickups), one of one entry by a plain
+_pickup callback.
 
 Each stage of a run makes one ring call, and does exactly what one call
 per entry would do back to back:
 
-- _copied publishes a copy run with one TxRing.tx_publish_run and tells the
-  NIC with one Nic.on_tx_publish notice;
+- _copied publishes a copy run or an mmio run with one
+  TxRing.tx_publish_run and tells the NIC with one Nic.on_tx_publish notice;
 - _pickups reads a pickup run with one RxRing.rx_poll_run and frees it with
   one rx_release_run;
 - each end takes a pickup run in one pass and publishes what it issued
-  with one TxRing.tx_acquire_run and one schedule_run join (_submit_run):
+  with one TxRing.tx_acquire_run (_submit_run):
   the server runs its handlers in order and publishes their answers
   (ServerEndpoint._answer_run); the client completes its calls in order,
   and the calls its completion hook issues meanwhile are collected and
   published at the end (ClientEndpoint._take_run). Nothing is scheduled
   between those publishes, so that is the run each would have joined on
-  its own.
+  its own, and in mmio mode no fetch between them adds a trace record;
+- on_tx_free submits the blocked entries the freed slots take as one run.
 
 A run that Engine.run_while steps one entry at a time is a run of one. One
-call per entry stays where the order needs it: for an end in mmio mode,
-whose publish is synchronous, and for a pickup on a connection whose RX
-backlog is non-empty, where each release DMA-writes a backlog entry whose
-delivery is scheduled between two takes. When an entry raises, the entries
-before it are done, it is left as its own call leaves it, and the rest stay
+call per entry stays where the order needs it: a pickup on a connection
+whose RX backlog is non-empty, where each release DMA-writes a backlog
+entry whose delivery is scheduled between two takes. When an entry raises,
+the entries before it are done, it is left as its own call leaves it, and the rest stay
 untaken at the head of the run queue (a pickup run's RX entries delivered
 and unpolled).
 """
@@ -90,8 +91,7 @@ class _ConnHost:
 
     take(kind, conn, rpc, fn, payload) gets each picked-up entry: the client
     endpoint completes a call with it, the server answers it. take_run takes
-    a pickup run instead, outside mmio mode (ClientEndpoint._take_run,
-    ServerEndpoint._answer_run).
+    a pickup run instead (ClientEndpoint._take_run, ServerEndpoint._answer_run).
     on_rx_visible and on_tx_free are the NIC's deliver_cb and tx_free_cb for
     the connection (attach). Both ends are this one class, not a subclass
     each, so that every attribute and call site on the hot path sees one
@@ -106,7 +106,7 @@ class _ConnHost:
         self.tx, self.rx = rings.tx, rings.rx  # the hot path's shortcuts into rings
         self._take = take
         self._take_run = take_run
-        self._blocked = deque()  # (block, rpc) waiting for a free TX slot
+        self._blocked = deque()  # packed entries waiting for a free TX slot
         self._rx_backlog = ()  # the NIC's arrivals held for a free RX slot (attach)
         # run queues (Engine.run_queue): publish copies under way, as runs of
         # (slot, block), and pickup batches
@@ -121,39 +121,30 @@ class _ConnHost:
 
     # -- publish path ---------------------------------------------------------
 
-    def _submit(self, block: bytes, rpc: int) -> None:
-        """Publish a packed entry, or queue it until a TX slot frees up.
-
-        rpc is the entry's rpc id, for trace records.
-        """
+    def _submit(self, block: bytes) -> None:
+        """Publish a packed entry, or queue it until a TX slot frees up."""
+        engine, nic = self.engine, self.nic
+        if nic.config.tx_mode == ic.MODE_MMIO:
+            self._submit_run([block])
+            return
         slot = self.tx.tx_acquire()
         if slot is None:
-            self._blocked.append((block, rpc))
-        else:
-            self._publish(slot, block, rpc)
-
-    def _publish(self, slot: int, block: bytes, rpc: int) -> None:
-        engine, nic = self.engine, self.nic
+            self._blocked.append(block)
+            return
         now = engine.now
         trace = engine.trace
-        if nic.config.tx_mode == ic.MODE_MMIO:
-            # the AVX store into device I/O space is itself the publication
-            if trace is not None:
-                trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_MMIO_STORE, 1,
-                                            self.connection_id, rpc, critical=True))
-            self.tx.tx_publish(slot, block)
-            nic.on_tx_publish(self.connection_id)
-        else:
-            if trace is not None:
-                trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
-                                            self.connection_id, rpc, critical=True))
-            engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, self._copies,
-                                (slot, block))
+        if trace is not None:
+            trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
+                                        self.connection_id, rpc_id_of(block)[0], critical=True))
+        engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, self._copies,
+                            (slot, block))
 
     def _submit_run(self, blocks: list) -> None:
-        """_submit each packed entry of blocks, in order, outside mmio mode,
-        with one acquire and one schedule_run: the entries after the first
-        join the run it joins, as their own schedule_run calls would, since
+        """_submit each packed entry of blocks, in order, with one acquire.
+        In mmio mode the AVX store into device I/O space is itself the
+        publication: the entries publish at once (_copied). Otherwise their
+        copies start with one schedule_run: the entries after the first join
+        the run it joins, as their own schedule_run calls would, since
         nothing is scheduled between them. Entries past the last free slot
         wait for one, as _submit's do."""
         slots = self.tx.tx_acquire_run(len(blocks))
@@ -162,26 +153,28 @@ class _ConnHost:
             engine, nic = self.engine, self.nic
             now = engine.now
             trace = engine.trace
+            mmio = nic.config.tx_mode == ic.MODE_MMIO
             if trace is not None:
                 issuer = f"host{nic.nic_id}"
+                kind = ic.KIND_MMIO_STORE if mmio else ic.KIND_HOST_MEMCPY
                 for block in blocks[:k]:
-                    trace.append(ic.Transaction(now, issuer, ic.KIND_HOST_MEMCPY, 1,
-                                                self.connection_id, rpc_id_of(block)[0],
-                                                critical=True))
-            items = zip(slots, blocks)
-            copies = self._copies
-            engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, copies,
-                                next(items))
-            copies[-1].extend(items)
+                    trace.append(ic.Transaction(now, issuer, kind, 1, self.connection_id,
+                                                rpc_id_of(block)[0], critical=True))
+            if mmio:  # a list iterator, whose length _taken reads if a publish raises
+                self._copied(iter(list(zip(slots, blocks))), k)
+            else:
+                items = zip(slots, blocks)
+                copies = self._copies
+                engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, copies,
+                                    next(items))
+                copies[-1].extend(items)
         if k < len(blocks):
-            blocked = self._blocked
-            for block in blocks[k:]:
-                blocked.append((block, rpc_id_of(block)[0]))
+            self._blocked.extend(blocks[k:])
 
     def _copied(self, it, n: int) -> None:
-        """The publish copy of a run of n entries ended: publish them in
-        order with one ring call and tell the NIC with one notice, as a
-        publish and a notice per entry would."""
+        """The publish copy (or mmio store) of a run of n entries ended:
+        publish them in order with one ring call and tell the NIC with one
+        notice, as a publish and a notice per entry would."""
         nic, conn = self.nic, self.connection_id
         try:
             self.tx.tx_publish_run(it)
@@ -193,13 +186,17 @@ class _ConnHost:
         nic.on_tx_publish(conn, n)
 
     def on_tx_free(self, conn_id: int, ts: float) -> None:
+        """Submit the oldest blocked entries that the free TX slots take, as
+        one run."""
         blocked = self._blocked
-        while blocked:
-            slot = self.tx.tx_acquire()
-            if slot is None:
-                return
-            block, rpc = blocked.popleft()
-            self._publish(slot, block, rpc)
+        if blocked:
+            free = self.tx.free_slots()
+            run = []
+            while blocked and free:
+                run.append(blocked.popleft())
+                free -= 1
+            if run:
+                self._submit_run(run)
 
     # -- pickup path ----------------------------------------------------------
 
@@ -219,33 +216,18 @@ class _ConnHost:
 
     def _pickups(self, it, n: int) -> None:
         """Pick up a delivery of n entries, in order, as one _pickup each
-        would. The run reads the RX ring and releases it with one call each
-        and hands the entries to take_run, or in mmio mode, where an end's
-        publishes land at once, to take one at a time.
+        would. The run reads the RX ring with one call and hands the
+        entries to take_run, which releases them with one call.
         One _pickup per entry stays where the NIC holds arrivals for this
         ring: each release there DMA-writes the next one, whose delivery is
         scheduled between two takes."""
-        rx = self.rx
-        blocks = None if self._rx_backlog else rx.rx_poll_run(n)
+        blocks = None if self._rx_backlog else self.rx.rx_poll_run(n)
         if blocks is None or len(blocks) < n:  # fewer: _pickup raises where they end
             pickup = self._pickup
             for _ in it:
                 pickup()
             return
-        if self.nic.config.tx_mode != ic.MODE_MMIO:
-            self._take_run(self, it, blocks, n)
-            return
-        take = self._take
-        i = 0
-        try:
-            for _ in it:
-                kind, conn, rpc, fn, payload = unpack_entry(blocks[i])
-                i += 1
-                take(kind, conn, rpc, fn, payload)
-        except BaseException:
-            self._release_raised_run(it, n, i)
-            raise
-        rx.rx_release_run(n)
+        self._take_run(self, it, blocks, n)
 
     def _release_raised_run(self, it, n: int, unpacked: int) -> None:
         """A pickup run of n raised: leave the RX ring as _pickup per entry
@@ -310,7 +292,7 @@ class ClientEndpoint:
         block = pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload)
         issued_run = self._issued_run
         if issued_run is None:
-            self.conn._submit(block, rpc_id)
+            self.conn._submit(block)
         else:
             issued_run.append(block)  # submitted at the pickup run's end
         return rpc_id
@@ -416,7 +398,7 @@ class ServerEndpoint:
         """Answer a picked-up request on its connection."""
         self.served += 1
         block = self._answer(conn, rpc, fn, payload)
-        self.conns[conn]._submit(block, rpc)
+        self.conns[conn]._submit(block)
 
     def _answer(self, conn: int, rpc: int, fn: int, payload: bytes) -> bytes:
         """The packed answer to a request: the handler's response, or an
@@ -449,7 +431,7 @@ class ServerEndpoint:
                     if answers:
                         host._submit_run(answers)
                         answers = []
-                    self.conns[conn]._submit(block, rpc)
+                    self.conns[conn]._submit(block)
         except BaseException:
             self.served += i
             host._release_raised_run(it, n, i)

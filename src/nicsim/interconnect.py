@@ -1,7 +1,8 @@
 """Transaction-level cost model of the host<->NIC channel.
 
-Per-fetch costs of the three TX modes (mmio, doorbell, coherent), which
-the NIC's TX path in nic.py charges: every fetch batch occupies its
+Per-fetch costs of the three TX modes (mmio, doorbell, coherent), one
+TxChannel record per mode (tx_channel), which the NIC's TX path in nic.py
+charges and Scenario.validate reads: every fetch batch occupies its
 connection's channel for its occupancy time (which fixes throughput) and
 reaches the peer after its transfer latency (which fixes the latency
 contribution). Closed forms for steady-state single-core throughput:
@@ -181,54 +182,50 @@ class Transaction:
 TRACE_CSV_HEADER = "ts_ns,issuer,kind,count"
 
 
-# -- closed-form throughput ------------------------------------------------
+# -- the TX channel of each mode --------------------------------------------
+
+
+@dataclass(frozen=True)
+class TxChannel:
+    """What one fetch of k entries costs on a TX mode's channel.
+
+    It occupies the channel for fixed_ns + k * entry_ns (serialization
+    time), asks the bus arbiter for k + fixed_units 64B transactions, and
+    reaches the peer extra_ns after the occupancy ends (the traversals that
+    pipelining hides from the throughput path).
+    """
+
+    fixed_ns: float
+    entry_ns: float
+    fixed_units: int
+    extra_ns: float
+
+    def rate(self, batch: int = 1) -> float:
+        """Steady-state single-core throughput in requests/s at batch
+        entries per fetch. With no per-fetch term batching gains nothing,
+        and the rate is 1e9 / entry_ns at any batch."""
+        if not self.fixed_ns:
+            return 1e9 / self.entry_ns
+        return batch * 1e9 / (self.fixed_ns + batch * self.entry_ns)
+
+
+def tx_channel(params: CostParams, mode: str) -> TxChannel:
+    """The fetch costs of a TX mode, the one place they are defined: the
+    closed forms and traversal counts of the module docstring, and a
+    doorbell fetch's extra bus unit, its doorbell ring."""
+    if mode == MODE_MMIO:
+        return TxChannel(0.0, params.t_mmio, 0, MMIO_TRAVERSALS * params.t_dma_write)
+    if mode == MODE_DOORBELL:
+        return TxChannel(params.t_doorbell, params.t_entry, 1,
+                         DOORBELL_TRAVERSALS * params.t_dma_write)
+    if mode == MODE_COHERENT:
+        return TxChannel(params.t_poll, params.t_cl, 0, 0.0)
+    raise ValueError(f"unknown tx mode {mode!r}")
 
 
 def closed_form_rate(params: CostParams, mode: str, batch: int = 1) -> float:
     """Steady-state single-core throughput in requests/s."""
-    if mode == MODE_MMIO:
-        return 1e9 / params.t_mmio
-    if mode == MODE_DOORBELL:
-        return batch * 1e9 / (params.t_doorbell + batch * params.t_entry)
-    if mode == MODE_COHERENT:
-        return batch * 1e9 / (params.t_poll + batch * params.t_cl)
-    raise ValueError(f"unknown tx mode {mode!r}")
-
-
-def tx_occupancy_terms(params: CostParams, mode: str) -> tuple[float, float]:
-    """(fixed, per_entry): one fetch of k entries occupies the channel for
-    fixed + k * per_entry ns (serialization time). mmio's fixed term is 0.0,
-    and 0.0 + x is exactly x."""
-    if mode == MODE_MMIO:
-        return 0.0, params.t_mmio
-    if mode == MODE_DOORBELL:
-        return params.t_doorbell, params.t_entry
-    if mode == MODE_COHERENT:
-        return params.t_poll, params.t_cl
-    raise ValueError(f"unknown tx mode {mode!r}")
-
-
-def tx_extra_latency_ns(params: CostParams, mode: str) -> float:
-    """Pipelined traversal latency on top of the occupancy."""
-    if mode == MODE_MMIO:
-        return MMIO_TRAVERSALS * params.t_dma_write
-    if mode == MODE_DOORBELL:
-        return DOORBELL_TRAVERSALS * params.t_dma_write
-    return 0.0
-
-
-def tx_batch_transactions(mode: str, k: int):
-    """(kind, count) pairs one fetch emits; count is also the bus budget."""
-    if mode == MODE_MMIO:
-        return [(KIND_MMIO_STORE, k)]
-    if mode == MODE_DOORBELL:
-        return [(KIND_DOORBELL, 1), (KIND_DMA_READ, k)]
-    return [(KIND_POLL_HIT, k)]
-
-
-def tx_batch_units(mode: str, k: int) -> int:
-    """Bus budget of one fetch: the sum of tx_batch_transactions' counts."""
-    return k + 1 if mode == MODE_DOORBELL else k
+    return tx_channel(params, mode).rate(batch)
 
 
 def bandwidth_headroom_ratio(rate_rps: float, peak_gbytes_per_s: float) -> float:

@@ -33,7 +33,8 @@ rx_arrival_batch DMA-writes it with one ring call (RxRing.rx_deliver_run)
 and hands the written entries to the host as one delivery, and the host
 picks them up in one callback. Each stage does exactly what its per-entry
 callbacks would do back to back; a fetch of one entry takes the cheaper
-per-entry path. A host run of publishes is one notice (on_tx_publish).
+per-entry path. A host run of publishes (host._ConnHost._submit_run, in
+every TX mode) is one notice (on_tx_publish).
 In coherent mode it schedules one invalidation or poll-discovery event per
 entry, as one on_tx_publish each would; otherwise it starts the fetch that
 the run's first triggering publish would. The trigger only grows with the
@@ -377,12 +378,12 @@ class Nic:
 
     def _set_fetch_costs(self) -> None:
         """The per-fetch costs of the configured tx_mode (interconnect's
-        tx_occupancy_terms, tx_batch_units and tx_extra_latency_ns), fixed
-        until hard_reconfigure changes the mode."""
-        mode = self.config.tx_mode
-        self._occ_fixed_ns, self._occ_entry_ns = ic.tx_occupancy_terms(self.params, mode)
-        self._fixed_units = ic.tx_batch_units(mode, 0)  # bus units beyond one per entry
-        self._tx_extra_ns = ic.tx_extra_latency_ns(self.params, mode)
+        tx_channel record), unpacked for the per-fetch path and fixed until
+        hard_reconfigure changes the mode."""
+        channel = ic.tx_channel(self.params, self.config.tx_mode)
+        self._occ_fixed_ns, self._occ_entry_ns = channel.fixed_ns, channel.entry_ns
+        self._fixed_units = channel.fixed_units  # bus units beyond one per entry
+        self._tx_extra_ns = channel.extra_ns
 
     def on_tx_publish(self, conn_id: int, n: int = 1) -> None:
         """The host published n entries into this connection's TX ring,
@@ -469,11 +470,15 @@ class Nic:
             ep.inval_known -= k
         trace = engine.trace
         if trace is not None:
-            for kind, count in ic.tx_batch_transactions(mode, k):
-                # the CPU store of mmio mode was traced at publish time
-                if kind != ic.KIND_MMIO_STORE:
-                    trace.append(ic.Transaction(now, f"nic{self.nic_id}", kind, count, ep.conn_id,
-                                                critical=(kind != ic.KIND_DOORBELL)))
+            # the CPU stores of mmio mode were traced at publish time
+            issuer, conn = f"nic{self.nic_id}", ep.conn_id
+            if mode == ic.MODE_DOORBELL:
+                trace.append(ic.Transaction(now, issuer, ic.KIND_DOORBELL, 1, conn))
+                trace.append(ic.Transaction(now, issuer, ic.KIND_DMA_READ, k, conn,
+                                            critical=True))
+            elif mode == ic.MODE_COHERENT:
+                trace.append(ic.Transaction(now, issuer, ic.KIND_POLL_HIT, k, conn,
+                                            critical=True))
         granted = self.arbiter.request(self.nic_id, k + self._fixed_units, now)
         occ_end = now + (self._occ_fixed_ns + k * self._occ_entry_ns)
         if granted > occ_end:

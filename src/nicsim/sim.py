@@ -89,13 +89,16 @@ class Scenario:
     seed: int = 1
     ring_depth: int = 64
 
-    def validate(self) -> "Scenario":
+    def validate(self, refused_nics=()) -> "Scenario":
+        """refused_nics: ids of NICs whose config from_dict refused and
+        reported. They count as declared, so no error follows from them."""
         errors = []
+        declared = self.nic_configs.keys() | set(refused_nics)
         if self.ring_depth < 1 or self.ring_depth & (self.ring_depth - 1):
             errors.append("ring_depth must be a power of two")
         elif self.ring_depth > MAX_RING_DEPTH:
             errors.append(f"ring_depth must be <= {MAX_RING_DEPTH}, got {self.ring_depth}")
-        if len(self.nic_configs) < 1:
+        if not declared:
             errors.append("nics: at least one NIC required")
         if not self.connections:
             errors.append("connections: at least one connection required")
@@ -103,9 +106,9 @@ class Scenario:
             errors.append(f"connections: at most {MAX_CONNECTIONS} connections, "
                           f"got {len(self.connections)}")
         for i, (c, s) in enumerate(self.connections):
-            if c not in self.nic_configs:
+            if c not in declared:
                 errors.append(f"connections[{i}]: client nic {c} not defined")
-            if s not in self.nic_configs:
+            if s not in declared:
                 errors.append(f"connections[{i}]: server nic {s} not defined")
             if c == s:
                 errors.append(f"connections[{i}]: client_nic and server_nic must differ")
@@ -145,7 +148,7 @@ class Scenario:
                 cfg.validate(self.ring_depth)
             except ConfigInvalid as exc:
                 errors.extend(f"nics[{nic_id}]: {e}" for e in exc.errors)
-        if not errors and lg.mode == "closed_loop":
+        if not errors and not refused_nics and lg.mode == "closed_loop":
             errors.extend(self._stalled_loop_errors())
         if errors:
             raise ConfigInvalid(errors)
@@ -183,10 +186,10 @@ class Scenario:
         sent = {}  # client NIC -> the earliest a request can go on the wire
         for c, _ in self.connections:
             cfg = self.nic_configs[c]
-            fixed, per_entry = ic.tx_occupancy_terms(params, cfg.tx_mode)
+            channel = ic.tx_channel(params, cfg.tx_mode)
             fetched = (0.0 if cfg.tx_mode == ic.MODE_MMIO or w >= cfg.batch_B
                        else cfg.rate_window_us * 1000.0)
-            sent[c] = fetched + fixed + per_entry + ic.tx_extra_latency_ns(params, cfg.tx_mode)
+            sent[c] = fetched + channel.fixed_ns + channel.entry_ns + channel.extra_ns
         up = 1 + HYSTERESIS
         errors = []
         for nic_id, n_ends in ends.items():
@@ -255,11 +258,12 @@ class Scenario:
             return out
 
         ring_depth = typed("ring_depth", 64, ic.is_int, "an integer")
-        nic_configs = {}
+        nic_configs, refused_nics = {}, set()
         for i, row in rows("nics", ("id",)):
             try:
                 nic_configs[row["id"]] = NicConfig.from_dict(row.get("config", {}), ring_depth)
             except ConfigInvalid as exc:
+                refused_nics.add(row["id"])
                 errors.extend(f"nics[{i}]: {e}" for e in exc.errors)
         connections = [(row["client_nic"], row["server_nic"])
                        for _, row in rows("connections", ("client_nic", "server_nic"))]
@@ -283,7 +287,7 @@ class Scenario:
             ring_depth=ring_depth,
         )
         try:
-            scenario.validate()
+            scenario.validate(refused_nics)
         except ConfigInvalid as exc:
             errors.extend(exc.errors)
         if errors:

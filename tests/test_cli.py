@@ -163,6 +163,28 @@ def test_bad_override_exits_1_with_a_field_message(case):
     assert message in proc.stderr
 
 
+# A NIC config that a flag or override makes invalid is one error per NIC
+# row, and nothing that follows from it: the NICs were declared.
+REFUSED_NIC_CONFIGS = {
+    "sweep_empty_mode": (["sweep", "--modes", ":4"],
+                         "nics[0]: tx_mode must be one of ('mmio', 'doorbell', 'coherent'), "
+                         "got ''; nics[1]: tx_mode must be one of ('mmio', 'doorbell', "
+                         "'coherent'), got ''"),
+    "bars_shallow_ring": (["bars", "--override", "ring_depth=8"],
+                          "nics[0]: batch_B must be in 1..8, got 11; "
+                          "nics[1]: batch_B must be in 1..8, got 11"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED_NIC_CONFIGS))
+def test_a_refused_nic_config_exits_1_with_its_own_errors_only(case):
+    args, message = REFUSED_NIC_CONFIGS[case]
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"nicsim: {message}\n"
+
+
 BAD_LIST_FLAGS = {
     "sweep_modes": (["sweep", "--modes", "coherent:Bx"], "--modes 'coherent:Bx'"),
     "sweep_loads": (["sweep", "--loads", "a"], "--loads 'a'"),

@@ -1,6 +1,6 @@
 """Recorded outcomes of scripts/diffcheck.py scenarios that guard an
 ordering argument of the engine, and a check of Scenario.validate's closed
-loop refusal over diffcheck's draws.
+loop refusal over diffcheck's draws, same-mode and mixed-mode.
 
 Each digest was recorded with diffcheck's own ``outcome`` (samples, metrics,
 controller logs, engine_events, completions and the ordered trace) from the
@@ -136,6 +136,60 @@ def test_client_pickup_runs_on_a_nearly_full_tx_ring_keep_their_order():
     assert _diffcheck().outcome(sim, SHORT_ACQUIRE) == SHORT_ACQUIRE_OUTCOME
 
 
+def _mixed(client: dict, server: dict) -> dict:
+    """Two connections from NIC 0 (config client) to NIC 1 (config server),
+    closed loop with window 16 at ring_depth 16."""
+    return {
+        "scenario": {
+            "nics": [{"id": 0, "config": client}, {"id": 1, "config": server}],
+            "connections": [{"client_nic": 0, "server_nic": 1}] * 2,
+            "loadgen": {"mode": "closed_loop", "window": 16},
+            "duration_us": 150.0,
+            "warmup_us": 15.0,
+            "seed": 5,
+            "ring_depth": 16,
+        },
+        "cost": {},
+    }
+
+
+# An mmio end facing a doorbell B=8 one, each way round. The doorbell NIC
+# forwards 8 entries per fetch, so the mmio end picks up runs of 8 and
+# publishes the 8 calls or answers they give as one run
+# (_ConnHost._submit_run), which must publish, notify the NIC and fetch as
+# 8 synchronous stores would.
+MMIO_CLIENT = _mixed({"tx_mode": "mmio"}, {"tx_mode": "doorbell", "batch_B": 8})
+MMIO_CLIENT_OUTCOME = {
+    "metrics": "RunMetrics(offered_mrps=4.977777777777778, achieved_mrps=4.977777777777778, "
+               "median_us=6.282953171342276, p99_us=6.2829531713422915, saturated=False, "
+               "n_samples=640)",
+    "samples": "bc8fbadb15e61ee7d665d16f17a56624f614d55b5719717a8b03ae7983babdce",
+    "controller_logs": "[(0, []), (1, [])]",
+    "engine_events": 6142,
+    "total_completed": 736,
+    "trace": "64654a996567f0222a5c677429dff317d9d913f048f1584372f9912667c49533",
+}
+MMIO_SERVER = _mixed({"tx_mode": "doorbell", "batch_B": 8}, {"tx_mode": "mmio"})
+MMIO_SERVER_OUTCOME = {
+    "metrics": "RunMetrics(offered_mrps=5.037037037037037, achieved_mrps=5.037037037037037, "
+               "median_us=6.282953171342276, p99_us=6.2829531713422915, saturated=False, "
+               "n_samples=648)",
+    "samples": "5d84c74728fc543845d8260b1699cc29230a5b6b0b638ecb3dae9831e651d8cd",
+    "controller_logs": "[(0, []), (1, [])]",
+    "engine_events": 6174,
+    "total_completed": 744,
+    "trace": "6fa12debacb5b6b952914a5ca080bf0c0b1cccc06eaeda41ae73a36799fb30e7",
+}
+
+
+@pytest.mark.parametrize("spec,expected", [
+    pytest.param(MMIO_CLIENT, MMIO_CLIENT_OUTCOME, id="mmio_client"),
+    pytest.param(MMIO_SERVER, MMIO_SERVER_OUTCOME, id="mmio_server"),
+])
+def test_an_mmio_end_publishes_a_pickup_run_as_one_store_each_would(spec, expected):
+    assert _diffcheck().outcome(sim, spec) == expected
+
+
 def _window_below_a_batch(spec):
     """A closed loop whose window is below some NIC's batch_B outside mmio
     mode: the draws whose batches may never fill."""
@@ -167,3 +221,35 @@ def test_a_closed_loop_is_refused_exactly_when_it_never_completes_a_call(seed, m
         checked += 1
         refused += stalls
     assert (checked, refused) == {0: (29, 14), 1: (47, 34), 2: (32, 29), 3: (36, 28)}[seed]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_a_mixed_closed_loop_is_refused_exactly_when_a_connection_never_completes_a_call(
+        seed, monkeypatch):
+    """Both directions over diffcheck's raw mixed-mode draws, each NIC with
+    its own tx_mode and batch_B: every refused draw, run with the refusal
+    switched off, has a connection that completes no call, and in every
+    accepted one each connection completes some. A refused draw may still
+    complete calls on its other connections: with two servers, one may
+    stall while the other serves."""
+    diffcheck = _diffcheck()
+    rng = diffcheck.mixed_rng(seed)
+    checked = refused = served_while_refused = 0
+    for i in range(diffcheck.DEFAULT_COUNT):
+        spec = diffcheck.draw_mixed(rng)
+        if not _window_below_a_batch(spec):
+            continue
+        stalls = not diffcheck.accepted(spec)
+        with monkeypatch.context() as m:
+            m.setattr(sim.Scenario, "_stalled_loop_errors", lambda self: [])
+            scenario = diffcheck.build(sim, spec)
+        harness = sim._Harness(scenario, collect_trace=False)
+        harness.start_load()
+        harness.engine.run_until(scenario.duration_us * 1e3)
+        completed = [client.completed for client in harness.clients]
+        assert (min(completed) == 0) == stalls, f"seed {seed} draw {i}: {completed} completed"
+        checked += 1
+        refused += stalls
+        served_while_refused += stalls and sum(completed) > 0
+    assert (checked, refused, served_while_refused) == {
+        0: (41, 28, 1), 1: (48, 40, 2), 2: (50, 33, 1), 3: (62, 49, 1)}[seed]

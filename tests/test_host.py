@@ -404,7 +404,7 @@ def test_a_closed_loop_client_run_issues_its_calls_as_per_entry_pickups_do():
     assert pending == list(range(4, 14)) and (issued, completed) == (14, 4)
     # two of the four new calls got the last free slots, one copy run
     assert copies == [[(6, copies[0][0][1]), (7, copies[0][1][1])]]
-    assert [rpc for _, rpc in blocked] == [12, 13]
+    assert [protocol.rpc_id_of(block)[0] for block in blocked] == [12, 13]
 
 
 @pytest.mark.parametrize("bad_at", [0, 1, 3])
@@ -467,6 +467,21 @@ def test_a_publish_run_with_a_refused_entry_stops_where_per_entry_publishes_do(b
     assert publishes == tx["published"] == bad_at  # the NIC heard of each published entry
     assert (in_flight is not None) == (bad_at >= 2)  # a batch of 2 was fetched
     assert len(untaken) == 3 - bad_at and events == bad_at + 1
+
+
+@pytest.mark.parametrize("bad_at", [0, 1, 3])
+def test_an_mmio_publish_run_with_a_refused_entry_tells_the_nic_of_the_entries_before_it(bad_at):
+    # an mmio run publishes at once: the stores before the refused one are
+    # published and noticed, and the first of them starts a fetch
+    engine, client, server, nic0, *_ = _stack(client_cfg=NicConfig(tx_mode="mmio"))
+    host, conn = client.conn, client.connection_id
+    blocks = [protocol.pack_entry(protocol.KIND_REQUEST, conn, rpc, ECHO_FN, b"x")
+              for rpc in range(4)]
+    blocks[bad_at] = blocks[bad_at][:63]
+    with pytest.raises(ContractViolation, match="publish needs 64 bytes, got 63"):
+        host._submit_run(blocks)
+    assert host.tx.snapshot()["published"] == nic0.window_publishes == bad_at
+    assert (nic0.conns[conn].in_flight is not None) == (bad_at > 0)
 
 
 def _answered_with_a_foreign_request(as_run):

@@ -42,11 +42,10 @@ HOT = {
         "Nic._rx_deliver", "Nic.on_rx_slot_freed",
     ],
     "host": [
-        "_ConnHost._submit", "_ConnHost._submit_run", "_ConnHost._publish",
-        "_ConnHost._copied", "_ConnHost.on_tx_free", "_ConnHost.on_rx_visible",
-        "_ConnHost._pickups", "_ConnHost._pickup", "ClientEndpoint.start_call",
-        "ClientEndpoint._take_run", "ServerEndpoint._take", "ServerEndpoint._answer",
-        "ServerEndpoint._answer_run",
+        "_ConnHost._submit", "_ConnHost._submit_run", "_ConnHost._copied",
+        "_ConnHost.on_tx_free", "_ConnHost.on_rx_visible", "_ConnHost._pickups",
+        "_ConnHost._pickup", "ClientEndpoint.start_call", "ClientEndpoint._take_run",
+        "ServerEndpoint._take", "ServerEndpoint._answer", "ServerEndpoint._answer_run",
     ],
 }
 

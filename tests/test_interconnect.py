@@ -148,13 +148,6 @@ def test_transaction_csv_row():
     assert ic.TRACE_CSV_HEADER == "ts_ns,issuer,kind,count"
 
 
-@pytest.mark.parametrize("mode", ic.TX_MODES)
-def test_tx_batch_units_is_the_sum_of_the_batch_transactions(mode):
-    # the untraced fetch asks the arbiter for tx_batch_units without the list
-    for k in (1, 4, 32):
-        assert ic.tx_batch_units(mode, k) == sum(c for _, c in ic.tx_batch_transactions(mode, k))
-
-
 # -- calibration --------------------------------------------------------------
 
 

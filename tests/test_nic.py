@@ -510,7 +510,7 @@ def test_drain_and_reconfigure_keeps_serving_every_call(old_mode, new_mode, batc
     landed = {t.rpc: t.ts_ns for t in engine.trace
               if t.issuer == "nic1" and t.kind == ic.KIND_DMA_WRITE}
     for rpc, mode in enumerate([old_mode] * n + [new_mode] * n):
-        hop = ic.tx_extra_latency_ns(P, mode) + P.t_wire
+        hop = ic.tx_channel(P, mode).extra_ns + P.t_wire
         assert landed[rpc] == pytest.approx(sent[rpc] + hop), rpc
 
 

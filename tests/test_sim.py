@@ -272,6 +272,23 @@ def test_scenario_validation_field_messages():
     assert "loadgen.mode" in text
 
 
+def test_a_refused_nic_config_is_reported_once():
+    # the refused NICs were declared: their rows' errors are reported, and
+    # nothing that follows from them; a NIC never declared still is
+    data = {"nics": [{"id": 0, "config": {"batch_B": 11}}, {"id": 1, "config": {"tx_mode": ""}}],
+            "connections": [{"client_nic": 0, "server_nic": 1},
+                            {"client_nic": 0, "server_nic": 3}],
+            "loadgen": {"mode": "closed_loop", "window": 1},
+            "ring_depth": 8}
+    with pytest.raises(ConfigInvalid) as exc:
+        Scenario.from_dict(data)
+    assert exc.value.errors == [
+        "nics[0]: batch_B must be in 1..8, got 11",
+        "nics[1]: tx_mode must be one of ('mmio', 'doorbell', 'coherent'), got ''",
+        "connections[1]: server nic 3 not defined",
+    ]
+
+
 def test_connection_between_one_nic_and_itself_is_refused():
     data = {"nics": [{"id": 0}, {"id": 1}],
             "connections": [{"client_nic": 0, "server_nic": 1},
