@@ -27,14 +27,17 @@ entries is picked up as one run (_pickups), one of one entry by a plain
 _pickup callback.
 
 Each stage of a run makes one ring call, and does exactly what one call
-per entry would do back to back:
+per entry would do back to back. A run crosses the ring as bare blocks and
+a count: the ring's own order says which slots they take, so no slot
+number travels with them.
 
 - _copied publishes a copy run or an mmio run with one
   TxRing.tx_publish_run and tells the NIC with one Nic.on_tx_publish notice;
 - _pickups reads a pickup run with one RxRing.rx_poll_run and frees it with
   one rx_release_run;
 - each end takes a pickup run in one pass and publishes what it issued
-  with one TxRing.tx_acquire_run (_submit_run):
+  with one TxRing.tx_acquire_run, which says how many slots it took
+  (_submit_run):
   the server runs its handlers in order and publishes their answers
   (ServerEndpoint._answer_run); the client completes its calls in order,
   and the calls its completion hook issues meanwhile are collected and
@@ -109,7 +112,7 @@ class _ConnHost:
         self._blocked = deque()  # packed entries waiting for a free TX slot
         self._rx_backlog = ()  # the NIC's arrivals held for a free RX slot (attach)
         # run queues (Engine.run_queue): publish copies under way, as runs of
-        # (slot, block), and pickup batches
+        # blocks bound for the next acquired slots, and pickup batches
         self._copies, self._copied_event = engine.run_queue(self._copied)
         self._pickup_runs, self._pickups_event = engine.run_queue(self._pickups)
 
@@ -127,8 +130,7 @@ class _ConnHost:
         if nic.config.tx_mode == ic.MODE_MMIO:
             self._submit_run([block])
             return
-        slot = self.tx.tx_acquire()
-        if slot is None:
+        if self.tx.tx_acquire() is None:
             self._blocked.append(block)
             return
         now = engine.now
@@ -136,8 +138,7 @@ class _ConnHost:
         if trace is not None:
             trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
                                         self.connection_id, rpc_id_of(block)[0], critical=True))
-        engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, self._copies,
-                            (slot, block))
+        engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, self._copies, block)
 
     def _submit_run(self, blocks: list) -> None:
         """_submit each packed entry of blocks, in order, with one acquire.
@@ -145,10 +146,11 @@ class _ConnHost:
         publication: the entries publish at once (_copied). Otherwise their
         copies start with one schedule_run: the entries after the first join
         the run it joins, as their own schedule_run calls would, since
-        nothing is scheduled between them. Entries past the last free slot
-        wait for one, as _submit's do."""
-        slots = self.tx.tx_acquire_run(len(blocks))
-        k = len(slots)
+        nothing is scheduled between them. Each copy publishes into the next
+        acquired slot, the one its acquire took, since copies end in acquire
+        order. Entries past the last free slot wait for one, as _submit's
+        do."""
+        k = self.tx.tx_acquire_run(len(blocks))
         if k:
             engine, nic = self.engine, self.nic
             now = engine.now
@@ -161,13 +163,13 @@ class _ConnHost:
                     trace.append(ic.Transaction(now, issuer, kind, 1, self.connection_id,
                                                 rpc_id_of(block)[0], critical=True))
             if mmio:  # a list iterator, whose length _taken reads if a publish raises
-                self._copied(iter(list(zip(slots, blocks))), k)
+                self._copied(iter(blocks[:k]), k)
             else:
-                items = zip(slots, blocks)
                 copies = self._copies
                 engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, copies,
-                                    next(items))
-                copies[-1].extend(items)
+                                    blocks[0])
+                if k > 1:
+                    copies[-1].extend(blocks[1:k])
         if k < len(blocks):
             self._blocked.extend(blocks[k:])
 

@@ -31,17 +31,20 @@ A fetch of two or more entries stays one run per stage after the wire
 (Engine.run_queue): Wire.send_batch lands it as one arrival,
 rx_arrival_batch DMA-writes it with one ring call (RxRing.rx_deliver_run)
 and hands the written entries to the host as one delivery, and the host
-picks them up in one callback. Each stage does exactly what its per-entry
-callbacks would do back to back; a fetch of one entry takes the cheaper
-per-entry path. A host run of publishes (host._ConnHost._submit_run, in
-every TX mode) is one notice (on_tx_publish).
-In coherent mode it schedules one invalidation or poll-discovery event per
-entry, as one on_tx_publish each would; otherwise it starts the fetch that
-the run's first triggering publish would. The trigger only grows with the
-dirty count, so that publish is the first (a settle window flushes a
-partial batch) or none before the last (a full batch). A run queue's runs
-must fall due in queue order, so a hard_reconfigure, which changes the TX
-latency, waits until the last batch forwarded has landed (outstanding).
+picks them up in one callback. A batch travels as the bare blocks that
+TxRing.nic_fetch returned, and forward_event releases it by count
+(TxRing.nic_release): the ring's fetch order says which slots they held.
+Each stage does exactly what its per-entry callbacks would do back to
+back; a fetch of one entry takes the cheaper per-entry path. A host run
+of publishes (host._ConnHost._submit_run, in every TX mode) is one notice
+(on_tx_publish). In coherent mode it schedules one invalidation or
+poll-discovery event per entry, as one on_tx_publish each would;
+otherwise it starts the fetch that the run's first triggering publish
+would. The trigger only grows with the dirty count, so that publish is the
+first (a settle window flushes a partial batch) or none before the last (a
+full batch). A run queue's runs must fall due in queue order, so a
+hard_reconfigure, which changes the TX latency, waits until the last batch
+forwarded has landed (outstanding).
 
 Hard config fields (tx_mode, threading_model) require a drained restart;
 soft fields (batch size, poll threshold, adaptive batching, rate window)
@@ -172,7 +175,7 @@ class _ConnEndpoint:
     def __init__(self, conn_id, ring_pair):
         self.conn_id = conn_id
         self.rings = ring_pair
-        self.in_flight = None  # fetched (slot, block) list awaiting forward_event
+        self.in_flight = None  # the fetched blocks awaiting forward_event
         self.busy_until = 0.0
         self.forwarded_at = float("-inf")  # when the last batch went onto the wire
         self.inval_known = 0  # publish notifications seen (inval submode)
@@ -216,10 +219,9 @@ class Wire:
         arrive = dst.rx_arrival
         engine.schedule(now + extra_ns + self.params.t_wire, lambda: arrive(conn_id, block, rpc))
 
-    def send_batch(self, src_nic_id: int, dst_nic_id: int, conn_id: int, entries: list,
+    def send_batch(self, src_nic_id: int, dst_nic_id: int, conn_id: int, blocks: list,
                    extra_ns: float) -> None:
-        """send for the block of each fetched (slot, block) of entries, landing
-        as one arrival batch."""
+        """send for each of the fetched blocks, landing as one arrival batch."""
         dst = self.nics.get(dst_nic_id)
         if dst is None:
             raise UnknownDestination(f"nic {dst_nic_id} is not attached to the wire")
@@ -228,7 +230,7 @@ class Wire:
         trace = engine.trace
         if trace is not None:
             issuer = f"nic{src_nic_id}"
-            for _, block in entries:
+            for block in blocks:
                 trace.append(ic.Transaction(now, issuer, ic.KIND_WIRE_HOP, 1, conn_id,
                                             rpc_id_of(block)[0], critical=True))
         arrivals = self._arrivals.get((dst, conn_id))
@@ -237,7 +239,7 @@ class Wire:
             arrivals = self._arrivals[dst, conn_id] = engine.run_queue(
                 lambda it, n: arrive(conn_id, it))
         runs, fn = arrivals
-        engine.schedule_batch(now + extra_ns + self.params.t_wire, fn, runs, entries)
+        engine.schedule_batch(now + extra_ns + self.params.t_wire, fn, runs, blocks)
 
 
 class Nic:
@@ -325,18 +327,18 @@ class Nic:
             """Channel freed: hand the batch in flight to the interconnect
             (any remaining traversal latency rides the delivery path),
             release it, then chain the next batch or resume polling."""
-            entries = ep.in_flight
-            if entries is None:
+            blocks = ep.in_flight
+            if blocks is None:
                 raise ContractViolation(
                     f"nic {nic_id} connection {conn_id}: forward with no batch in flight")
             extra = self._tx_extra_ns
-            if len(entries) == 1:
-                slot, block = entries[0]
+            k = len(blocks)
+            if k == 1:
+                block = blocks[0]
                 wire.send(nic_id, remote_nic, conn_id, block, rpc_id_of(block)[0], extra)
-                tx.nic_release([slot])
             else:
-                wire.send_batch(nic_id, remote_nic, conn_id, entries, extra)
-                tx.nic_release([slot for slot, _ in entries])
+                wire.send_batch(nic_id, remote_nic, conn_id, blocks, extra)
+            tx.nic_release(k)
             ep.in_flight = None
             ep.forwarded_at = now = engine.now
             tx_free_cb(conn_id, now)
@@ -459,11 +461,11 @@ class Nic:
         if ep.in_flight is not None:
             raise ContractViolation(
                 f"nic {self.nic_id} connection {ep.conn_id}: fetch while a batch is in flight")
-        entries = ep.rings.tx.nic_fetch(k)
-        if len(entries) != k:
+        blocks = ep.rings.tx.nic_fetch(k)
+        if len(blocks) != k:
             raise ContractViolation(
                 f"nic {self.nic_id} connection {ep.conn_id}: fetch returned "
-                f"{len(entries)} entries, trigger said {k} were dirty"
+                f"{len(blocks)} entries, trigger said {k} were dirty"
             )
         mode = self.config.tx_mode
         if mode == ic.MODE_COHERENT and self.submode == ic.SUBMODE_INVAL:
@@ -484,7 +486,7 @@ class Nic:
         if granted > occ_end:
             occ_end = granted
         ep.busy_until = occ_end
-        ep.in_flight = entries
+        ep.in_flight = blocks
         engine.schedule(occ_end, ep.forward_event)
 
     # -- RX path ---------------------------------------------------------------
@@ -497,16 +499,16 @@ class Nic:
             ep.rx_backlog.append((block, rpc))
 
     def rx_arrival_batch(self, conn_id: int, it) -> None:
-        """rx_arrival for the block of each (slot, block) the iterator it
-        yields, in one call: one ring call (RxRing.rx_deliver_run) DMA-writes
-        the blocks up to the first full slot, and those become host-visible
-        as one delivery batch; the rest join the connection's backlog. The
-        handler takes every item before it can raise."""
+        """rx_arrival for each block the iterator it yields, in one call:
+        one ring call (RxRing.rx_deliver_run) DMA-writes the blocks up to the
+        first full slot, and those become host-visible as one delivery
+        batch; the rest join the connection's backlog. The handler takes
+        every block before it can raise."""
         ep = self.conns.get(conn_id)
         if ep is None:
             next(it, None)  # a batch handler takes the item it raises for
             raise UnknownDestination(f"nic {self.nic_id} has no connection {conn_id}")
-        blocks = [block for _, block in it]
+        blocks = list(it)
         backlog = ep.rx_backlog
         n = 0 if backlog else ep.rings.rx.rx_deliver_run(blocks)
         if n:

@@ -43,7 +43,7 @@ _ENTRY_FMT = _HEADER_FMT + "48s"
 assert struct.calcsize(_ENTRY_FMT) == ENTRY_SIZE
 _ENTRY = struct.Struct(_ENTRY_FMT)
 _pack = _ENTRY.pack
-_unpack = _ENTRY.unpack
+_unpack_header = struct.Struct("<xBHIHB").unpack_from  # bytes 1..11, as in the table above
 _RESERVED = bytes(5)
 rpc_id_of = struct.Struct("<4xI").unpack_from  # (rpc_id,): bytes 4..8, as in the table above
 
@@ -83,12 +83,15 @@ def unpack_entry(block: bytes) -> tuple[int, int, int, int, bytes]:
     """
     if len(block) != ENTRY_SIZE:
         raise MalformedEntry(f"expected {ENTRY_SIZE} bytes, got {len(block)}")
-    _valid, kind, conn, rpc, fn, plen, _reserved, payload = _unpack(block)
+    kind, conn, rpc, fn, plen = _unpack_header(block)
     if plen > MAX_PAYLOAD:
         raise MalformedEntry(f"payload_len {plen} exceeds {MAX_PAYLOAD}")
     if kind not in _KINDS:
         raise MalformedEntry(f"unrecognized kind byte {kind}")
-    return kind, conn, rpc, fn, payload[:plen]
+    payload = block[HEADER_SIZE:HEADER_SIZE + plen]
+    if payload.__class__ is not bytes:  # a bytearray's or memoryview's slice
+        payload = bytes(payload)
+    return kind, conn, rpc, fn, payload
 
 
 def encode_entry(entry: RpcEntry) -> bytes:

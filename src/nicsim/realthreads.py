@@ -95,7 +95,7 @@ def run_spsc_stress(n_entries: int = 1_000_000, depth: int = 512, batch: int = 6
             if not fetched:
                 time.sleep(0)
                 continue
-            for _, block in fetched:
+            for block in fetched:
                 _kind, _conn, rpc, _fn, payload = unpack_entry(block)
                 if not payload_intact(payload):
                     stats.corrupted += 1
@@ -103,7 +103,7 @@ def run_spsc_stress(n_entries: int = 1_000_000, depth: int = 512, batch: int = 6
                     stats.out_of_order += 1
                 expected += 1
                 stats.completed += 1
-            tx.nic_release([idx for idx, _ in fetched])
+            tx.nic_release(len(fetched))
 
     threads = [threading.Thread(target=producer), threading.Thread(target=consumer)]
     with _fast_thread_switching():
@@ -147,16 +147,16 @@ def run_echo_stress(n_rpcs: int = 1_000_000, depth: int = 1024, batch: int = 128
             moved = False
             fetched = client_tx.nic_fetch(rig.batch)
             if fetched:
-                ab.extend(block for _, block in fetched)
-                client_tx.nic_release([idx for idx, _ in fetched])
+                ab.extend(fetched)
+                client_tx.nic_release(len(fetched))
                 moved = True
             while ab and server_rx.rx_deliver(ab[0]):
                 ab.popleft()
                 moved = True
             fetched = server_tx.nic_fetch(rig.batch)
             if fetched:
-                ba.extend(block for _, block in fetched)
-                server_tx.nic_release([idx for idx, _ in fetched])
+                ba.extend(fetched)
+                server_tx.nic_release(len(fetched))
                 moved = True
             while ba and client_rx.rx_deliver(ba[0]):
                 ba.popleft()

@@ -9,7 +9,8 @@ Design notes:
   stores the entry first and flips the flag last, the reader inspects the
   flag before reading the entry. Under CPython each of those is a single
   atomic bytecode operation, so a reader that observes flag=1 observes the
-  full entry.
+  full entry; a run stores its entries with one slice assignment and then
+  its flags with another.
 - A ring holds each slot's entry by reference, never by copy: one list
   of immutable 64-byte ``bytes`` blocks and one ``bytearray`` of valid
   bytes per ring. A block that is not ``bytes`` with byte 0 equal to 1 is
@@ -21,15 +22,27 @@ Design notes:
   published slot past the fetch cursor is dirty. ``tx_publish`` sets the
   flag before it advances ``_published``, so a NIC thread that reads the
   counter finds every counted flag set.
-- A run method does in one call what one call per entry does back to
-  back, with one side-ownership check per call and every per-entry check
-  kept: ``RxRing.rx_deliver_run`` writes a DMA-written batch up to the first
-  full slot, ``TxRing.tx_acquire_run`` and ``tx_publish_run`` acquire and
-  publish a host run, and ``RxRing.rx_poll_run`` reads a pickup run that
-  ``rx_release_run`` then frees. A run read by ``rx_poll_run`` stays
-  delivered until ``rx_release_run``, so a host that stops partway (an
-  entry raised) releases the entries it took and leaves the rest as they
-  were.
+- A run moves by count. Its slots are the ring's own next ones in the
+  circular order (the counters or cursors say which), so no slot number
+  crosses the interface: ``TxRing.tx_acquire_run`` returns how many slots
+  it took, ``tx_publish_run`` publishes blocks into the next acquired
+  slots, ``nic_fetch`` returns the blocks of the fetched run and
+  ``nic_release`` frees a count of them; ``RxRing.rx_deliver_run`` writes
+  blocks up to the first full slot, ``rx_poll_run`` reads a pickup run
+  and ``rx_release_run`` frees a count of it. A run method does in one
+  call what one call per entry does back to back, with one side-ownership
+  check per call and every per-entry check kept. It finds where a run of
+  flags ends with one scan in C (``bytearray.find``/``count``, or
+  ``_lead``'s ``lstrip``) and moves entries and flags with one slice
+  assignment each. A run that does not cross the end of the ring is
+  sliced in place, since a helper call costs more than the slice on a
+  short run; one that does goes through ``_lead``, ``_read`` and
+  ``_write``, which split it at the end. A TX run of one entry, the only
+  kind an unbatched NIC makes, is stored, fetched or released by index,
+  which costs a fraction of a slice or a scan. A run read by
+  ``rx_poll_run`` stays delivered until ``rx_release_run``, so a host that
+  stops partway (an entry raised) releases the entries it took and leaves
+  the rest as they were.
 - The TX ring's bookkeeping is four monotonic counters, two written by
   each side; the RX ring's is one cursor per side.
 - snapshot() returns a ring's state itself (flags, blocks, counters or
@@ -49,6 +62,9 @@ COMPLETION_QUEUE_CAPACITY = 4096
 
 _SLOT = protocol.ENTRY_SIZE
 _ZERO_BLOCK = bytes(_SLOT)  # the body of every slot not yet written
+# one flag byte, repeated to set or clear a run of flags: a bytearray, which
+# bytearray slice assignment takes without a copy (it copies bytes first)
+_SET, _CLEAR = bytearray(b"\x01"), bytearray(b"\x00")
 
 
 def _require_pow2(depth: int) -> int:
@@ -60,6 +76,55 @@ def _require_pow2(depth: int) -> int:
 def _as_entry(block) -> bytes:
     """An immutable copy of a 64-byte block with its valid byte set to 1."""
     return b"\x01" + block[1:]
+
+
+def _entries(blocks, verb: str):
+    """The blocks as the ring keeps them (_as_entry), up to the first that
+    is not one entry long, and the refusal of that one (None if none is)."""
+    out = []
+    for block in blocks:
+        if len(block) != _SLOT:
+            return out, ContractViolation(f"{verb} needs {_SLOT} bytes, got {len(block)}")
+        if block.__class__ is not bytes or block[0] != 1:
+            block = _as_entry(block)
+        out.append(block)
+    return out, None
+
+
+def _lead(flags: bytearray, idx: int, count: int, byte: bytes) -> int:
+    """How many of the count (at most the depth) flags from slot idx on,
+    circularly, equal byte before the first that does not: one scan in C."""
+    depth = len(flags)
+    end = idx + count
+    if end <= depth:
+        run = flags[idx:end]
+        return len(run) - len(run.lstrip(byte))
+    k = depth - idx
+    left = len(flags[idx:].lstrip(byte))
+    if left:
+        return k - left
+    end -= depth
+    return k + end - len(flags[:end].lstrip(byte))
+
+
+def _read(seq, idx: int, count: int):
+    """The count items of seq from slot idx on, circularly, as one slice."""
+    end = idx + count
+    if end <= len(seq):
+        return seq[idx:end]
+    return seq[idx:] + seq[:end - len(seq)]
+
+
+def _write(seq, idx: int, items) -> None:
+    """Store the sequence items into seq from slot idx on, circularly."""
+    depth = len(seq)
+    end = idx + len(items)
+    if end <= depth:
+        seq[idx:end] = items
+    else:
+        cut = depth - idx
+        seq[idx:] = items[:cut]
+        seq[:end - depth] = items[cut:]
 
 
 def _check_depth(ring, state: dict, name: str) -> None:
@@ -90,7 +155,8 @@ class TxRing:
     Each step follows one circular order, so counter n stands for slot
     n % depth: the acquired slots are [_published, _acquired), the fetched
     ones [_released, _fetched), and the host acquires while fewer than
-    depth slots lie in [_released, _acquired).
+    depth slots lie in [_released, _acquired). A slot's flag is 1 from its
+    publish to its release and 0 otherwise.
     """
 
     def __init__(self, depth: int = DEFAULT_DEPTH):
@@ -114,22 +180,17 @@ class TxRing:
         self._acquired = n + 1
         return n % self.depth
 
-    def tx_acquire_run(self, count: int) -> list:
-        """tx_acquire up to count times in one call: the slots acquired, in
-        order; fewer than count when the ring runs out of free slots."""
+    def tx_acquire_run(self, count: int) -> int:
+        """tx_acquire up to count times in one call: how many slots were
+        acquired, fewer than count when the ring runs out of free slots."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "TxRing host")
-        n, depth = self._acquired, self.depth
-        free = depth - (n - self._released)
+        n = self._acquired
+        free = self.depth - (n - self._released)
         if count > free:
             count = free
         self._acquired = n + count
-        slots = []
-        while count > 0:
-            slots.append(n % depth)
-            n += 1
-            count -= 1
-        return slots
+        return count
 
     def tx_publish(self, slot: int, block: bytes) -> None:
         """Write an encoded entry into an acquired slot and flip its flag.
@@ -151,25 +212,43 @@ class TxRing:
         self._flags[slot] = 1  # publication point
         self._published = n + 1  # never ahead of the flags (dirty_run)
 
-    def tx_publish_run(self, items) -> None:
-        """tx_publish each (slot, block) of the iterable items, in order, in
-        one call. An entry that tx_publish would refuse raises as it does,
-        taken from items, after the entries before it are published."""
+    def tx_publish_run(self, blocks) -> None:
+        """tx_publish each block of the iterable blocks into the next
+        acquired slot, in order, in one call. A block that tx_publish would
+        refuse, or one past the acquired slots, raises as tx_publish does,
+        once taken from blocks, after the blocks before it are published."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "TxRing host")
-        stored, flags, depth = self._blocks, self._flags, self.depth
-        n, acquired = self._published, self._acquired
-        try:
-            for slot, block in items:
-                if n == acquired or slot != n % depth or len(block) != _SLOT:
-                    self._refuse_publish(n, slot, block)
-                if block.__class__ is not bytes or block[0] != 1:
-                    block = _as_entry(block)
-                stored[slot] = block
-                flags[slot] = 1
-                n += 1
-        finally:
-            self._published = n  # after the flags it counts (dirty_run)
+        n, depth = self._published, self.depth
+        room = self._acquired - n
+        run, refused = [], None
+        for block in blocks:
+            if len(run) == room:
+                refused = (f"publish of slot {(n + room) % depth} out of acquire order "
+                           f"(oldest acquired: [])")
+                break
+            if len(block) != _SLOT or block.__class__ is not bytes or block[0] != 1:
+                if len(block) != _SLOT:
+                    refused = f"publish needs {_SLOT} bytes, got {len(block)}"
+                    break
+                block = _as_entry(block)
+            run.append(block)
+        k = len(run)
+        if k:
+            idx = n % depth
+            end = idx + k
+            if k == 1:  # by index: a run of one costs what tx_publish does
+                self._blocks[idx] = run[0]
+                self._flags[idx] = 1  # publication point
+            elif end <= depth:
+                self._blocks[idx:end] = run
+                self._flags[idx:end] = _SET * k
+            else:
+                _write(self._blocks, idx, run)
+                _write(self._flags, idx, _SET * k)
+            self._published = n + k  # after the flags it counts (dirty_run)
+        if refused is not None:
+            raise ContractViolation(refused)
 
     def _refuse_publish(self, n: int, slot: int, block) -> None:
         """Raise for a publish of block into slot that is not the acquired
@@ -193,66 +272,59 @@ class TxRing:
             _claim_side(self, "_nic_thread", "TxRing nic")
         return self._published - self._fetched
 
-    def nic_fetch(self, max_batch: int):
-        """Fetch up to max_batch consecutive dirty entries, in publish order.
-
-        Returns a list of (slot index, 64-byte entry as published); empty
-        when nothing is dirty.
-        """
+    def nic_fetch(self, max_batch: int) -> list:
+        """Fetch up to max_batch consecutive dirty entries at the fetch
+        cursor, up to the first slot that is not dirty: their 64-byte
+        blocks as published, in publish order; empty when nothing is dirty."""
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
         if max_batch < 1:
             raise ContractViolation("max_batch must be >= 1")
-        flags, blocks, depth, fetched = self._flags, self._blocks, self.depth, self._fetched
-        idx = fetched % depth
-        out = []
+        fetched, depth = self._fetched, self.depth
         n = depth - (fetched - self._released)
         if max_batch < n:
             n = max_batch
-        while n > 0:
-            if flags[idx] != 1:
-                break
-            out.append((idx, blocks[idx]))
-            idx = (idx + 1) % depth
-            n -= 1
-        self._fetched = fetched + len(out)
-        return out
+        idx = fetched % depth
+        if n == 1:  # by index, as cheap as a per-entry fetch
+            if self._flags[idx] != 1:
+                return []
+            self._fetched = fetched + 1
+            return [self._blocks[idx]]
+        end = idx + n
+        if end <= depth:
+            stop = self._flags.find(0, idx, end)  # TX flags are 0 or 1
+            if stop >= 0:
+                end = stop
+            self._fetched = fetched + (end - idx)
+            return self._blocks[idx:end]
+        n = _lead(self._flags, idx, n, b"\x01")
+        self._fetched = fetched + n
+        return _read(self._blocks, idx, n)
 
-    def nic_release(self, slots) -> None:
-        """Reset flags and hand the slots back to the host.
-
-        Bookkeeping follows fetch order: the released slots (a sequence) must
-        be the oldest fetched entries (the NIC frees the batch it just
-        forwarded), in any order.
-        """
+    def nic_release(self, count: int) -> None:
+        """Reset the flags of the count oldest fetched entries and hand
+        their slots back to the host (the NIC frees the batch it just
+        forwarded). A count past the fetched entries raises, after those
+        are released."""
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "TxRing nic")
-        depth, n, fetched = self.depth, self._released, self._fetched
-        for slot in slots:  # the oldest fetched slots in fetch order need no other check
-            if n == fetched or slot != n % depth:
-                self._check_release_set(list(slots))
-                break
-            n += 1
-        flags = self._flags
-        for slot in slots:  # clear the flags before the host can see the slots
-            flags[slot] = 0
-        self._released += len(slots)  # hand the slots to the host side
-
-    def _check_release_set(self, slots: list) -> None:
-        """Refuse a release that is not the oldest fetched slots in some order."""
-        depth, n, prefix = self.depth, self._released, []
+        n = self._released
         k = self._fetched - n
-        if len(slots) < k:
-            k = len(slots)
-        while k > 0:
-            prefix.append(n % depth)
-            n += 1
-            k -= 1
-        # fetched slots are distinct, so distinct slots with the same set
-        # are the prefix in another order
-        distinct = set(slots)
-        if len(distinct) != len(slots) or distinct != set(prefix):
-            raise ContractViolation(f"release {slots} is not the oldest fetched prefix {prefix}")
+        if count < k:
+            k = count
+        if k > 0:
+            # the flags are cleared before the host can see the slots
+            idx = n % self.depth
+            end = idx + k
+            if k == 1:  # by index, as cheap as a per-entry release
+                self._flags[idx] = 0
+            elif end <= self.depth:
+                self._flags[idx:end] = _CLEAR * k
+            else:
+                _write(self._flags, idx, _CLEAR * k)
+            self._released = n + k  # hand the slots to the host side
+        if count > k:
+            raise ContractViolation(f"release of {count} TX entries, {k} of them fetched")
 
     # -- diagnostics -----------------------------------------------------
 
@@ -325,23 +397,37 @@ class RxRing:
         length raises as rx_deliver does, after the blocks before it."""
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "RxRing nic")
-        flags, stored, depth = self._flags, self._blocks, self.depth
+        flags, depth = self._flags, self.depth
         idx = self.nic_free_cursor
-        n = 0
-        for block in blocks:
-            if len(block) != _SLOT:
-                self.nic_free_cursor = idx
-                raise ContractViolation(f"delivery needs {_SLOT} bytes, got {len(block)}")
-            if flags[idx] != 0:
+        n = len(blocks)
+        end = idx + n
+        if end <= depth and flags.count(0, idx, end) == n:
+            free = n
+        else:
+            free = _lead(flags, idx, n if n < depth else depth, b"\x00")
+        run = blocks if free == n else blocks[:free]
+        for block in run:
+            if len(block) != _SLOT or block.__class__ is not bytes or block[0] != 1:
+                run, refused = _entries(run, "delivery")
                 break
-            if block.__class__ is not bytes or block[0] != 1:
-                block = _as_entry(block)
-            stored[idx] = block
-            flags[idx] = 1
-            idx = (idx + 1) % depth
-            n += 1
-        self.nic_free_cursor = idx
-        return n
+        else:
+            refused = None
+        if refused is None and free < n and len(blocks[free]) != _SLOT:
+            # rx_deliver checks the length before it finds the slot full
+            refused = ContractViolation(f"delivery needs {_SLOT} bytes, got {len(blocks[free])}")
+        k = len(run)
+        if k:
+            end = idx + k
+            if end <= depth:
+                self._blocks[idx:end] = run
+                flags[idx:end] = _SET * k
+            else:
+                _write(self._blocks, idx, run)
+                _write(flags, idx, _SET * k)
+            self.nic_free_cursor = end % depth
+        if refused is not None:
+            raise refused
+        return k
 
     def rx_poll(self):
         """Host side: next delivered entry as (slot, bytes), or None."""
@@ -363,16 +449,14 @@ class RxRing:
         the cursor stays, until rx_release_run takes them."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "RxRing host")
-        flags, stored, depth = self._flags, self._blocks, self.depth
+        depth = self.depth
+        idx = self.host_poll_cursor
+        end = idx + count
+        if end <= depth and self._flags.count(1, idx, end) == count:
+            return self._blocks[idx:end]
         if count > depth:
             count = depth  # each entry once, as rx_poll's held flag ensures
-        idx = self.host_poll_cursor
-        out = []
-        while count > 0 and flags[idx] == 1:
-            out.append(stored[idx])
-            idx = (idx + 1) % depth
-            count -= 1
-        return out
+        return _read(self._blocks, idx, _lead(self._flags, idx, count, b"\x01"))
 
     def rx_release_run(self, count: int) -> None:
         """Host side: rx_poll then rx_release each of the next count
@@ -383,15 +467,17 @@ class RxRing:
             _claim_side(self, "_host_thread", "RxRing host")
         flags, depth = self._flags, self.depth
         idx = self.host_poll_cursor
-        while count > 0:
-            if flags[idx] != 1:
-                self.host_poll_cursor = idx
-                raise ContractViolation(f"release of RX slot {idx}, which holds no "
-                                        f"delivered entry")
-            flags[idx] = 0
-            idx = (idx + 1) % depth
-            count -= 1
-        self.host_poll_cursor = idx
+        end = idx + count
+        if end <= depth and flags.count(1, idx, end) == count:
+            flags[idx:end] = _CLEAR * count
+            self.host_poll_cursor = end % depth
+            return
+        k = _lead(flags, idx, count if count < depth else depth, b"\x01")
+        _write(flags, idx, _CLEAR * k)
+        idx = self.host_poll_cursor = (idx + k) % depth
+        if k < count:
+            raise ContractViolation(f"release of RX slot {idx}, which holds no "
+                                    f"delivered entry")
 
     def rx_release(self, slot: int) -> None:
         """Host side: mark a polled slot free for the NIC again."""

@@ -89,9 +89,12 @@ class Scenario:
     seed: int = 1
     ring_depth: int = 64
 
-    def validate(self, refused_nics=()) -> "Scenario":
-        """refused_nics: ids of NICs whose config from_dict refused and
-        reported. They count as declared, so no error follows from them."""
+    def validate(self, refused_nics=(), refused_connections=False) -> "Scenario":
+        """refused_nics: ids of NICs whose row from_dict refused and
+        reported. They count as declared, so no error follows from them.
+        refused_connections: from_dict refused and reported a connection
+        row, so the connections were declared, and the closed loop is not
+        judged without that row."""
         errors = []
         declared = self.nic_configs.keys() | set(refused_nics)
         if self.ring_depth < 1 or self.ring_depth & (self.ring_depth - 1):
@@ -100,7 +103,7 @@ class Scenario:
             errors.append(f"ring_depth must be <= {MAX_RING_DEPTH}, got {self.ring_depth}")
         if not declared:
             errors.append("nics: at least one NIC required")
-        if not self.connections:
+        if not self.connections and not refused_connections:
             errors.append("connections: at least one connection required")
         elif len(self.connections) > MAX_CONNECTIONS:
             errors.append(f"connections: at most {MAX_CONNECTIONS} connections, "
@@ -148,7 +151,7 @@ class Scenario:
                 cfg.validate(self.ring_depth)
             except ConfigInvalid as exc:
                 errors.extend(f"nics[{nic_id}]: {e}" for e in exc.errors)
-        if not errors and not refused_nics and lg.mode == "closed_loop":
+        if not (errors or refused_nics or refused_connections) and lg.mode == "closed_loop":
             errors.extend(self._stalled_loop_errors())
         if errors:
             raise ConfigInvalid(errors)
@@ -239,12 +242,15 @@ class Scenario:
             errors.append(f"{key} must be {kind}, got {value!r}")
             return default
 
+        refused_rows = set()  # the keys rows() left an entry out of
+
         def rows(key, fields):
             """The list under key, keeping only objects whose fields are integers."""
             out = []
             value = data.get(key, [])
             if not isinstance(value, list):
                 errors.append(f"{key} must be a list, got {value!r}")
+                refused_rows.add(key)
                 return out
             for i, row in enumerate(value):
                 if not isinstance(row, dict):
@@ -255,15 +261,22 @@ class Scenario:
                               for f in bad)
                 if not bad:
                     out.append((i, row))
+                else:
+                    refused_rows.add(key)
             return out
 
         ring_depth = typed("ring_depth", 64, ic.is_int, "an integer")
         nic_configs, refused_nics = {}, set()
         for i, row in rows("nics", ("id",)):
+            nic_id = row["id"]
+            if nic_id in nic_configs or nic_id in refused_nics:
+                refused_nics.add(nic_id)  # which row the user meant is unknown
+                errors.append(f"nics[{i}]: id {nic_id} already declared")
+                continue
             try:
-                nic_configs[row["id"]] = NicConfig.from_dict(row.get("config", {}), ring_depth)
+                nic_configs[nic_id] = NicConfig.from_dict(row.get("config", {}), ring_depth)
             except ConfigInvalid as exc:
-                refused_nics.add(row["id"])
+                refused_nics.add(nic_id)
                 errors.extend(f"nics[{i}]: {e}" for e in exc.errors)
         connections = [(row["client_nic"], row["server_nic"])
                        for _, row in rows("connections", ("client_nic", "server_nic"))]
@@ -287,7 +300,7 @@ class Scenario:
             ring_depth=ring_depth,
         )
         try:
-            scenario.validate(refused_nics)
+            scenario.validate(refused_nics, "connections" in refused_rows)
         except ConfigInvalid as exc:
             errors.extend(exc.errors)
         if errors:

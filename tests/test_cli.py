@@ -185,6 +185,17 @@ def test_a_refused_nic_config_exits_1_with_its_own_errors_only(case):
     assert proc.stderr == f"nicsim: {message}\n"
 
 
+def test_a_scenario_that_declares_a_nic_id_twice_exits_1(tmp_path):
+    data = json.loads((GOLDEN.parent.parent / "scenarios" / "echo_64b.json").read_text())
+    data["nics"].append({"id": data["nics"][-1]["id"], "config": {"tx_mode": "mmio"}})
+    scenario = tmp_path / "twice.json"
+    scenario.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", "bars", "--scenario", str(scenario)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == f"nicsim: nics[{len(data['nics']) - 1}]: id 1 already declared\n"
+
+
 BAD_LIST_FLAGS = {
     "sweep_modes": (["sweep", "--modes", "coherent:Bx"], "--modes 'coherent:Bx'"),
     "sweep_loads": (["sweep", "--loads", "a"], "--loads 'a'"),

@@ -136,6 +136,55 @@ def test_client_pickup_runs_on_a_nearly_full_tx_ring_keep_their_order():
     assert _diffcheck().outcome(sim, SHORT_ACQUIRE) == SHORT_ACQUIRE_OUTCOME
 
 
+# Runs that cross the end of the ring: batches of 3 on rings of depth 8, so
+# fetches, RX deliveries and pickup runs keep landing on slots 6, 7, 0 and
+# 7, 0, 1 (the ring's slices wrap), on two connections per NIC. Recorded
+# when a run still carried a slot number with each block.
+def _wrapping(mode: str) -> dict:
+    return {
+        "scenario": {
+            "nics": [{"id": i, "config": {"tx_mode": mode, "batch_B": 3}} for i in (0, 1)],
+            "connections": [{"client_nic": 0, "server_nic": 1}] * 2,
+            "loadgen": {"mode": "closed_loop", "window": 6},
+            "duration_us": 150.0,
+            "warmup_us": 15.0,
+            "seed": 5,
+            "ring_depth": 8,
+        },
+        "cost": {},
+    }
+
+
+WRAPPING_OUTCOMES = {
+    "doorbell": {
+        "metrics": "RunMetrics(offered_mrps=2.488888888888889, achieved_mrps=2.488888888888889, "
+                   "median_us=4.775900821284012, p99_us=4.7759008212840275, saturated=False, "
+                   "n_samples=324)",
+        "samples": "29abd202bedf4db6fc6c55cac9bcc2fb25591ab266e08a28183f40b4752b9ba4",
+        "controller_logs": "[(0, []), (1, [])]",
+        "engine_events": 3242,
+        "total_completed": 372,
+        "trace": "d1ca4a2db521f7bf8ae2d20985084ed3165242a38a2d882edc09b4a222883593",
+    },
+    "coherent": {
+        "metrics": "RunMetrics(offered_mrps=5.2444444444444445, achieved_mrps=5.2444444444444445, "
+                   "median_us=2.352412053630687, p99_us=2.3524120536306983, saturated=False, "
+                   "n_samples=696)",
+        "samples": "287d82ea32b68846fc1993f3e0f183e9e5589eda513b31124509348f0f0e62d6",
+        "controller_logs": "[(0, [(100000.0, 'poll_mode', 'inval_driven', 'direct_poll')]), "
+                           "(1, [(100000.0, 'poll_mode', 'inval_driven', 'direct_poll')])]",
+        "engine_events": 11238,
+        "total_completed": 780,
+        "trace": "16345e984baf23d3bf7ddbea3222e13db5a4c04d6d635adf11f0f8fbd5a12619",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(WRAPPING_OUTCOMES))
+def test_runs_that_wrap_the_ring_end_keep_their_outcome(mode):
+    assert _diffcheck().outcome(sim, _wrapping(mode)) == WRAPPING_OUTCOMES[mode]
+
+
 def _mixed(client: dict, server: dict) -> dict:
     """Two connections from NIC 0 (config client) to NIC 1 (config server),
     closed loop with window 16 at ring_depth 16."""

@@ -403,7 +403,8 @@ def test_a_closed_loop_client_run_issues_its_calls_as_per_entry_pickups_do():
     tx, rx, copies, pending, issued, completed, blocked, events = run
     assert pending == list(range(4, 14)) and (issued, completed) == (14, 4)
     # two of the four new calls got the last free slots, one copy run
-    assert copies == [[(6, copies[0][0][1]), (7, copies[0][1][1])]]
+    assert [[protocol.rpc_id_of(block)[0] for block in run] for run in copies] == [[10, 11]]
+    assert tx["acquired"] - tx["published"] == 2
     assert [protocol.rpc_id_of(block)[0] for block in blocked] == [12, 13]
 
 
@@ -448,10 +449,11 @@ def _published_with_a_refused_entry(bad_at, as_run):
     engine, client, server, nic0, *_ = _stack(
         client_cfg=NicConfig(tx_mode="doorbell", batch_B=2))
     host, conn = client.conn, client.connection_id
-    items = [(host.tx.tx_acquire(), protocol.pack_entry(protocol.KIND_REQUEST, conn, rpc,
-                                                       ECHO_FN, b"x")) for rpc in range(4)]
-    items[bad_at] = (items[bad_at][0], items[bad_at][1][:63])
-    for run in ([items] if as_run else [[item] for item in items]):
+    assert host.tx.tx_acquire_run(4) == 4
+    blocks = [protocol.pack_entry(protocol.KIND_REQUEST, conn, rpc, ECHO_FN, b"x")
+              for rpc in range(4)]
+    blocks[bad_at] = blocks[bad_at][:63]
+    for run in ([blocks] if as_run else [[block] for block in blocks]):
         engine.schedule_batch(100.0, host._copied_event, host._copies, run)
     with pytest.raises(ContractViolation, match="publish needs 64 bytes, got 63"):
         engine.run_until(100.0)

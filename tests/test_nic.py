@@ -110,7 +110,7 @@ def test_wire_unknown_destination():
 def test_wire_batch_to_an_unknown_connection_stops_at_its_first_entry():
     engine, wire, nic0, nic1 = _rig()
     blocks = [protocol.encode_entry(RpcEntry(0, 5, rpc, 0, b"")) for rpc in range(3)]
-    wire.send_batch(0, 1, 5, list(enumerate(blocks)), 0.0)
+    wire.send_batch(0, 1, 5, blocks, 0.0)
     with pytest.raises(UnknownDestination, match="nic 1 has no connection 5"):
         engine.run_until(1e6)
     assert engine.events_processed == 1
@@ -218,8 +218,8 @@ def test_rx_arrival_batch_lands_like_its_entries_one_by_one(backlogged_conn):
     states = []
     for batched in (True, False):
         engine, nic1, pairs, delivered = _rx_twin(backlogged_conn)
-        if batched:  # as fetched from TX slots 10..13
-            nic1.rx_arrival_batch(0, iter(list(enumerate(blocks, 10))))
+        if batched:  # as fetched: the blocks alone
+            nic1.rx_arrival_batch(0, iter(blocks))
         else:
             for rpc, block in enumerate(blocks):
                 nic1.rx_arrival(0, block, rpc)
@@ -299,7 +299,7 @@ def test_rx_delivery_is_fifo_exactly_once_and_backlogs_only_behind_full_rings(
             if op == "arrival":
                 wire.send(0, 1, c, blocks[0], next_rpc - 1)
             else:
-                wire.send_batch(0, 1, c, list(enumerate(blocks)), 0.0)
+                wire.send_batch(0, 1, c, blocks, 0.0)
         settle_and_check()
     for c in range(n_conns):
         while visible[c]:

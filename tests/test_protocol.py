@@ -174,6 +174,44 @@ def test_any_block_decodes_or_is_malformed(block):
     assert entry.payload == block[16 : 16 + block[10]]
 
 
+def _unpack_from_table(block):
+    """unpack_entry's result or MalformedEntry message for block, read by
+    plain index arithmetic from LAYOUT."""
+    if len(block) != 64:
+        return f"expected 64 bytes, got {len(block)}"
+
+    def field(name):
+        off, size = LAYOUT[name]
+        return int.from_bytes(bytes(block[off:off + size]), "little")
+
+    plen, kind = field("payload_len"), field("kind")
+    if plen > protocol.MAX_PAYLOAD:
+        return f"payload_len {plen} exceeds {protocol.MAX_PAYLOAD}"
+    if kind not in (protocol.KIND_REQUEST, protocol.KIND_RESPONSE, protocol.KIND_ERROR):
+        return f"unrecognized kind byte {kind}"
+    off = LAYOUT["payload"][0]
+    return (kind, field("connection_id"), field("rpc_id"), field("function_id"),
+            bytes(block[off:off + plen]))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(block=st.one_of(st.binary(min_size=64, max_size=64), st.binary(max_size=80)),
+       kind_byte=st.integers(0, 3), plen=st.integers(0, 50),
+       buffer=st.sampled_from([bytes, bytearray, memoryview]))
+def test_unpack_entry_reads_any_buffer_as_the_layout_table_does(block, kind_byte, plen,
+                                                                  buffer):
+    if len(block) == 64:  # mostly legal kind and length bytes, some illegal
+        block = block[:1] + bytes((kind_byte,)) + block[2:10] + bytes((plen,)) + block[11:]
+    expected = _unpack_from_table(block)
+    try:
+        got = protocol.unpack_entry(buffer(block))
+    except MalformedEntry as exc:
+        assert str(exc) == expected
+        return
+    assert got == expected
+    assert [type(v) for v in got] == [int, int, int, int, bytes]
+
+
 def test_rpc_id_wraps():
     rec = ConnectionRecord(connection_id=1)
     rec.next_rpc_id = (1 << 32) - 1

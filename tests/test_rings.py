@@ -6,7 +6,10 @@ lockstep against an abstract specification machine (slot states FREE ->
 ACQ -> PUB -> FETCHED -> FREE plus a publish-order FIFO). The abstract
 machine is the oracle; the implementation must agree with it on every
 reachable state. Random operation sequences (hypothesis) carry the same
-check to depths 4, 8 and 16, through snapshot/restore.
+check to depths 4, 8 and 16, through snapshot/restore. A run method moves
+a count of entries through the ring's own next slots; a third property
+drives two ring pairs in lockstep, one by the run methods and one by the
+per-entry calls each run replaces, refusals included.
 """
 
 import random
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from nicsim import protocol
 from nicsim.errors import ContractViolation
 from nicsim.protocol import RpcEntry
-from nicsim.rings import CompletionQueue, RxRing, TxRing
+from nicsim.rings import CompletionQueue, RingPair, RxRing, TxRing
 
 FREE, ACQ, PUB, FETCHED = "free", "acq", "pub", "fetched"
 
@@ -184,7 +187,11 @@ def test_exhaustive_state_space_depth2():
 
         for batch in (1, 2):
             def do_fetch(r2, m2, batch=batch):
-                got = [idx for idx, _ in r2.nic_fetch(batch)]
+                cursor = r2.snapshot()["fetched"]
+                blocks = r2.nic_fetch(batch)
+                got = [(cursor + i) % depth for i in range(len(blocks))]
+                # each slot holds the entry published into it, whose rpc id is the slot
+                assert [protocol.rpc_id_of(block)[0] for block in blocks] == got
                 m2.on_fetch(got, batch)
 
             try_action(do_fetch)
@@ -194,7 +201,7 @@ def test_exhaustive_state_space_depth2():
             oldest = _fetched_run(ring)[0]
 
             def do_release(r2, m2, slot=oldest):
-                r2.nic_release([slot])
+                r2.nic_release(1)
                 m2.on_release(slot)
 
             try_action(do_release)
@@ -215,7 +222,7 @@ _OPS = st.one_of(
     st.tuples(st.just("fill"), st.integers(1, 16)),  # acquire + publish, to reach full rings
     st.tuples(st.just("fetch"), st.integers(1, 17)),
     st.tuples(st.just("release"), st.integers(1, 16)),
-    st.tuples(st.just("bad_release"), st.integers(0, 15)),
+    st.tuples(st.just("bad_release"), st.integers(1, 15)),  # that many past the fetched
     # carry on with a fresh ring restored from a snapshot (False), or rewind
     # this ring to the snapshot taken at the previous restore op (True)
     st.tuples(st.just("restore"), st.booleans()),
@@ -223,9 +230,8 @@ _OPS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(depth=st.sampled_from([4, 8, 16]), ops=st.lists(_OPS, max_size=80),
-       shuffle=st.randoms())
-def test_random_sequences_match_abstract_ring(depth, ops, shuffle):
+@given(depth=st.sampled_from([4, 8, 16]), ops=st.lists(_OPS, max_size=80))
+def test_random_sequences_match_abstract_ring(depth, ops):
     ring, model = TxRing(depth), AbstractRing(depth)
     rpc_of_slot = {}
     next_rpc = 0
@@ -256,24 +262,26 @@ def test_random_sequences_match_abstract_ring(depth, ops, shuffle):
                 if _acquired_run(ring):
                     publish()
         elif op == "fetch":
+            cursor = ring.snapshot()["fetched"]
             got = ring.nic_fetch(arg)
-            model.on_fetch([idx for idx, _ in got], arg)
-            for idx, block in got:
+            slots = [(cursor + i) % depth for i in range(len(got))]
+            model.on_fetch(slots, arg)
+            for idx, block in zip(slots, got):
                 assert protocol.decode_entry(block).rpc_id == rpc_of_slot[idx]
         elif op == "release" and _fetched_run(ring):
-            # any order of the oldest fetched prefix is a legal release
-            slots = list(_fetched_run(ring)[:arg])
-            shuffle.shuffle(slots)
-            ring.nic_release(slots)
+            # the oldest fetched entries, as many as asked or as are fetched
+            slots = _fetched_run(ring)[:arg]
+            ring.nic_release(len(slots))
             for idx in slots:
                 model.on_release(idx)
         elif op == "bad_release":
-            prefix = list(_fetched_run(ring)[:1])
-            if [arg % depth] != prefix:
-                before = ring.snapshot()
-                with pytest.raises(ContractViolation):
-                    ring.nic_release([arg % depth])
-                assert ring.snapshot() == before
+            # a count past the fetched entries releases them, then raises
+            slots = _fetched_run(ring)
+            with pytest.raises(ContractViolation, match=f"release of {len(slots) + arg} TX "
+                                                        f"entries, {len(slots)} of them fetched"):
+                ring.nic_release(len(slots) + arg)
+            for idx in slots:
+                model.on_release(idx)
         elif op == "restore":
             if arg:  # the live ring's dirty-run cache belongs to the later state
                 snap, saved_model, saved_rpcs = checkpoint
@@ -301,7 +309,7 @@ def test_capacity_and_wouldblock():
     assert ring.tx_acquire() is None
     ring.tx_publish(slots[0], _entry_block(0))
     fetched = ring.nic_fetch(1)
-    ring.nic_release([idx for idx, _ in fetched])
+    ring.nic_release(len(fetched))
     assert ring.tx_acquire() == slots[0]
 
 
@@ -310,8 +318,8 @@ def test_publish_fetch_roundtrip_bytes():
     slot = ring.tx_acquire()
     block = _entry_block(77, payload=b"roundtrip")
     ring.tx_publish(slot, block)
-    [(idx, got)] = ring.nic_fetch(4)
-    assert idx == slot
+    [got] = ring.nic_fetch(4)
+    assert _fetched_run(ring) == (slot,)
     assert got == block  # publish set the flag; encode already had it set
 
 
@@ -330,9 +338,9 @@ def test_fetch_order_matches_publish_order_random_batches():
                 next_id += 1
                 continue
         batch = ring.nic_fetch(rng.randint(1, 8))
-        ids = [protocol.decode_entry(b).rpc_id for _, b in batch]
+        ids = [protocol.decode_entry(b).rpc_id for b in batch]
         fetched.extend(ids)
-        ring.nic_release([idx for idx, _ in batch])
+        ring.nic_release(len(batch))
         for rid in ids:
             published.remove(rid)
     assert fetched == list(range(1000))
@@ -352,7 +360,7 @@ def test_steady_state_loop_accounting():
             slots.append(slot)
         batch = ring.nic_fetch(burst)
         assert len(batch) == burst
-        ring.nic_release([idx for idx, _ in batch])
+        ring.nic_release(len(batch))
         done += burst
     assert ring.outstanding() == 0
     assert ring.free_slots() == 64
@@ -369,20 +377,11 @@ def test_double_release_reports_violation():
     ring = TxRing(4)
     slot = ring.tx_acquire()
     ring.tx_publish(slot, _entry_block(0))
-    ring.nic_release([idx for idx, _ in ring.nic_fetch(1)])
-    with pytest.raises(ContractViolation):
-        ring.nic_release([slot])
-
-
-def test_out_of_fetch_order_release_reports_violation():
-    ring = TxRing(4)
-    for i in range(2):
-        slot = ring.tx_acquire()
-        ring.tx_publish(slot, _entry_block(i))
-    fetched = [idx for idx, _ in ring.nic_fetch(2)]
-    with pytest.raises(ContractViolation):
-        ring.nic_release([fetched[1]])  # newest first breaks bookkeeping order
-    ring.nic_release(fetched)  # whole batch in fetch order is fine
+    ring.nic_release(len(ring.nic_fetch(1)))
+    before = ring.snapshot()
+    with pytest.raises(ContractViolation, match="release of 1 TX entries, 0 of them fetched"):
+        ring.nic_release(1)
+    assert ring.snapshot() == before
 
 
 def test_side_ownership_enforced_across_threads():
@@ -417,7 +416,7 @@ def test_snapshot_restore_identity():
     for i in range(5):
         slot = ring.tx_acquire()
         ring.tx_publish(slot, _entry_block(i))
-    ring.nic_release([idx for idx, _ in ring.nic_fetch(2)])
+    ring.nic_release(len(ring.nic_fetch(2)))
     snap = ring.snapshot()
     other = TxRing(8)
     other.restore(snap)
@@ -545,6 +544,15 @@ def test_rx_deliver_run_raises_mid_run_as_rx_deliver_does(free_before, raises):
     assert run.snapshot() == each.snapshot()
 
 
+def test_rx_deliver_run_checks_the_length_of_a_last_block_that_meets_a_full_slot():
+    # rx_deliver checks the length before it finds the slot full
+    blocks = [_entry_block(0), _entry_block(1)[:63]]
+    each, run = _rx_ring_with_held_slots(4, 3, 0), _rx_ring_with_held_slots(4, 3, 0)
+    assert _deliver_each(each, blocks) == (1, "delivery needs 64 bytes, got 63")
+    assert _deliver_run(run, blocks) == (None, "delivery needs 64 bytes, got 63")
+    assert run.snapshot() == each.snapshot()
+
+
 # --------------------------------------------------------------------------
 # host runs: one ring call for what one call per entry does
 # --------------------------------------------------------------------------
@@ -556,7 +564,7 @@ def _tx_ring_at(depth, fetched, acquired):
     ring = TxRing(depth)
     for i in range(fetched):
         ring.tx_publish(ring.tx_acquire(), _entry_block(i))
-        ring.nic_release([slot for slot, _ in ring.nic_fetch(1)])
+        ring.nic_release(len(ring.nic_fetch(1)))
     for _ in range(acquired):
         assert ring.tx_acquire() is not None
     return ring
@@ -577,16 +585,17 @@ def test_tx_acquire_run_is_a_sequence_of_tx_acquire(depth, fetched, acquired, co
         if slot is None:
             break
         slots.append(slot)
-    assert run.tx_acquire_run(count) == slots
+    assert run.tx_acquire_run(count) == len(slots)
     assert run.snapshot() == each.snapshot()
 
 
-def _publish_each(ring, items):
-    """tx_publish per (slot, block) up to the first refused: (published, raised)."""
+def _publish_each(ring, blocks):
+    """tx_publish per block into the next acquired slot, up to the first
+    refused: (published, raised)."""
     n = 0
     try:
-        for slot, block in items:
-            ring.tx_publish(slot, block)
+        for block in blocks:
+            ring.tx_publish(ring.snapshot()["published"] % ring.depth, block)
             n += 1
     except ContractViolation as exc:
         return n, str(exc)
@@ -594,29 +603,31 @@ def _publish_each(ring, items):
 
 
 # each run publishes four entries into slots 6, 7, 0, 1 of a depth-8 ring,
-# the one at `at` (if any) replaced by a bad item
+# the one at `at` (if any) replaced by a bad block, or with only `at` of
+# those slots acquired
 BAD_PUBLISH = {
     "none": None,
-    "short_block": lambda slot: (slot, _entry_block(9)[:63]),
-    "out_of_order": lambda slot: ((slot + 1) % 8, _entry_block(9)),
-    "bytearray_block": lambda slot: (slot, bytearray(_entry_block(9))),  # copied in, not bad
+    "short_block": _entry_block(9)[:63],
+    "past_acquired": None,
+    "bytearray_block": bytearray(_entry_block(9)),  # copied in, not bad
 }
 
 
 @pytest.mark.parametrize("bad", sorted(BAD_PUBLISH))
 @pytest.mark.parametrize("at", [0, 1, 3])
 def test_tx_publish_run_is_a_sequence_of_tx_publish(bad, at):
-    each, run = _tx_ring_at(8, 6, 4), _tx_ring_at(8, 6, 4)
-    items = [(slot, _entry_block(20 + slot)) for slot in (6, 7, 0, 1)]
+    acquired = at if bad == "past_acquired" else 4
+    each, run = _tx_ring_at(8, 6, acquired), _tx_ring_at(8, 6, acquired)
+    blocks = [_entry_block(20 + slot) for slot in (6, 7, 0, 1)]
     if BAD_PUBLISH[bad] is not None:
-        items[at] = BAD_PUBLISH[bad](items[at][0])
-    n, raised = _publish_each(each, items)
-    it = iter(items)
+        blocks[at] = BAD_PUBLISH[bad]
+    n, raised = _publish_each(each, blocks)
+    it = iter(blocks)
     try:
         run.tx_publish_run(it)
     except ContractViolation as exc:
         assert str(exc) == raised
-        assert len(list(it)) == 3 - at  # the refused item was taken, the rest not
+        assert len(list(it)) == 3 - at  # the refused block was taken, the rest not
     else:
         assert raised is None and n == 4
     assert run.snapshot() == each.snapshot()
@@ -671,6 +682,140 @@ def test_rx_release_run_refuses_an_entry_not_delivered_after_those_before():
 
 
 # --------------------------------------------------------------------------
+# every by-count run against the per-entry calls it replaces
+# --------------------------------------------------------------------------
+
+# a block of a run replaced by one that the ring refuses or copies in
+_RUN_BAD = {
+    "short": lambda block: block[:63],
+    "mutable": bytearray,
+    "unset_valid": lambda block: b"\x00" + block[1:],
+}
+_RUN_OPS = st.one_of(
+    st.tuples(st.just("acquire"), st.integers(0, 10)),
+    st.tuples(st.just("fill"), st.integers(1, 10)),  # acquire, then publish what was acquired
+    st.tuples(st.just("publish"), st.integers(0, 10),
+              st.sampled_from([None, *sorted(_RUN_BAD)]), st.integers(0, 9)),
+    st.tuples(st.just("fetch"), st.integers(1, 10)),
+    st.tuples(st.just("release"), st.integers(0, 10)),
+    st.tuples(st.just("deliver"), st.integers(0, 10),
+              st.sampled_from([None, *sorted(_RUN_BAD)]), st.integers(0, 9)),
+    st.tuples(st.just("poll"), st.integers(0, 10)),
+    st.tuples(st.just("rx_release"), st.integers(0, 10)),
+    st.tuples(st.just("hold"), st.integers(1, 3)),  # rx_poll on both rings: held slots
+    st.tuples(st.just("unhold"), st.integers(0, 3)),  # rx_release of a held slot on both
+)
+
+
+def _acquire_each(ring, count):
+    n = 0
+    while n < count and ring.tx_acquire() is not None:
+        n += 1
+    return n
+
+
+def _fetch_each(ring, max_batch):
+    blocks = []
+    while len(blocks) < max_batch:
+        got = ring.nic_fetch(1)
+        if not got:
+            break
+        blocks += got
+    return blocks
+
+
+def _release_each(ring, count):
+    for _ in range(count):
+        ring.nic_release(1)
+
+
+def _poll_each(ring, count):
+    """What count rx_poll calls read, on a copy of ring."""
+    clone = RxRing(ring.depth)
+    clone.restore(ring.snapshot())
+    blocks = []
+    for _ in range(count):
+        polled = clone.rx_poll()
+        if polled is None:
+            break
+        blocks.append(polled[1])
+    return blocks
+
+
+def _rx_release_each(ring, count):
+    for _ in range(count):
+        polled = ring.rx_poll()
+        if polled is None:
+            raise ContractViolation("no delivered entry")
+        ring.rx_release(polled[0])
+
+
+def _outcome(call, *args):
+    """(return value, refusal or None) of call(*args)."""
+    try:
+        return call(*args), None
+    except ContractViolation as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(depth=st.sampled_from([4, 8]), start=st.integers(0, 7),
+       ops=st.lists(_RUN_OPS, max_size=60))
+def test_each_run_leaves_the_ring_as_the_per_entry_calls_it_replaces(depth, start, ops):
+    # both rings of both pairs start with their cursors at slot start % depth,
+    # so that short runs already cross the end of the ring
+    at = start % depth
+    each, run = RingPair(depth), RingPair(depth)
+    for pair in (each, run):
+        pair.tx, pair.rx = _tx_ring_at(depth, at, 0), _rx_ring_from(depth, at, 0)
+    held = deque()  # RX slots polled on both rings and not yet released
+    rpc = 0
+    for op, count, *bad in ops:
+        blocks = [_entry_block(rpc + i) for i in range(count)]
+        rpc += count
+        if bad and bad[0] is not None and count:
+            at = bad[1] % count
+            blocks[at] = _RUN_BAD[bad[0]](blocks[at])
+        if op in ("acquire", "fill"):
+            k = run.tx.tx_acquire_run(count)
+            assert k == _acquire_each(each.tx, count)
+            if op == "fill":
+                run.tx.tx_publish_run(blocks[:k])
+                assert _publish_each(each.tx, blocks[:k]) == (k, None)
+        elif op == "publish":
+            n, raised = _publish_each(each.tx, blocks)
+            assert _outcome(run.tx.tx_publish_run, blocks) == (None, raised)
+        elif op == "fetch":
+            assert run.tx.nic_fetch(count) == _fetch_each(each.tx, count)
+        elif op == "release":
+            # the messages differ: the run names its count, a call its one entry
+            assert ((_outcome(run.tx.nic_release, count)[1] is None)
+                    == (_outcome(_release_each, each.tx, count)[1] is None))
+        elif op == "deliver":
+            n, raised = _deliver_each(each.rx, blocks)
+            assert _outcome(run.rx.rx_deliver_run, blocks) == ((n, None) if raised is None
+                                                               else (None, raised))
+        elif op == "poll":
+            assert run.rx.rx_poll_run(count) == _poll_each(each.rx, count)
+        elif op == "rx_release":
+            assert ((_outcome(run.rx.rx_release_run, count)[1] is None)
+                    == (_outcome(_rx_release_each, each.rx, count)[1] is None))
+        elif op == "hold":
+            for _ in range(count):
+                polled = run.rx.rx_poll()
+                assert polled == each.rx.rx_poll()
+                if polled is not None:
+                    held.append(polled[0])
+        elif op == "unhold" and held:
+            slot = held[count % len(held)]
+            held.remove(slot)
+            run.rx.rx_release(slot)
+            each.rx.rx_release(slot)
+        assert run.tx.snapshot() == each.tx.snapshot(), op
+        assert run.rx.snapshot() == each.rx.snapshot(), op
+
+
+# --------------------------------------------------------------------------
 # entries held by reference
 # --------------------------------------------------------------------------
 
@@ -689,7 +834,7 @@ def _tx_rx_roundtrip(tx_block, rx_block):
         tx_block[:] = bytes(64)  # the caller reuses its buffer
     if isinstance(rx_block, bytearray):
         rx_block[:] = bytes(64)
-    [(_, fetched)] = tx.nic_fetch(1)
+    [fetched] = tx.nic_fetch(1)
     _, polled = rx.rx_poll()
     return fetched, polled
 
@@ -698,7 +843,7 @@ def test_a_published_entry_is_handed_on_by_reference():
     block = _block(1)
     tx, rx = TxRing(2), RxRing(2)
     tx.tx_publish(tx.tx_acquire(), block)
-    [(_, fetched)] = tx.nic_fetch(1)
+    [fetched] = tx.nic_fetch(1)
     assert fetched is block
     assert rx.rx_deliver(fetched)
     assert rx.rx_poll()[1] is block
@@ -749,9 +894,9 @@ def test_slab_image_matches_the_recorded_one():
     b = tx.tx_acquire()
     tx.tx_publish(b, bytearray(_block(2)))
     tx.nic_fetch(2)
-    tx.nic_release([a])
+    tx.nic_release(1)  # slot a
     tx.tx_publish(tx.tx_acquire(), _block(3, valid=0))
-    tx.nic_release([b])  # slot b is free and keeps entry 2's body
+    tx.nic_release(1)  # slot b is free and keeps entry 2's body
     rx = RxRing(2)
     rx.rx_deliver(_block(4))
     rx.rx_deliver(_block(5, valid=2))

@@ -289,6 +289,30 @@ def test_a_refused_nic_config_is_reported_once():
     ]
 
 
+def test_a_nic_id_declared_twice_is_refused_at_its_second_row():
+    # which of the two configs was meant is unknown: no error follows from either
+    data = {"nics": [{"id": 0}, {"id": 1, "config": {"tx_mode": "doorbell", "batch_B": 4}},
+                     {"id": 1, "config": {"tx_mode": "mmio"}}],
+            "connections": [{"client_nic": 0, "server_nic": 1}]}
+    with pytest.raises(ConfigInvalid) as exc:
+        Scenario.from_dict(data)
+    assert exc.value.errors == ["nics[2]: id 1 already declared"]
+
+
+@pytest.mark.parametrize("connections,error", [
+    ([{"client_nic": 0, "server_nic": "x"}],
+     "connections[0]: server_nic must be an integer, got 'x'"),
+    ("x", "connections must be a list, got 'x'"),
+], ids=["non_integer_field", "not_a_list"])
+def test_a_refused_connection_row_is_its_only_error(connections, error):
+    # the connections were declared, so "at least one connection required"
+    # would follow from the refused row alone
+    data = {"nics": [{"id": 0}, {"id": 1}], "connections": connections}
+    with pytest.raises(ConfigInvalid) as exc:
+        Scenario.from_dict(data)
+    assert exc.value.errors == [error]
+
+
 def test_connection_between_one_nic_and_itself_is_refused():
     data = {"nics": [{"id": 0}, {"id": 1}],
             "connections": [{"client_nic": 0, "server_nic": 1},
