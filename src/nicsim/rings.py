@@ -31,15 +31,14 @@ Design notes:
   blocks up to the first full slot, ``rx_poll_run`` reads a pickup run
   and ``rx_release_run`` frees a count of it. A run method does in one
   call what one call per entry does back to back, with one side-ownership
-  check per call and every per-entry check kept. It finds where a run of
-  flags ends with one scan in C (``bytearray.find``/``count``, or
-  ``_lead``'s ``lstrip``) and moves entries and flags with one slice
-  assignment each. A run that does not cross the end of the ring is
-  sliced in place, since a helper call costs more than the slice on a
-  short run; one that does goes through ``_lead``, ``_read`` and
-  ``_write``, which split it at the end. A TX run of one entry, the only
-  kind an unbatched NIC makes, is stored, fetched or released by index,
-  which costs a fraction of a slice or a scan. A run read by
+  check per call and every per-entry check kept. ``_lead`` finds where a
+  run of flags ends with one scan in C (``bytearray.count``, then
+  ``lstrip`` where the run stops short), and ``_read`` and ``_write``
+  move its entries and flags with one slice assignment each, split in
+  two where the run crosses the end of the ring; ``_entries`` makes the
+  per-block checks of the blocks a run takes in. A TX run of one entry,
+  the only kind an unbatched NIC makes, is stored, fetched or released by
+  index, which costs a fraction of a slice or a scan. A run read by
   ``rx_poll_run`` stays delivered until ``rx_release_run``, so a host that
   stops partway (an entry raised) releases the entries it took and leaves
   the rest as they were.
@@ -53,6 +52,7 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from itertools import islice
 
 from . import protocol
 from .errors import ContractViolation
@@ -65,6 +65,7 @@ _ZERO_BLOCK = bytes(_SLOT)  # the body of every slot not yet written
 # one flag byte, repeated to set or clear a run of flags: a bytearray, which
 # bytearray slice assignment takes without a copy (it copies bytes first)
 _SET, _CLEAR = bytearray(b"\x01"), bytearray(b"\x00")
+_END = object()  # what next() gives for an iterator with no block left
 
 
 def _require_pow2(depth: int) -> int:
@@ -79,8 +80,9 @@ def _as_entry(block) -> bytes:
 
 
 def _entries(blocks, verb: str):
-    """The blocks as the ring keeps them (_as_entry), up to the first that
-    is not one entry long, and the refusal of that one (None if none is)."""
+    """The blocks of the iterable blocks as the ring keeps them (_as_entry),
+    taken up to the first that is not one entry long, and the refusal of
+    that one (None if none is)."""
     out = []
     for block in blocks:
         if len(block) != _SLOT:
@@ -97,8 +99,9 @@ def _lead(flags: bytearray, idx: int, count: int, byte: bytes) -> int:
     depth = len(flags)
     end = idx + count
     if end <= depth:
-        run = flags[idx:end]
-        return len(run) - len(run.lstrip(byte))
+        if flags.count(byte, idx, end) == count:
+            return count
+        return count - len(flags[idx:end].lstrip(byte))
     k = depth - idx
     left = len(flags[idx:].lstrip(byte))
     if left:
@@ -221,34 +224,23 @@ class TxRing:
             _claim_side(self, "_host_thread", "TxRing host")
         n, depth = self._published, self.depth
         room = self._acquired - n
-        run, refused = [], None
-        for block in blocks:
-            if len(run) == room:
-                refused = (f"publish of slot {(n + room) % depth} out of acquire order "
-                           f"(oldest acquired: [])")
-                break
-            if len(block) != _SLOT or block.__class__ is not bytes or block[0] != 1:
-                if len(block) != _SLOT:
-                    refused = f"publish needs {_SLOT} bytes, got {len(block)}"
-                    break
-                block = _as_entry(block)
-            run.append(block)
+        it = iter(blocks)
+        run, refused = _entries(islice(it, room), "publish")
         k = len(run)
+        if k == room and refused is None and next(it, _END) is not _END:
+            refused = ContractViolation(f"publish of slot {(n + room) % depth} out of "
+                                        f"acquire order (oldest acquired: [])")
         if k:
             idx = n % depth
-            end = idx + k
             if k == 1:  # by index: a run of one costs what tx_publish does
                 self._blocks[idx] = run[0]
                 self._flags[idx] = 1  # publication point
-            elif end <= depth:
-                self._blocks[idx:end] = run
-                self._flags[idx:end] = _SET * k
             else:
                 _write(self._blocks, idx, run)
                 _write(self._flags, idx, _SET * k)
             self._published = n + k  # after the flags it counts (dirty_run)
         if refused is not None:
-            raise ContractViolation(refused)
+            raise refused
 
     def _refuse_publish(self, n: int, slot: int, block) -> None:
         """Raise for a publish of block into slot that is not the acquired
@@ -290,13 +282,6 @@ class TxRing:
                 return []
             self._fetched = fetched + 1
             return [self._blocks[idx]]
-        end = idx + n
-        if end <= depth:
-            stop = self._flags.find(0, idx, end)  # TX flags are 0 or 1
-            if stop >= 0:
-                end = stop
-            self._fetched = fetched + (end - idx)
-            return self._blocks[idx:end]
         n = _lead(self._flags, idx, n, b"\x01")
         self._fetched = fetched + n
         return _read(self._blocks, idx, n)
@@ -315,11 +300,8 @@ class TxRing:
         if k > 0:
             # the flags are cleared before the host can see the slots
             idx = n % self.depth
-            end = idx + k
             if k == 1:  # by index, as cheap as a per-entry release
                 self._flags[idx] = 0
-            elif end <= self.depth:
-                self._flags[idx:end] = _CLEAR * k
             else:
                 _write(self._flags, idx, _CLEAR * k)
             self._released = n + k  # hand the slots to the host side
@@ -400,31 +382,16 @@ class RxRing:
         flags, depth = self._flags, self.depth
         idx = self.nic_free_cursor
         n = len(blocks)
-        end = idx + n
-        if end <= depth and flags.count(0, idx, end) == n:
-            free = n
-        else:
-            free = _lead(flags, idx, n if n < depth else depth, b"\x00")
-        run = blocks if free == n else blocks[:free]
-        for block in run:
-            if len(block) != _SLOT or block.__class__ is not bytes or block[0] != 1:
-                run, refused = _entries(run, "delivery")
-                break
-        else:
-            refused = None
-        if refused is None and free < n and len(blocks[free]) != _SLOT:
-            # rx_deliver checks the length before it finds the slot full
-            refused = ContractViolation(f"delivery needs {_SLOT} bytes, got {len(blocks[free])}")
+        free = _lead(flags, idx, n if n < depth else depth, b"\x00")
+        # the block that meets a full slot is checked too: rx_deliver checks
+        # the length before it finds the slot full
+        run, refused = _entries(blocks[:free + 1], "delivery")
+        del run[free:]
         k = len(run)
         if k:
-            end = idx + k
-            if end <= depth:
-                self._blocks[idx:end] = run
-                flags[idx:end] = _SET * k
-            else:
-                _write(self._blocks, idx, run)
-                _write(flags, idx, _SET * k)
-            self.nic_free_cursor = end % depth
+            _write(self._blocks, idx, run)
+            _write(flags, idx, _SET * k)
+            self.nic_free_cursor = (idx + k) % depth
         if refused is not None:
             raise refused
         return k
@@ -451,9 +418,6 @@ class RxRing:
             _claim_side(self, "_host_thread", "RxRing host")
         depth = self.depth
         idx = self.host_poll_cursor
-        end = idx + count
-        if end <= depth and self._flags.count(1, idx, end) == count:
-            return self._blocks[idx:end]
         if count > depth:
             count = depth  # each entry once, as rx_poll's held flag ensures
         return _read(self._blocks, idx, _lead(self._flags, idx, count, b"\x01"))
@@ -467,11 +431,6 @@ class RxRing:
             _claim_side(self, "_host_thread", "RxRing host")
         flags, depth = self._flags, self.depth
         idx = self.host_poll_cursor
-        end = idx + count
-        if end <= depth and flags.count(1, idx, end) == count:
-            flags[idx:end] = _CLEAR * count
-            self.host_poll_cursor = end % depth
-            return
         k = _lead(flags, idx, count if count < depth else depth, b"\x01")
         _write(flags, idx, _CLEAR * k)
         idx = self.host_poll_cursor = (idx + k) % depth

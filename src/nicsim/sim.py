@@ -253,16 +253,17 @@ class Scenario:
                 refused_rows.add(key)
                 return out
             for i, row in enumerate(value):
-                if not isinstance(row, dict):
-                    errors.append(f"{key}[{i}] must be an object, got {row!r}")
-                    continue
-                bad = [f for f in fields if not ic.is_int(row.get(f))]
-                errors.extend(f"{key}[{i}]: {f} must be an integer, got {row.get(f)!r}"
-                              for f in bad)
-                if not bad:
-                    out.append((i, row))
+                if isinstance(row, dict):
+                    bad = [f for f in fields if not ic.is_int(row.get(f))]
+                    errors.extend(f"{key}[{i}]: {f} must be an integer, got {row.get(f)!r}"
+                                  for f in bad)
                 else:
+                    bad = True
+                    errors.append(f"{key}[{i}] must be an object, got {row!r}")
+                if bad:
                     refused_rows.add(key)
+                else:
+                    out.append((i, row))
             return out
 
         ring_depth = typed("ring_depth", 64, ic.is_int, "an integer")

@@ -31,7 +31,8 @@ HOT = {
         "TxRing.tx_acquire", "TxRing.tx_acquire_run", "TxRing.tx_publish",
         "TxRing.tx_publish_run", "TxRing.dirty_run", "TxRing.nic_fetch", "TxRing.nic_release",
         "RxRing.rx_deliver", "RxRing.rx_deliver_run", "RxRing.rx_poll", "RxRing.rx_poll_run",
-        "RxRing.rx_release", "RxRing.rx_release_run", "_as_entry", "_lead", "_read", "_write",
+        "RxRing.rx_release", "RxRing.rx_release_run", "_as_entry", "_entries", "_lead", "_read",
+        "_write",
     ],
     "nic": [
         "Wire.send", "Wire.send_batch",

@@ -303,7 +303,8 @@ def test_a_nic_id_declared_twice_is_refused_at_its_second_row():
     ([{"client_nic": 0, "server_nic": "x"}],
      "connections[0]: server_nic must be an integer, got 'x'"),
     ("x", "connections must be a list, got 'x'"),
-], ids=["non_integer_field", "not_a_list"])
+    ([5], "connections[0] must be an object, got 5"),
+], ids=["non_integer_field", "not_a_list", "not_an_object"])
 def test_a_refused_connection_row_is_its_only_error(connections, error):
     # the connections were declared, so "at least one connection required"
     # would follow from the refused row alone
