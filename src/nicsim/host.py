@@ -18,8 +18,8 @@ is packed straight from the call's arguments, a pickup unpacks a block
 into locals, and the server packs its response from those same locals
 (protocol.pack_entry/unpack_entry). No decoded entry object is built.
 
-Every TX mode publishes through _ConnHost._submit_run (_submit for one
-entry). In mmio mode the store is the publish; otherwise a publish lands
+Every TX mode publishes through _ConnHost._submit_run, one entry as a run
+of one. In mmio mode the store is the publish; otherwise a publish lands
 t_memcpy later, when the copy into the TX ring ends, and publishes of one
 end due at one timestamp with nothing scheduled between them join one run
 of the end's copy queue (Engine.schedule_run). A delivery of two or more
@@ -47,12 +47,14 @@ number travels with them.
 - on_tx_free submits the blocked entries the freed slots take as one run.
 
 A run that Engine.run_while steps one entry at a time is a run of one. One
-call per entry stays where the order needs it: a pickup on a connection
+_pickup per entry stays where the order needs it: a pickup on a connection
 whose RX backlog is non-empty, where each release DMA-writes a backlog
 entry whose delivery is scheduled between two takes. When an entry raises,
-the entries before it are done, it is left as its own call leaves it, and the rest stay
-untaken at the head of the run queue (a pickup run's RX entries delivered
-and unpolled).
+the entries before it are done, it is left as its own call leaves it, and
+the rest stay untaken at the head of the run queue. A pickup frees each
+entry it has unpacked, so one whose unpack raised stays delivered at the
+RX poll cursor, ahead of the untaken rest, and the next pickup on that
+ring raises for it again.
 """
 
 from __future__ import annotations
@@ -124,54 +126,37 @@ class _ConnHost:
 
     # -- publish path ---------------------------------------------------------
 
-    def _submit(self, block: bytes) -> None:
-        """Publish a packed entry, or queue it until a TX slot frees up."""
-        engine, nic = self.engine, self.nic
-        if nic.config.tx_mode == ic.MODE_MMIO:
-            self._submit_run([block])
-            return
-        if self.tx.tx_acquire() is None:
-            self._blocked.append(block)
-            return
-        now = engine.now
-        trace = engine.trace
-        if trace is not None:
-            trace.append(ic.Transaction(now, f"host{nic.nic_id}", ic.KIND_HOST_MEMCPY, 1,
-                                        self.connection_id, rpc_id_of(block)[0], critical=True))
-        engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, self._copies, block)
-
     def _submit_run(self, blocks: list) -> None:
-        """_submit each packed entry of blocks, in order, with one acquire.
-        In mmio mode the AVX store into device I/O space is itself the
-        publication: the entries publish at once (_copied). Otherwise their
-        copies start with one schedule_run: the entries after the first join
-        the run it joins, as their own schedule_run calls would, since
-        nothing is scheduled between them. Each copy publishes into the next
-        acquired slot, the one its acquire took, since copies end in acquire
-        order. Entries past the last free slot wait for one, as _submit's
-        do."""
-        k = self.tx.tx_acquire_run(len(blocks))
+        """Publish each packed entry of blocks, in order, with one acquire,
+        or queue it until a TX slot frees up (on_tx_free). In mmio mode the
+        AVX store into device I/O space is itself the publication: the
+        entries publish at once (_copied). Otherwise their copies start with
+        one schedule_run: the entries after the first join the run it joins,
+        as their own schedule_run calls would, since nothing is scheduled
+        between them. Each copy publishes into the next acquired slot, the
+        one its acquire took, since copies end in acquire order."""
+        n = len(blocks)
+        k = self.tx.tx_acquire_run(n)
         if k:
             engine, nic = self.engine, self.nic
-            now = engine.now
-            trace = engine.trace
             mmio = nic.config.tx_mode == ic.MODE_MMIO
+            trace = engine.trace
             if trace is not None:
                 issuer = f"host{nic.nic_id}"
                 kind = ic.KIND_MMIO_STORE if mmio else ic.KIND_HOST_MEMCPY
                 for block in blocks[:k]:
-                    trace.append(ic.Transaction(now, issuer, kind, 1, self.connection_id,
+                    trace.append(ic.Transaction(engine.now, issuer, kind, 1, self.connection_id,
                                                 rpc_id_of(block)[0], critical=True))
             if mmio:  # a list iterator, whose length _taken reads if a publish raises
                 self._copied(iter(blocks[:k]), k)
             else:
-                copies = self._copies
-                engine.schedule_run(now + nic.params.t_memcpy, self._copied_event, copies,
-                                    blocks[0])
+                engine.schedule_run(engine.now + nic.params.t_memcpy, self._copied_event,
+                                    self._copies, blocks[0])
                 if k > 1:
-                    copies[-1].extend(blocks[1:k])
-        if k < len(blocks):
-            self._blocked.extend(blocks[k:])
+                    self._copies[-1].extend(blocks[1:k])
+            if k == n:
+                return
+        self._blocked.extend(blocks[k:])
 
     def _copied(self, it, n: int) -> None:
         """The publish copy (or mmio store) of a run of n entries ended:
@@ -229,27 +214,20 @@ class _ConnHost:
             for _ in it:
                 pickup()
             return
-        self._take_run(self, it, blocks, n)
-
-    def _release_raised_run(self, it, n: int, unpacked: int) -> None:
-        """A pickup run of n raised: leave the RX ring as _pickup per entry
-        leaves it. The unpacked entries are released, an entry whose unpack
-        raised stays polled, and the untaken rest stay delivered."""
-        rx = self.rx
-        rx.rx_release_run(unpacked)
-        if _taken(it, n) > unpacked:
-            rx.rx_poll()
+        self._take_run(self, it, blocks)
 
     def _pickup(self) -> None:
+        """Pick up one delivered entry: a pickup run of one. An entry whose
+        unpack raises stays delivered at the poll cursor, so the next pickup
+        raises for it again."""
         rx = self.rx
-        polled = rx.rx_poll()
-        if polled is None:
+        blocks = rx.rx_poll_run(1)
+        if not blocks:
             raise ContractViolation(
                 f"delivery event without a dirty RX slot on connection {self.connection_id}"
             )
-        slot, block = polled
-        kind, conn, rpc, fn, payload = unpack_entry(block)
-        rx.rx_release(slot)
+        kind, conn, rpc, fn, payload = unpack_entry(blocks[0])
+        rx.rx_release_run(1)
         self.nic.on_rx_slot_freed(self.connection_id)
         self._take(kind, conn, rpc, fn, payload)
 
@@ -294,7 +272,7 @@ class ClientEndpoint:
         block = pack_entry(protocol.KIND_REQUEST, self.connection_id, rpc_id, function_id, payload)
         issued_run = self._issued_run
         if issued_run is None:
-            self.conn._submit(block)
+            self.conn._submit_run([block])
         else:
             issued_run.append(block)  # submitted at the pickup run's end
         return rpc_id
@@ -320,17 +298,20 @@ class ClientEndpoint:
         if self.on_complete is not None:
             self.on_complete(rpc_id, issue_ts, self.engine.now, payload, kind)
 
-    def _take_run(self, host: _ConnHost, it, blocks: list, n: int) -> None:
-        """_take for each of the n blocks of a pickup run on host, in order,
-        with the calls its completions issue (start_call) submitted together
-        at the end (_ConnHost._submit_run). That is the copy run their own
-        submits would have built, since the completion hook schedules nothing
-        else (on_complete). When an entry raises, the calls issued before it
-        are still submitted."""
+    def _take_run(self, host: _ConnHost, it, blocks: list) -> None:
+        """_take for each of the blocks of a pickup run on host, in order, one
+        per item taken from the run's iterator it, with the calls its
+        completions issue (start_call) submitted together at the end
+        (_ConnHost._submit_run). That is the copy run their own submits
+        would have built, since the completion hook schedules nothing else
+        (on_complete). When an entry raises, the entries before it and one
+        whose take raised are released, the calls issued before it are
+        still submitted, and an entry whose unpack raised stays delivered at
+        the poll cursor."""
         pending, cq = self.pending, self.cq
         now = self.engine.now
         self._issued_run = issued = []
-        i = 0
+        i = 0  # entries unpacked, released at the end
         try:
             for _ in it:
                 kind, conn, rpc_id, fn, payload = unpack_entry(blocks[i])
@@ -345,12 +326,8 @@ class ClientEndpoint:
                 on_complete = self.on_complete  # read per completion: a call may replace it
                 if on_complete is not None:
                     on_complete(rpc_id, issue_ts, now, payload, kind)
-        except BaseException:
-            host._release_raised_run(it, n, i)
-            raise
-        else:
-            host.rx.rx_release_run(n)
         finally:
+            host.rx.rx_release_run(i)
             self._issued_run = None
             if issued:
                 host._submit_run(issued)
@@ -399,8 +376,7 @@ class ServerEndpoint:
     def _take(self, kind: int, conn: int, rpc: int, fn: int, payload: bytes) -> None:
         """Answer a picked-up request on its connection."""
         self.served += 1
-        block = self._answer(conn, rpc, fn, payload)
-        self.conns[conn]._submit(block)
+        self.conns[conn]._submit_run([self._answer(conn, rpc, fn, payload)])
 
     def _answer(self, conn: int, rpc: int, fn: int, payload: bytes) -> bytes:
         """The packed answer to a request: the handler's response, or an
@@ -413,15 +389,17 @@ class ServerEndpoint:
             return pack_entry(protocol.KIND_ERROR, conn, rpc, fn, ERR_REPLY_TOO_BIG)
         return pack_entry(protocol.KIND_RESPONSE, conn, rpc, fn, payload)
 
-    def _answer_run(self, host: _ConnHost, it, blocks: list, n: int) -> None:
-        """_take for each of the n blocks of a pickup run on host, in order:
-        the handlers run first, and the answers publish together
-        (_ConnHost._submit_run). That is where _take's would publish only
-        because a handler schedules nothing (register_handler). An answer on
-        another connection than host's publishes where _take's would, after
-        the ones before it."""
+    def _answer_run(self, host: _ConnHost, it, blocks: list) -> None:
+        """_take for each of the blocks of a pickup run on host, in order, one
+        per item taken from the run's iterator it: the handlers run first,
+        and the answers publish together (_ConnHost._submit_run). That is
+        where _take's would publish only because a handler schedules nothing
+        (register_handler). An answer on another connection than host's
+        publishes where _take's would, after the ones before it. When an
+        entry raises, the RX ring and the answers so far are left as in
+        ClientEndpoint._take_run."""
         answer, own, answers = self._answer, host.connection_id, []
-        i = 0
+        i = 0  # entries unpacked, released and counted as served at the end
         try:
             for _ in it:
                 kind, conn, rpc, fn, payload = unpack_entry(blocks[i])
@@ -433,16 +411,12 @@ class ServerEndpoint:
                     if answers:
                         host._submit_run(answers)
                         answers = []
-                    self.conns[conn]._submit(block)
-        except BaseException:
+                    self.conns[conn]._submit_run([block])
+        finally:
             self.served += i
-            host._release_raised_run(it, n, i)
+            host.rx.rx_release_run(i)
             if answers:
                 host._submit_run(answers)
-            raise
-        self.served += n
-        host.rx.rx_release_run(n)
-        host._submit_run(answers)
 
 
 def echo_handler(payload: bytes) -> bytes:

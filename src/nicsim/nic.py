@@ -527,7 +527,7 @@ class Nic:
 
     def _rx_deliver(self, ep: _ConnEndpoint, block: bytes, rpc: int) -> bool:
         """DMA-write one arrival into ep's RX ring; False on backpressure."""
-        if not ep.rings.rx.rx_deliver(block):
+        if not ep.rings.rx.rx_deliver_run((block,)):
             return False  # backpressure: stay queued
         now = self.engine.now
         trace = self.engine.trace

@@ -6,8 +6,6 @@ Every transfer unit is one 64-byte cache-line-sized entry. Byte layout
     offset  size  field
     ------  ----  -----------------------------------------------
     0       1     valid_flag   0 = free slot, 1 = occupied/dirty
-                                 (2 = an RX slot the host has polled and
-                                  not yet released; see rings.RxRing)
     1       1     kind         0 = request, 1 = response, 2 = error response
     2       2     connection_id  (u16)
     4       4     rpc_id         (u32, per-connection monotonic)

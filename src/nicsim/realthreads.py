@@ -8,7 +8,8 @@ for performance).
 Thread layout honors the one-thread-per-ring-side rule: a host thread
 owns the host side of every ring (client issue/poll plus server serve),
 and a NIC thread owns the NIC side of every ring plus the loop-back wire
-queues.
+queues. Both threads make the ring calls the simulator makes, each a run
+of entries by count (rings.py).
 
 Payloads carry a CRC32 over their first 44 bytes in the last 4 bytes, so
 a torn read anywhere in the pipeline is detected at the checkpoints.
@@ -21,7 +22,6 @@ import sys
 import threading
 import time
 import zlib
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -31,6 +31,7 @@ from .rings import RingPair
 
 
 _PAD = bytes(range(32))
+STALL_S = 60.0  # seconds without a completion after which a stress run stops short
 
 
 def checksummed_payload(rpc_id: int, stamp: int) -> bytes:
@@ -69,28 +70,62 @@ class StressStats:
         return self.corrupted == 0 and self.duplicates == 0 and self.out_of_order == 0
 
 
+def _run_threads(stats: StressStats, *loops) -> None:
+    """Run each loop(stop) on a thread of its own until every one returns.
+    Every loop watches stop. It is set when a loop raises, and the first
+    such error is raised here once all threads have joined; and when
+    stats.completed has not grown for STALL_S seconds, so that a stalled
+    pipeline reports its shortfall instead of hanging."""
+    stop = threading.Event()
+    errors = []
+
+    def guarded(loop):
+        try:
+            loop(stop)
+        except BaseException as exc:
+            errors.append(exc)
+            stop.set()
+
+    threads = [threading.Thread(target=guarded, args=(loop,)) for loop in loops]
+    with _fast_thread_switching():
+        for t in threads:
+            t.start()
+        last, since = stats.completed, time.perf_counter()
+        for t in threads:
+            while t.is_alive():
+                t.join(0.1)
+                now = time.perf_counter()
+                if stats.completed != last:
+                    last, since = stats.completed, now
+                elif now - since > STALL_S:
+                    stop.set()
+    if errors:
+        raise errors[0]
+
+
 def run_spsc_stress(n_entries: int = 1_000_000, depth: int = 512, batch: int = 64) -> StressStats:
-    """One producer publishes checksummed entries, one consumer fetches and
-    releases them on another thread. Checks order and integrity."""
-    pair = RingPair(depth)
-    tx = pair.tx
+    """One producer publishes checksummed entries in runs of up to batch,
+    one consumer fetches and releases them in runs of up to batch on
+    another thread. Checks order and integrity."""
+    tx = RingPair(depth).tx
     stats = StressStats(0, 0, 0, 0, 0.0)
     start = time.perf_counter()
 
-    def producer():
+    def producer(stop):
         published = 0
-        while published < n_entries:
-            slot = tx.tx_acquire()
-            if slot is None:
+        while published < n_entries and not stop.is_set():
+            k = tx.tx_acquire_run(min(batch, n_entries - published))
+            if not k:
                 time.sleep(0)
                 continue
-            tx.tx_publish(slot, pack_entry(protocol.KIND_REQUEST, 1, published, 0,
-                                           checksummed_payload(published, 0xABCDEF)))
-            published += 1
+            tx.tx_publish_run([pack_entry(protocol.KIND_REQUEST, 1, rpc, 0,
+                                          checksummed_payload(rpc, 0xABCDEF))
+                               for rpc in range(published, published + k)])
+            published += k
 
-    def consumer():
+    def consumer(stop):
         expected = 0
-        while expected < n_entries:
+        while expected < n_entries and not stop.is_set():
             fetched = tx.nic_fetch(batch)
             if not fetched:
                 time.sleep(0)
@@ -105,26 +140,9 @@ def run_spsc_stress(n_entries: int = 1_000_000, depth: int = 512, batch: int = 6
                 stats.completed += 1
             tx.nic_release(len(fetched))
 
-    threads = [threading.Thread(target=producer), threading.Thread(target=consumer)]
-    with _fast_thread_switching():
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    _run_threads(stats, producer, consumer)
     stats.wall_seconds = time.perf_counter() - start
     return stats
-
-
-class _EchoRig:
-    """Two NICs on a loop-back wire, one connection, echo server."""
-
-    def __init__(self, depth: int, batch: int):
-        self.batch = batch
-        self.client = RingPair(depth)  # client-side rings (NIC A)
-        self.server = RingPair(depth)  # server-side rings (NIC B)
-        self.wire_ab: deque = deque()
-        self.wire_ba: deque = deque()
-        self.done = threading.Event()
 
 
 def run_echo_stress(n_rpcs: int = 1_000_000, depth: int = 1024, batch: int = 128,
@@ -133,84 +151,68 @@ def run_echo_stress(n_rpcs: int = 1_000_000, depth: int = 1024, batch: int = 128
 
     The host thread issues up to `window` outstanding requests, serves the
     echo handler, and verifies every completion; the NIC thread moves
-    entries TX ring -> wire -> RX ring for both directions.
+    entries TX ring -> wire -> RX ring for both directions. Every ring call
+    moves a run of up to `batch` entries: the host publishes, picks up and
+    answers in runs, and the NIC fetches and delivers in runs.
     """
-    rig = _EchoRig(depth, batch)
+    client, server = RingPair(depth), RingPair(depth)  # the rings of NIC A and of NIC B
     stats = StressStats(0, 0, 0, 0, 0.0)
     start = time.perf_counter()
 
-    def nic_thread():
-        client_tx, server_rx = rig.client.tx, rig.server.rx
-        server_tx, client_rx = rig.server.tx, rig.client.rx
-        ab, ba = rig.wire_ab, rig.wire_ba
-        while not rig.done.is_set():
+    def nic_thread(stop):
+        wires = ((client.tx, server.rx, []), (server.tx, client.rx, []))  # loop-back queues
+        while not stop.is_set():
             moved = False
-            fetched = client_tx.nic_fetch(rig.batch)
-            if fetched:
-                ab.extend(fetched)
-                client_tx.nic_release(len(fetched))
-                moved = True
-            while ab and server_rx.rx_deliver(ab[0]):
-                ab.popleft()
-                moved = True
-            fetched = server_tx.nic_fetch(rig.batch)
-            if fetched:
-                ba.extend(fetched)
-                server_tx.nic_release(len(fetched))
-                moved = True
-            while ba and client_rx.rx_deliver(ba[0]):
-                ba.popleft()
-                moved = True
+            for tx, rx, wire in wires:
+                fetched = tx.nic_fetch(batch)
+                if fetched:
+                    wire.extend(fetched)
+                    tx.nic_release(len(fetched))
+                    moved = True
+                if wire:
+                    k = rx.rx_deliver_run(wire[:batch])
+                    if k:
+                        del wire[:k]
+                        moved = True
             if not moved:
                 time.sleep(0)
 
-    def host_thread():
+    def host_thread(stop):
         issued = 0
         completed = 0
         seen = bytearray(n_rpcs)
         expected_next = 0
-        client_tx, client_rx = rig.client.tx, rig.client.rx
-        server_rx, server_tx = rig.server.rx, rig.server.tx
-        pending_responses: deque = deque()
-        last_progress = time.perf_counter()
-        while completed < n_rpcs:
-            if time.perf_counter() - last_progress > 60.0:
-                break  # stalled pipeline: report the shortfall instead of hanging
+        responses = []  # (rpc, payload) echoes waiting for a server TX slot
+        while completed < n_rpcs and not stop.is_set():
             progress = False
             # client: keep the window full
-            while issued < n_rpcs and issued - completed < window:
-                slot = client_tx.tx_acquire()
-                if slot is None:
-                    break
-                client_tx.tx_publish(slot, pack_entry(protocol.KIND_REQUEST, 1, issued, 0,
-                                                      checksummed_payload(issued, 0x51)))
-                issued += 1
+            k = client.tx.tx_acquire_run(min(batch, window - (issued - completed),
+                                             n_rpcs - issued))
+            if k:
+                client.tx.tx_publish_run([pack_entry(protocol.KIND_REQUEST, 1, rpc, 0,
+                                                     checksummed_payload(rpc, 0x51))
+                                          for rpc in range(issued, issued + k)])
+                issued += k
                 progress = True
-            # server: drain requests, echo them back
-            while True:
-                polled = server_rx.rx_poll()
-                if polled is None:
-                    break
-                slot, block = polled
+            # server: take a run of requests, echo them back
+            blocks = server.rx.rx_poll_run(batch)
+            for block in blocks:
                 _kind, _conn, rpc, _fn, payload = unpack_entry(block)
                 if not payload_intact(payload):
                     stats.corrupted += 1
-                pending_responses.append((rpc, payload))
-                server_rx.rx_release(slot)
+                responses.append((rpc, payload))
+            if blocks:
+                server.rx.rx_release_run(len(blocks))
                 progress = True
-            while pending_responses:
-                slot = server_tx.tx_acquire()
-                if slot is None:
-                    break
-                rpc, payload = pending_responses.popleft()
-                server_tx.tx_publish(slot, pack_entry(protocol.KIND_RESPONSE, 1, rpc, 0, payload))
+            k = server.tx.tx_acquire_run(min(batch, len(responses)))
+            if k:
+                server.tx.tx_publish_run([pack_entry(protocol.KIND_RESPONSE, 1, rpc, 0, payload)
+                                          for rpc, payload in responses[:k]])
+                del responses[:k]
                 progress = True
-            # client: consume completions
-            while True:
-                polled = client_rx.rx_poll()
-                if polled is None:
-                    break
-                slot, block = polled
+            # client: consume a run of completions
+            blocks = client.rx.rx_poll_run(batch)
+            for block in blocks:
                 _kind, _conn, rid, _fn, payload = unpack_entry(block)
                 if not payload_intact(payload):
                     stats.corrupted += 1
@@ -222,22 +224,16 @@ def run_echo_stress(n_rpcs: int = 1_000_000, depth: int = 1024, batch: int = 128
                     stats.out_of_order += 1
                 expected_next = rid + 1
                 completed += 1
-                client_rx.rx_release(slot)
+            if blocks:
+                client.rx.rx_release_run(len(blocks))
+                stats.completed = completed
                 progress = True
-            if progress:
-                last_progress = time.perf_counter()
-            else:
+            if not progress:
                 time.sleep(0)
-        stats.completed = completed
         if not all(seen):
             stats.duplicates += 1  # a missing id implies loss; flag loudly
-        rig.done.set()
+        stop.set()
 
-    threads = [threading.Thread(target=nic_thread), threading.Thread(target=host_thread)]
-    with _fast_thread_switching():
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+    _run_threads(stats, nic_thread, host_thread)
     stats.wall_seconds = time.perf_counter() - start
     return stats

@@ -1,10 +1,11 @@
 """Per-connection TX/RX rings with the dirty-bit publication contract.
 
 Design notes:
-- Strict SPSC per side: the host side (acquire/publish, RX poll/release)
-  and the NIC side (fetch/release, RX deliver) are each owned by exactly
-  one thread, enforced at first use. The simulated backend drives both
-  sides from the single event-loop thread, which trivially satisfies it.
+- Strict SPSC per side: the host side (TX acquire/publish, RX
+  poll/release) and the NIC side (TX fetch/release, RX deliver) are each
+  owned by exactly one thread, enforced at first use. The simulated
+  backend drives both sides from the single event-loop thread, which
+  trivially satisfies it.
 - No locks. Each slot's valid byte is the publication point: the writer
   stores the entry first and flips the flag last, the reader inspects the
   flag before reading the entry. Under CPython each of those is a single
@@ -19,29 +20,31 @@ Design notes:
   buffer cannot reach the ring.
 - ``TxRing.dirty_run`` is a difference of counters, published minus
   fetched, with no scan: publishes follow the circular order, so every
-  published slot past the fetch cursor is dirty. ``tx_publish`` sets the
-  flag before it advances ``_published``, so a NIC thread that reads the
-  counter finds every counted flag set.
-- A run moves by count. Its slots are the ring's own next ones in the
-  circular order (the counters or cursors say which), so no slot number
-  crosses the interface: ``TxRing.tx_acquire_run`` returns how many slots
-  it took, ``tx_publish_run`` publishes blocks into the next acquired
-  slots, ``nic_fetch`` returns the blocks of the fetched run and
-  ``nic_release`` frees a count of them; ``RxRing.rx_deliver_run`` writes
-  blocks up to the first full slot, ``rx_poll_run`` reads a pickup run
-  and ``rx_release_run`` frees a count of it. A run method does in one
-  call what one call per entry does back to back, with one side-ownership
-  check per call and every per-entry check kept. ``_lead`` finds where a
-  run of flags ends with one scan in C (``bytearray.count``, then
-  ``lstrip`` where the run stops short), and ``_read`` and ``_write``
-  move its entries and flags with one slice assignment each, split in
-  two where the run crosses the end of the ring; ``_entries`` makes the
-  per-block checks of the blocks a run takes in. A TX run of one entry,
-  the only kind an unbatched NIC makes, is stored, fetched or released by
-  index, which costs a fraction of a slice or a scan. A run read by
-  ``rx_poll_run`` stays delivered until ``rx_release_run``, so a host that
-  stops partway (an entry raised) releases the entries it took and leaves
-  the rest as they were.
+  published slot past the fetch cursor is dirty. ``tx_publish_run`` sets
+  the flags before it advances ``_published``, so a NIC thread that reads
+  the counter finds every counted flag set.
+- Every ring call moves a run, by count; there is no per-entry API. A
+  run's slots are the ring's own next ones in the circular order (the
+  counters or cursors say which), so no slot number crosses the interface:
+  ``TxRing.tx_acquire_run`` returns how many slots it took,
+  ``tx_publish_run`` publishes blocks into the next acquired slots,
+  ``nic_fetch`` returns the blocks of the fetched run and ``nic_release``
+  frees a count of them; ``RxRing.rx_deliver_run`` writes blocks up to the
+  first full slot, ``rx_poll_run`` reads a pickup run and
+  ``rx_release_run`` frees a count of it. Each call checks side ownership
+  once, and a negative count is refused (a count of 0 does nothing).
+  ``_lead`` finds where a run of flags ends with one scan in C
+  (``bytearray.count``, then ``lstrip`` where the run stops short), and
+  ``_read`` and ``_write`` move its entries and flags with one slice
+  assignment each, split in two where the run crosses the end of the
+  ring; ``_entries`` makes the per-block checks of the blocks a run takes
+  in. A run of one entry, the only kind an unbatched NIC or an open loop
+  makes, is published, fetched, released, delivered, polled or freed by
+  index on both rings, which costs a fraction of a slice or a scan.
+- Flags are only 0 or 1 on both rings. A run read by ``rx_poll_run``
+  stays delivered until ``rx_release_run`` frees it, so a host that stops
+  partway (an entry raised) frees the entries it took and leaves the rest,
+  the raising one first, delivered at the poll cursor.
 - The TX ring's bookkeeping is four monotonic counters, two written by
   each side; the RX ring's is one cursor per side.
 - snapshot() returns a ring's state itself (flags, blocks, counters or
@@ -173,53 +176,29 @@ class TxRing:
 
     # -- host side -------------------------------------------------------
 
-    def tx_acquire(self):
-        """Take ownership of a free slot; None when all slots outstanding."""
-        if self._host_thread != _get_ident():
-            _claim_side(self, "_host_thread", "TxRing host")
-        n = self._acquired
-        if n - self._released >= self.depth:
-            return None
-        self._acquired = n + 1
-        return n % self.depth
-
     def tx_acquire_run(self, count: int) -> int:
-        """tx_acquire up to count times in one call: how many slots were
-        acquired, fewer than count when the ring runs out of free slots."""
+        """Take up to count free slots for the host to publish into: how
+        many were taken, fewer than count when the ring runs out of free
+        slots."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "TxRing host")
         n = self._acquired
         free = self.depth - (n - self._released)
         if count > free:
             count = free
+        elif count < 0:
+            raise ContractViolation(f"acquire of {count} TX slots")
         self._acquired = n + count
         return count
 
-    def tx_publish(self, slot: int, block: bytes) -> None:
-        """Write an encoded entry into an acquired slot and flip its flag.
-
-        Publishes follow acquire order (one writer, one entry at a time),
-        which keeps publish order aligned with the NIC's circular cursor.
-        The flag byte is stored last; the caller's flag byte is ignored:
-        the ring keeps the block itself when it is ``bytes`` with byte 0
-        equal to 1, and such a copy of it otherwise.
-        """
-        if self._host_thread != _get_ident():
-            _claim_side(self, "_host_thread", "TxRing host")
-        n = self._published
-        if n == self._acquired or slot != n % self.depth or len(block) != _SLOT:
-            self._refuse_publish(n, slot, block)
-        if block.__class__ is not bytes or block[0] != 1:
-            block = _as_entry(block)
-        self._blocks[slot] = block
-        self._flags[slot] = 1  # publication point
-        self._published = n + 1  # never ahead of the flags (dirty_run)
-
     def tx_publish_run(self, blocks) -> None:
-        """tx_publish each block of the iterable blocks into the next
-        acquired slot, in order, in one call. A block that tx_publish would
-        refuse, or one past the acquired slots, raises as tx_publish does,
-        once taken from blocks, after the blocks before it are published."""
+        """Write each block of the iterable blocks into the next acquired
+        slot, in order, and flip the slots' flags after their entries. A
+        block that is not one entry long, or one past the acquired slots,
+        raises once taken from blocks, after the blocks before it are
+        published. The caller's flag byte is ignored: the ring keeps a
+        block that is ``bytes`` with byte 0 equal to 1 itself, and such a
+        copy of any other."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "TxRing host")
         n, depth = self._published, self.depth
@@ -228,11 +207,11 @@ class TxRing:
         run, refused = _entries(islice(it, room), "publish")
         k = len(run)
         if k == room and refused is None and next(it, _END) is not _END:
-            refused = ContractViolation(f"publish of slot {(n + room) % depth} out of "
-                                        f"acquire order (oldest acquired: [])")
+            refused = ContractViolation(f"publish into TX slot {(n + room) % depth}, "
+                                        f"which is not acquired")
         if k:
             idx = n % depth
-            if k == 1:  # by index: a run of one costs what tx_publish does
+            if k == 1:  # by index, cheaper than the slices on a run of one
                 self._blocks[idx] = run[0]
                 self._flags[idx] = 1  # publication point
             else:
@@ -241,16 +220,6 @@ class TxRing:
             self._published = n + k  # after the flags it counts (dirty_run)
         if refused is not None:
             raise refused
-
-    def _refuse_publish(self, n: int, slot: int, block) -> None:
-        """Raise for a publish of block into slot that is not the acquired
-        slot next in order (counter n), or not one entry long."""
-        if n == self._acquired or slot != n % self.depth:
-            oldest = [n % self.depth] if n < self._acquired else []
-            raise ContractViolation(
-                f"publish of slot {slot} out of acquire order (oldest acquired: {oldest})"
-            )
-        raise ContractViolation(f"publish needs {_SLOT} bytes, got {len(block)}")
 
     def free_slots(self) -> int:
         return self.depth - (self._acquired - self._released)
@@ -277,7 +246,7 @@ class TxRing:
         if max_batch < n:
             n = max_batch
         idx = fetched % depth
-        if n == 1:  # by index, as cheap as a per-entry fetch
+        if n == 1:  # by index, cheaper than the scan and slice on a run of one
             if self._flags[idx] != 1:
                 return []
             self._fetched = fetched + 1
@@ -296,11 +265,13 @@ class TxRing:
         n = self._released
         k = self._fetched - n
         if count < k:
+            if count < 0:
+                raise ContractViolation(f"release of {count} TX entries")
             k = count
         if k > 0:
             # the flags are cleared before the host can see the slots
             idx = n % self.depth
-            if k == 1:  # by index, as cheap as a per-entry release
+            if k == 1:  # by index, cheaper than a slice on a run of one
                 self._flags[idx] = 0
             else:
                 _write(self._flags, idx, _CLEAR * k)
@@ -339,11 +310,12 @@ class RxRing:
     slot; a dirty slot at the write cursor means the host has not caught up
     and the NIC must stall (backpressure, never drop).
 
-    Each slot's flag byte is its state: 0 free, 1 delivered, 2 polled by
-    the host and not yet released. The NIC writes only free slots and the
-    host polls only delivered ones, so a poll cursor that laps onto a slot
-    the host still holds reads an empty ring, not the same entry twice.
-    Entries are held by reference, as in TxRing.
+    Each slot's flag byte is its state: 0 free, 1 delivered. The NIC writes
+    free slots at its cursor and the host reads and frees delivered ones at
+    its own, both in the circular order, so the delivered slots are the run
+    from the poll cursor to the free cursor. A pickup reads a run and then
+    frees a count of it: until it frees an entry, that entry stays delivered
+    at the poll cursor. Entries are held by reference, as in TxRing.
     """
 
     def __init__(self, depth: int = DEFAULT_DEPTH):
@@ -355,36 +327,31 @@ class RxRing:
         self._host_thread = None  # owning thread of each side, bound on first use
         self._nic_thread = None
 
-    def rx_deliver(self, block: bytes) -> bool:
-        """NIC side: write one entry, kept as tx_publish keeps it; False
-        signals backpressure (ring full)."""
-        if self._nic_thread != _get_ident():
-            _claim_side(self, "_nic_thread", "RxRing nic")
-        if len(block) != _SLOT:
-            raise ContractViolation(f"delivery needs {_SLOT} bytes, got {len(block)}")
-        idx = self.nic_free_cursor
-        flags = self._flags
-        if flags[idx] != 0:
-            return False
-        if block.__class__ is not bytes or block[0] != 1:
-            block = _as_entry(block)
-        self._blocks[idx] = block
-        flags[idx] = 1
-        self.nic_free_cursor = (idx + 1) % self.depth
-        return True
-
     def rx_deliver_run(self, blocks) -> int:
-        """NIC side: rx_deliver each of the sequence blocks, in order, up to
-        the first full slot; the number delivered. A block of the wrong
-        length raises as rx_deliver does, after the blocks before it."""
+        """NIC side: write each of the sequence blocks, in order, into the
+        next free slot, up to the first full one, and flip the slots' flags
+        after their entries; the number delivered. The entries are kept as
+        TxRing.tx_publish_run keeps them. A block that is not one entry long
+        raises, after the blocks before it, also when it is the one that
+        meets a full slot."""
         if self._nic_thread != _get_ident():
             _claim_side(self, "_nic_thread", "RxRing nic")
         flags, depth = self._flags, self.depth
         idx = self.nic_free_cursor
         n = len(blocks)
+        if n == 1:  # by index, cheaper than the scan and slices on a run of one
+            block = blocks[0]  # checked as _entries checks it, inline: cheaper than its call
+            if len(block) != _SLOT:
+                raise ContractViolation(f"delivery needs {_SLOT} bytes, got {len(block)}")
+            if flags[idx] != 0:
+                return 0  # backpressure: the ring is full
+            if block.__class__ is not bytes or block[0] != 1:
+                block = _as_entry(block)
+            self._blocks[idx] = block
+            flags[idx] = 1
+            self.nic_free_cursor = (idx + 1) % depth
+            return 1
         free = _lead(flags, idx, n if n < depth else depth, b"\x00")
-        # the block that meets a full slot is checked too: rx_deliver checks
-        # the length before it finds the slot full
         run, refused = _entries(blocks[:free + 1], "delivery")
         del run[free:]
         k = len(run)
@@ -396,57 +363,44 @@ class RxRing:
             raise refused
         return k
 
-    def rx_poll(self):
-        """Host side: next delivered entry as (slot, bytes), or None."""
-        if self._host_thread != _get_ident():
-            _claim_side(self, "_host_thread", "RxRing host")
-        idx = self.host_poll_cursor
-        flags = self._flags
-        if flags[idx] != 1:
-            return None
-        block = self._blocks[idx]
-        flags[idx] = 2  # held until rx_release
-        self.host_poll_cursor = (idx + 1) % self.depth
-        return idx, block
-
     def rx_poll_run(self, count: int) -> list:
         """Host side: the blocks of the next count delivered entries at the
-        poll cursor, in order, in one call; fewer where the delivered run
-        ends. The ring is left as it is: the entries stay delivered, and
-        the cursor stays, until rx_release_run takes them."""
+        poll cursor, in order; fewer where the delivered run ends. The ring
+        is left as it is: the entries stay delivered, and the cursor stays,
+        until rx_release_run frees them."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "RxRing host")
-        depth = self.depth
         idx = self.host_poll_cursor
-        if count > depth:
-            count = depth  # each entry once, as rx_poll's held flag ensures
+        if count == 1:  # by index, cheaper than the scan and slice on a run of one
+            if self._flags[idx] != 1:
+                return []
+            return [self._blocks[idx]]
+        if count > self.depth:
+            count = self.depth  # each entry once
+        elif count < 0:
+            raise ContractViolation(f"poll of {count} RX entries")
         return _read(self._blocks, idx, _lead(self._flags, idx, count, b"\x01"))
 
     def rx_release_run(self, count: int) -> None:
-        """Host side: rx_poll then rx_release each of the next count
-        delivered entries, in one call: their slots are freed for the NIC
-        and the poll cursor moves past them. An entry that is not delivered
-        raises, after the entries before it."""
+        """Host side: free the slots of the next count delivered entries for
+        the NIC and move the poll cursor past them. An entry that is not
+        delivered raises, after the entries before it."""
         if self._host_thread != _get_ident():
             _claim_side(self, "_host_thread", "RxRing host")
         flags, depth = self._flags, self.depth
         idx = self.host_poll_cursor
+        if count == 1 and flags[idx] == 1:  # by index, cheaper than the scan and slice
+            flags[idx] = 0
+            self.host_poll_cursor = (idx + 1) % depth
+            return
+        if count < 0:
+            raise ContractViolation(f"release of {count} RX entries")
         k = _lead(flags, idx, count if count < depth else depth, b"\x01")
         _write(flags, idx, _CLEAR * k)
         idx = self.host_poll_cursor = (idx + k) % depth
         if k < count:
             raise ContractViolation(f"release of RX slot {idx}, which holds no "
                                     f"delivered entry")
-
-    def rx_release(self, slot: int) -> None:
-        """Host side: mark a polled slot free for the NIC again."""
-        if self._host_thread != _get_ident():
-            _claim_side(self, "_host_thread", "RxRing host")
-        flags = self._flags
-        if flags[slot] != 2:
-            raise ContractViolation(f"release of RX slot {slot}, which the host "
-                                    f"has not polled")
-        flags[slot] = 0
 
     def snapshot(self) -> dict:
         return {

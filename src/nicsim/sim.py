@@ -78,6 +78,21 @@ class LoadGenSpec:
         return errors
 
 
+def _ring_depth_errors(ring_depth: int) -> list[str]:
+    if ring_depth < 1 or ring_depth & (ring_depth - 1):
+        return ["ring_depth must be a power of two"]
+    if ring_depth > MAX_RING_DEPTH:
+        return [f"ring_depth must be <= {MAX_RING_DEPTH}, got {ring_depth}"]
+    return []
+
+
+def _batch_bound(ring_depth: int) -> int:
+    """The bound of every NIC's batch sizes under ring_depth: the depth, or
+    MAX_RING_DEPTH, the bound under any depth, when the depth is refused.
+    A refused depth is then its own error only, not one per NIC too."""
+    return MAX_RING_DEPTH if _ring_depth_errors(ring_depth) else ring_depth
+
+
 @dataclass
 class Scenario:
     nic_configs: dict[int, NicConfig]
@@ -95,12 +110,8 @@ class Scenario:
         refused_connections: from_dict refused and reported a connection
         row, so the connections were declared, and the closed loop is not
         judged without that row."""
-        errors = []
+        errors = _ring_depth_errors(self.ring_depth)
         declared = self.nic_configs.keys() | set(refused_nics)
-        if self.ring_depth < 1 or self.ring_depth & (self.ring_depth - 1):
-            errors.append("ring_depth must be a power of two")
-        elif self.ring_depth > MAX_RING_DEPTH:
-            errors.append(f"ring_depth must be <= {MAX_RING_DEPTH}, got {self.ring_depth}")
         if not declared:
             errors.append("nics: at least one NIC required")
         if not self.connections and not refused_connections:
@@ -146,9 +157,10 @@ class Scenario:
             self.cost_params.validate()
         except ConfigInvalid as exc:
             errors.extend(f"cost_params: {e}" for e in exc.errors)
+        bound = _batch_bound(self.ring_depth)
         for nic_id, cfg in self.nic_configs.items():
             try:
-                cfg.validate(self.ring_depth)
+                cfg.validate(bound)
             except ConfigInvalid as exc:
                 errors.extend(f"nics[{nic_id}]: {e}" for e in exc.errors)
         if not (errors or refused_nics or refused_connections) and lg.mode == "closed_loop":
@@ -267,6 +279,7 @@ class Scenario:
             return out
 
         ring_depth = typed("ring_depth", 64, ic.is_int, "an integer")
+        bound = _batch_bound(ring_depth)
         nic_configs, refused_nics = {}, set()
         for i, row in rows("nics", ("id",)):
             nic_id = row["id"]
@@ -275,7 +288,7 @@ class Scenario:
                 errors.append(f"nics[{i}]: id {nic_id} already declared")
                 continue
             try:
-                nic_configs[nic_id] = NicConfig.from_dict(row.get("config", {}), ring_depth)
+                nic_configs[nic_id] = NicConfig.from_dict(row.get("config", {}), bound)
             except ConfigInvalid as exc:
                 refused_nics.add(nic_id)
                 errors.extend(f"nics[{i}]: {e}" for e in exc.errors)

@@ -185,6 +185,14 @@ def test_a_refused_nic_config_exits_1_with_its_own_errors_only(case):
     assert proc.stderr == f"nicsim: {message}\n"
 
 
+@pytest.mark.parametrize("depth", ["0", "-4"])
+def test_a_refused_ring_depth_exits_1_with_its_own_error_only(depth):
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", "bars", "--override",
+                           f"ring_depth={depth}"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "nicsim: ring_depth must be a power of two\n"
+
+
 def test_a_scenario_that_declares_a_nic_id_twice_exits_1(tmp_path):
     data = json.loads((GOLDEN.parent.parent / "scenarios" / "echo_64b.json").read_text())
     data["nics"].append({"id": data["nics"][-1]["id"], "config": {"tx_mode": "mmio"}})

@@ -232,9 +232,17 @@ def test_client_pickup_rejects_a_malformed_block(case):
     engine, client, *_ = _stack("async")
     client.start_call(ECHO_FN, b"x")  # rpc 0 is pending, so only the block is wrong
     block = _malformed_block(protocol.KIND_RESPONSE, client.connection_id, *MALFORMED[case])
-    assert client.conn.rings.rx.rx_deliver(block)
-    with pytest.raises(MalformedEntry):
+    rx = client.conn.rings.rx
+    assert rx.rx_deliver_run([block]) == 1
+    before = rx.snapshot()
+    with pytest.raises(MalformedEntry) as first:
         client.conn._pickup()
+    # the entry stays delivered at the poll cursor: the next pickup raises for it again
+    assert rx.snapshot() == before and rx.rx_poll_run(1) == [block]
+    with pytest.raises(MalformedEntry) as again:
+        client.conn._pickup()
+    assert str(again.value) == str(first.value)
+    assert rx.snapshot() == before and list(client.pending) == [0]
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -242,17 +250,18 @@ def test_server_pickup_rejects_a_malformed_block(case):
     engine, client, server, *_ = _stack("async")
     conn = client.connection_id
     block = _malformed_block(protocol.KIND_REQUEST, conn, *MALFORMED[case])
-    assert server.conns[conn].rings.rx.rx_deliver(block)
+    assert server.conns[conn].rings.rx.rx_deliver_run([block]) == 1
     with pytest.raises(MalformedEntry):
         server.conns[conn]._pickup()
     assert server.served == 0
+    assert server.conns[conn].rings.rx.rx_poll_run(2) == [block]  # still delivered
 
 
 def test_response_for_a_never_issued_rpc_is_a_contract_violation():
     engine, client, *_ = _stack("async")
     client.start_call(ECHO_FN, b"x")
     block = protocol.pack_entry(protocol.KIND_RESPONSE, client.connection_id, 5, ECHO_FN, b"x")
-    assert client.conn.rings.rx.rx_deliver(block)
+    assert client.conn.rings.rx.rx_deliver_run([block]) == 1
     with pytest.raises(ContractViolation, match="unknown rpc 5"):
         client.conn._pickup()
     assert list(client.pending) == [0] and client.completed == 0
@@ -274,8 +283,9 @@ def _picked_up_with_a_bad_entry(end, bad_block, bad_at, exc, as_run):
     replaced by bad_block, picked up as one delivery run (as_run) or by one
     _pickup callback each. The client has rpcs 0-3 pending, so the server's
     answers to good requests complete; the server's handler for FAILING_FN
-    raises. Returns the state when the bad entry has raised and again when
-    the rest has been picked up and answered."""
+    raises. Returns the state when the bad entry has raised, the state when
+    the engine has been resumed until it ran to the end, and the message of
+    each raise."""
     engine, client, server, *_ = _stack("async")
     server.register_handler(FAILING_FN, _failing_handler)
     conn = client.connection_id
@@ -285,7 +295,7 @@ def _picked_up_with_a_bad_entry(end, bad_block, bad_at, exc, as_run):
     client.issued = 4
     for rpc in range(4):
         block = bad_block if rpc == bad_at else protocol.pack_entry(kind, conn, rpc, ECHO_FN, b"x")
-        assert host.rx.rx_deliver(block)
+        assert host.rx.rx_deliver_run([block]) == 1
     ts = 100.0
     if as_run:
         engine.schedule_batch(ts, host._pickups_event, host._pickup_runs, range(4))
@@ -299,31 +309,40 @@ def _picked_up_with_a_bad_entry(end, bad_block, bad_at, exc, as_run):
                 [list(run) for run in host._copies], server.served, client.completed,
                 sorted(client.pending), engine.events_processed)
 
-    with pytest.raises(exc):
+    with pytest.raises(exc) as first:
         engine.run_until(ts)
     raised = state()
     # the untaken entries of a run wait at the head of its run queue
     assert [list(run) for run in host._pickup_runs] == (
         [list(range(bad_at + 1, 4))] if as_run and bad_at < 3 else [])
-    engine.run_until(1e6)
-    return raised, state()
+    messages = [str(first.value)]
+    while True:  # resume until the engine runs to the end
+        try:
+            engine.run_until(1e6)
+            break
+        except exc as again:
+            messages.append(str(again))
+    return raised, state(), messages
 
 
 @pytest.mark.parametrize("bad_at", [0, 1, 3])
 @pytest.mark.parametrize("end", ["client", "server"])
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_a_pickup_run_with_a_malformed_block_stops_where_per_entry_pickups_do(case, end,
-                                                                               bad_at):
+def test_a_malformed_block_stays_delivered_and_each_resumed_pickup_raises_for_it(case, end,
+                                                                                  bad_at):
     kind = protocol.KIND_RESPONSE if end == "client" else protocol.KIND_REQUEST
     bad = _malformed_block(kind, 0, *MALFORMED[case])
     run = _picked_up_with_a_bad_entry(end, bad, bad_at, MalformedEntry, as_run=True)
     assert run == _picked_up_with_a_bad_entry(end, bad, bad_at, MalformedEntry, as_run=False)
-    raised, done = run
+    raised, done, messages = run
     assert raised[-1] == bad_at + 1  # events: the pickups up to the bad one
-    # the bad entry stays polled (state 2); the untaken ones stay delivered
-    rx = (raised[1] if end == "client" else raised[3])
-    assert rx["flags"][bad_at] == 2
-    assert rx["flags"][bad_at + 1:4] == b"\x01" * (3 - bad_at)
+    # the bad entry and the untaken ones after it stay delivered, the bad one
+    # at the poll cursor, and each pickup left queued raises for it again
+    for rx in ((raised[1], done[1]) if end == "client" else (raised[3], done[3])):
+        assert rx["flags"] == b"\x00" * bad_at + b"\x01" * (4 - bad_at) + bytes(60)
+        assert rx["poll_cursor"] == bad_at
+    assert messages == messages[:1] * (4 - bad_at)
+    assert done[5] == (bad_at if end == "server" else 0) and done[6] == bad_at
 
 
 @pytest.mark.parametrize("bad_at", [0, 1, 3])
@@ -332,9 +351,9 @@ def test_a_client_pickup_run_with_an_unknown_rpc_stops_where_per_entry_pickups_d
     run = _picked_up_with_a_bad_entry("client", bad, bad_at, ContractViolation, as_run=True)
     assert run == _picked_up_with_a_bad_entry("client", bad, bad_at, ContractViolation,
                                               as_run=False)
-    raised, done = run
+    raised, done, messages = run
     assert raised[1]["flags"][bad_at] == 0  # released before its take raised
-    assert done[6] == 3 and done[7] == [bad_at]
+    assert done[6] == 3 and done[7] == [bad_at] and len(messages) == 1
 
 
 @pytest.mark.parametrize("bad_at", [0, 1, 3])
@@ -343,10 +362,10 @@ def test_a_server_pickup_run_whose_handler_raises_stops_where_per_entry_pickups_
     run = _picked_up_with_a_bad_entry("server", bad, bad_at, HandlerFailed, as_run=True)
     assert run == _picked_up_with_a_bad_entry("server", bad, bad_at, HandlerFailed,
                                               as_run=False)
-    raised, done = run
+    raised, done, messages = run
     assert raised[5] == bad_at + 1  # served counts the request whose handler raised
     assert raised[3]["flags"][bad_at] == 0  # released before its handler ran
-    assert done[6] == 3 and done[7] == [bad_at]
+    assert done[6] == 3 and done[7] == [bad_at] and len(messages) == 1
 
 
 def _closed_loop_client_run(bad, bad_at, as_run):
@@ -369,7 +388,7 @@ def _closed_loop_client_run(bad, bad_at, as_run):
     for rpc in range(4):
         block = protocol.pack_entry(protocol.KIND_RESPONSE, conn, rpc, ECHO_FN,
                                     make_payload(conn, rpc))
-        assert host.rx.rx_deliver(bad if rpc == bad_at else block)
+        assert host.rx.rx_deliver_run([bad if rpc == bad_at else block]) == 1
     ts = 1000.0
     if as_run:
         engine.schedule_batch(ts, host._pickups_event, host._pickup_runs, range(4))
@@ -443,7 +462,7 @@ def test_call_sync_puts_the_completion_hook_back_when_the_call_raises(case):
 
 def _published_with_a_refused_entry(bad_at, as_run):
     """Four publish copies of the client end ending at one timestamp, the one
-    at bad_at a short block that tx_publish refuses: as one run, or as four
+    at bad_at a short block that tx_publish_run refuses: as one run, or as four
     runs of one. The client NIC fetches in doorbell batches of 2. Returns the
     state once the refused entry has raised."""
     engine, client, server, nic0, *_ = _stack(
@@ -497,8 +516,8 @@ def _answered_with_a_foreign_request(as_run):
         end.pending = {rpc: 0.0 for rpc in range(4)}
     for rpc in range(4):
         conn = other.connection_id if rpc == 1 else client.connection_id
-        assert host.rx.rx_deliver(protocol.pack_entry(protocol.KIND_REQUEST, conn, rpc,
-                                                      ECHO_FN, b"x"))
+        assert host.rx.rx_deliver_run([protocol.pack_entry(protocol.KIND_REQUEST, conn, rpc,
+                                                           ECHO_FN, b"x")]) == 1
     if as_run:
         engine.schedule_batch(100.0, host._pickups_event, host._pickup_runs, range(4))
     else:

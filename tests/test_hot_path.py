@@ -28,11 +28,10 @@ HOT = {
                "Engine.run_queue.fn", "Engine.run_until"],
     "interconnect": ["BusArbiter.request"],
     "rings": [
-        "TxRing.tx_acquire", "TxRing.tx_acquire_run", "TxRing.tx_publish",
-        "TxRing.tx_publish_run", "TxRing.dirty_run", "TxRing.nic_fetch", "TxRing.nic_release",
-        "RxRing.rx_deliver", "RxRing.rx_deliver_run", "RxRing.rx_poll", "RxRing.rx_poll_run",
-        "RxRing.rx_release", "RxRing.rx_release_run", "_as_entry", "_entries", "_lead", "_read",
-        "_write",
+        "TxRing.tx_acquire_run", "TxRing.tx_publish_run", "TxRing.dirty_run",
+        "TxRing.nic_fetch", "TxRing.nic_release", "RxRing.rx_deliver_run",
+        "RxRing.rx_poll_run", "RxRing.rx_release_run", "_as_entry", "_entries", "_lead",
+        "_read", "_write",
     ],
     "nic": [
         "Wire.send", "Wire.send_batch",
@@ -43,7 +42,7 @@ HOT = {
         "Nic._rx_deliver", "Nic.on_rx_slot_freed",
     ],
     "host": [
-        "_ConnHost._submit", "_ConnHost._submit_run", "_ConnHost._copied",
+        "_ConnHost._submit_run", "_ConnHost._copied",
         "_ConnHost.on_tx_free", "_ConnHost.on_rx_visible", "_ConnHost._pickups",
         "_ConnHost._pickup", "ClientEndpoint.start_call", "ClientEndpoint._take_run",
         "ServerEndpoint._take", "ServerEndpoint._answer", "ServerEndpoint._answer_run",

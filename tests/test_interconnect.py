@@ -52,8 +52,8 @@ def _publish_on_rig(config, n, direct_poll=False):
     visible = []
     nic1.attach_connection(0, RingPair(64), 0, lambda conn, ts, n: visible.extend([ts] * n), _noop)
     for rpc in range(n):
-        slot = pair.tx.tx_acquire()
-        pair.tx.tx_publish(slot, protocol.encode_entry(protocol.RpcEntry(0, 0, rpc, 0, b"")))
+        pair.tx.tx_acquire_run(1)
+        pair.tx.tx_publish_run([protocol.encode_entry(protocol.RpcEntry(0, 0, rpc, 0, b""))])
         nic0.on_tx_publish(0)
     engine.run_until(50_000.0)
     return visible, nic0, [t for t in engine.trace if t.issuer == "nic0"]

@@ -118,9 +118,8 @@ def test_wire_batch_to_an_unknown_connection_stops_at_its_first_entry():
     pair = RingPair(4)
     nic1.attach_connection(5, pair, 0, _noop, _noop)
     engine.run_until(2e6)
-    landed = [pair.rx.rx_poll() for _ in range(3)]
-    assert [protocol.decode_entry(b).rpc_id for _, b in landed[:2]] == [1, 2]
-    assert landed[2] is None
+    landed = pair.rx.rx_poll_run(3)
+    assert [protocol.decode_entry(b).rpc_id for b in landed] == [1, 2]
 
 
 def test_transport_order_preserved_bulk():
@@ -130,9 +129,9 @@ def test_transport_order_preserved_bulk():
 
     def deliver(conn, ts, n):
         for _ in range(n):
-            polled = pair.rx.rx_poll()
-            got.append(protocol.decode_entry(polled[1]).rpc_id)
-            pair.rx.rx_release(polled[0])
+            [block] = pair.rx.rx_poll_run(1)
+            got.append(protocol.decode_entry(block).rpc_id)
+            pair.rx.rx_release_run(1)
             nic1.on_rx_slot_freed(conn)
 
     nic1.attach_connection(0, pair, 0, deliver, _noop)
@@ -164,14 +163,14 @@ def test_rx_slot_freed_serves_only_its_own_backlog_in_fifo_order():
         waiting_other = list(other)
         backlog = nic1.conns[c].rx_backlog
         head = backlog[0][1] if backlog else None
-        slot, block = pairs[c].rx.rx_poll()
+        [block] = pairs[c].rx.rx_poll_run(1)
         picked[c].append(protocol.decode_entry(block).rpc_id)
-        pairs[c].rx.rx_release(slot)
+        pairs[c].rx.rx_release_run(1)
         nic1.on_rx_slot_freed(c)
         assert list(other) == waiting_other
         if head is not None:
             assert head not in [rpc for _, rpc in backlog]  # the head took the slot
-            assert not pairs[c].rx.rx_deliver(bytes(64))  # and the ring is full again
+            assert pairs[c].rx.rx_deliver_run([bytes(64)]) == 0  # and the ring is full again
     assert picked == {0: list(range(10)), 1: list(range(10))}
     assert not nic1.conns[0].rx_backlog and not nic1.conns[1].rx_backlog
 
@@ -184,7 +183,7 @@ def test_rx_head_of_line_isolation():
     nic1.attach_connection(1, pair_b, 0, lambda c, ts, n: delivered_b.extend([ts] * n), _noop)
     # fill A's RX ring so it backpressures
     for i in range(4):
-        assert pair_a.rx.rx_deliver(protocol.encode_entry(RpcEntry(0, 0, i, 0, b"")))
+        assert pair_a.rx.rx_deliver_run([protocol.encode_entry(RpcEntry(0, 0, i, 0, b""))]) == 1
     nic1.rx_arrival(0, protocol.encode_entry(RpcEntry(0, 0, 9, 0, b"")), 9)
     nic1.rx_arrival(1, protocol.encode_entry(RpcEntry(0, 1, 1, 0, b"")), 1)
     engine.run_until(1e5)
@@ -203,10 +202,12 @@ def _rx_twin(backlogged_conn):
         nic1.attach_connection(c, pairs[c], 0,
                                lambda c, ts, n: delivered.extend([(c, ts)] * n), _noop)
     for i in range(2):
-        assert pairs[0].rx.rx_deliver(protocol.encode_entry(RpcEntry(0, 0, 90 + i, 0, b"")))
+        assert pairs[0].rx.rx_deliver_run([protocol.encode_entry(RpcEntry(0, 0, 90 + i, 0,
+                                                                          b""))]) == 1
     if backlogged_conn:
         for i in range(4):
-            assert pairs[1].rx.rx_deliver(protocol.encode_entry(RpcEntry(0, 1, 80 + i, 0, b"")))
+            assert pairs[1].rx.rx_deliver_run([protocol.encode_entry(RpcEntry(0, 1, 80 + i, 0,
+                                                                              b""))]) == 1
         nic1.rx_arrival(1, protocol.encode_entry(RpcEntry(0, 1, 84, 0, b"")), 84)
         assert [rpc for _, rpc in nic1.conns[1].rx_backlog] == [84]
     return engine, nic1, pairs, delivered
@@ -262,9 +263,9 @@ def test_rx_delivery_is_fifo_exactly_once_and_backlogs_only_behind_full_rings(
         visible[c] += n
 
     def pickup(c):  # as host _ConnHost._pickup: poll, release, notify the NIC
-        slot, block = pairs[c].rx.rx_poll()
+        [block] = pairs[c].rx.rx_poll_run(1)
         picked[c].append(protocol.decode_entry(block).rpc_id)
-        pairs[c].rx.rx_release(slot)
+        pairs[c].rx.rx_release_run(1)
         visible[c] -= 1
         nic1.on_rx_slot_freed(c)
 
@@ -330,7 +331,8 @@ except ContractViolation:
     print("forward-without-batch")
 for rpc in range(2):
     block = protocol.encode_entry(protocol.RpcEntry(0, 0, rpc, 0, b""))
-    pair.tx.tx_publish(pair.tx.tx_acquire(), block)
+    pair.tx.tx_acquire_run(1)
+    pair.tx.tx_publish_run([block])
 nic._fetch(ep, 1)
 try:
     nic._fetch(ep, 1)  # the first batch has not been forwarded
@@ -452,8 +454,8 @@ def test_hard_reconfigure_idle_immediate():
 def test_hard_reconfigure_requires_drain():
     engine, wire, nic0, nic1 = _rig()
     ep = nic0.attach_connection(0, RingPair(64), 1, _noop, _noop)
-    slot = ep.rings.tx.tx_acquire()
-    ep.rings.tx.tx_publish(slot, protocol.encode_entry(RpcEntry(0, 0, 0, 0, b"")))
+    ep.rings.tx.tx_acquire_run(1)
+    ep.rings.tx.tx_publish_run([protocol.encode_entry(RpcEntry(0, 0, 0, 0, b""))])
     with pytest.raises(HardFieldViolation):
         nic0.hard_reconfigure(NicConfig(tx_mode="doorbell"))
 
@@ -461,8 +463,8 @@ def test_hard_reconfigure_requires_drain():
 def test_drain_and_reconfigure_timeout_on_blocked_consumer():
     engine, wire, nic0, nic1 = _rig()
     ep = nic0.attach_connection(0, RingPair(64), 1, _noop, _noop)
-    slot = ep.rings.tx.tx_acquire()
-    ep.rings.tx.tx_publish(slot, protocol.encode_entry(RpcEntry(0, 0, 0, 0, b"")))
+    ep.rings.tx.tx_acquire_run(1)
+    ep.rings.tx.tx_publish_run([protocol.encode_entry(RpcEntry(0, 0, 0, 0, b""))])
     # nothing ever fetches: outstanding stays positive
     with pytest.raises(DrainTimeout):
         drain_and_reconfigure(lambda: nic0.outstanding(), engine, nic0,

@@ -289,6 +289,28 @@ def test_a_refused_nic_config_is_reported_once():
     ]
 
 
+@pytest.mark.parametrize("ring_depth,error", [
+    (0, "ring_depth must be a power of two"),
+    (-4, "ring_depth must be a power of two"),
+    (MAX_RING_DEPTH * 2, f"ring_depth must be <= {MAX_RING_DEPTH}, got {MAX_RING_DEPTH * 2}"),
+])
+def test_a_refused_ring_depth_is_its_only_error(ring_depth, error):
+    # each NIC's batch sizes are judged against the bound under any depth,
+    # not again against the refused one
+    data = {"nics": [{"id": 0, "config": {"batch_B": 4}},
+                     {"id": 1, "config": {"adaptive_batching": {"enabled": True, "low_B": 2,
+                                                                "high_B": 8}}}],
+            "connections": [{"client_nic": 0, "server_nic": 1}],
+            "ring_depth": ring_depth}
+    with pytest.raises(ConfigInvalid) as exc:
+        Scenario.from_dict(data)
+    assert exc.value.errors == [error]
+    data["nics"][0]["config"]["batch_B"] = 0  # refused under every depth
+    with pytest.raises(ConfigInvalid) as exc:
+        Scenario.from_dict(data)
+    assert exc.value.errors == [f"nics[0]: batch_B must be in 1..{MAX_RING_DEPTH}, got 0", error]
+
+
 def test_a_nic_id_declared_twice_is_refused_at_its_second_row():
     # which of the two configs was meant is unknown: no error follows from either
     data = {"nics": [{"id": 0}, {"id": 1, "config": {"tx_mode": "doorbell", "batch_B": 4}},
