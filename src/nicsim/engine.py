@@ -19,17 +19,10 @@ once, ``it`` an iterator over the oldest run and ``n`` its length, where the
 model would otherwise dispatch one callback per item. ``handle`` takes the
 items in order, so a run behaves exactly like its items scheduled back to
 back: whatever item i schedules still comes after item i and before item
-i+1's work. Two producers queue runs:
-
-- ``schedule_batch(ts, fn, runs, items)`` queues the non-empty sequence
-  ``items`` as a new run and schedules ``fn`` at ``ts``;
-- ``schedule_run(ts, fn, runs, item)`` batches work that arrives one item
-  at a time: ``item`` joins ``runs[-1]``, the run ``fn`` was last scheduled
-  for, while that run is still the last thing scheduled and is due at
-  ``ts``; else ``[item]`` opens a new run. The engine keeps the entry its
-  last run went into and how many callbacks that entry held then, so a
-  join is exactly the case in which the item's own callback would have
-  landed right behind the run's last item.
+i+1's work. ``schedule_batch(ts, fn, runs, items)`` queues the non-empty
+sequence ``items`` as a new run, which the run queue owns from then on,
+and schedules ``fn`` at ``ts``. The producer builds each run whole: nothing
+is added to a run once it is queued.
 
 ``fn`` takes ``runs[0]``, so one owner's runs must fall due in the order
 they are queued (each at now plus one fixed delay, say). ``fn`` alone
@@ -74,11 +67,6 @@ class Engine:
         self.events_processed = 0
         self._stepping = False  # run_while hands runs over one item at a time
         self._unfinished = False  # the run just dispatched has items left
-        # schedule_run's last run: its callback, the entry it went into and
-        # how many callbacks that entry held beyond its first one then
-        self._run_fn = None
-        self._run_entry = None
-        self._run_size = 0
 
     def schedule(self, ts_ns: float, fn) -> None:
         tail = self._tail
@@ -135,24 +123,6 @@ class Engine:
             raise ValueError("schedule_batch needs at least one item")
         runs.append(items)
         self.schedule(ts_ns, fn)
-
-    def schedule_run(self, ts_ns: float, fn, runs, item) -> None:
-        """Queue item for fn at ts_ns on fn's run queue runs: joined to
-        runs[-1] while fn's last run is the last thing scheduled and due at
-        ts_ns, else as a new run (module docstring)."""
-        tail = self._tail
-        if fn is self._run_fn and tail is self._run_entry and ts_ns == tail[0]:
-            more = tail[3]
-            if (0 if more is None else len(more)) == self._run_size:
-                runs[-1].append(item)
-                return
-        runs.append([item])
-        self.schedule(ts_ns, fn)
-        tail = self._tail
-        more = tail[3]
-        self._run_fn = fn
-        self._run_entry = tail
-        self._run_size = 0 if more is None else len(more)
 
     def run_until(self, end_ns: float) -> None:
         """Dispatch every event with timestamp <= end_ns."""

@@ -20,11 +20,10 @@ into locals, and the server packs its response from those same locals
 
 Every TX mode publishes through _ConnHost._submit_run, one entry as a run
 of one. In mmio mode the store is the publish; otherwise a publish lands
-t_memcpy later, when the copy into the TX ring ends, and publishes of one
-end due at one timestamp with nothing scheduled between them join one run
-of the end's copy queue (Engine.schedule_run). A delivery of two or more
-entries is picked up as one run (_pickups), one of one entry by a plain
-_pickup callback.
+t_memcpy later, when the copy into the TX ring ends, and the entries of one
+_submit_run call that got a slot are one run of the end's copy queue. A
+delivery of two or more entries is picked up as one run (_pickups), one of
+one entry by a plain _pickup callback.
 
 Each stage of a run makes one ring call, and does exactly what one call
 per entry would do back to back. A run crosses the ring as bare blocks and
@@ -42,8 +41,9 @@ number travels with them.
   (ServerEndpoint._answer_run); the client completes its calls in order,
   and the calls its completion hook issues meanwhile are collected and
   published at the end (ClientEndpoint._take_run). Nothing is scheduled
-  between those publishes, so that is the run each would have joined on
-  its own, and in mmio mode no fetch between them adds a trace record;
+  between those publishes, so one copy run does what their own copies
+  would do back to back, and in mmio mode no fetch between them adds a
+  trace record;
 - on_tx_free submits the blocked entries the freed slots take as one run.
 
 A run that Engine.run_while steps one entry at a time is a run of one. One
@@ -128,32 +128,32 @@ class _ConnHost:
 
     def _submit_run(self, blocks: list) -> None:
         """Publish each packed entry of blocks, in order, with one acquire,
-        or queue it until a TX slot frees up (on_tx_free). In mmio mode the
-        AVX store into device I/O space is itself the publication: the
-        entries publish at once (_copied). Otherwise their copies start with
-        one schedule_run: the entries after the first join the run it joins,
-        as their own schedule_run calls would, since nothing is scheduled
-        between them. Each copy publishes into the next acquired slot, the
-        one its acquire took, since copies end in acquire order."""
+        or queue it until a TX slot frees up (on_tx_free). The call takes
+        ownership of the list blocks. In mmio mode the AVX store into device
+        I/O space is itself the publication: the entries publish at once
+        (_copied). Otherwise the entries that got a slot are one copy run
+        (Engine.schedule_batch), as their own copies would be back to back,
+        since nothing is scheduled between them. Each copy publishes into
+        the next acquired slot, the one its acquire took, since copies end
+        in acquire order."""
         n = len(blocks)
         k = self.tx.tx_acquire_run(n)
         if k:
             engine, nic = self.engine, self.nic
             mmio = nic.config.tx_mode == ic.MODE_MMIO
+            run = blocks if k == n else blocks[:k]
             trace = engine.trace
             if trace is not None:
                 issuer = f"host{nic.nic_id}"
                 kind = ic.KIND_MMIO_STORE if mmio else ic.KIND_HOST_MEMCPY
-                for block in blocks[:k]:
+                for block in run:
                     trace.append(ic.Transaction(engine.now, issuer, kind, 1, self.connection_id,
                                                 rpc_id_of(block)[0], critical=True))
             if mmio:  # a list iterator, whose length _taken reads if a publish raises
-                self._copied(iter(blocks[:k]), k)
+                self._copied(iter(run), k)
             else:
-                engine.schedule_run(engine.now + nic.params.t_memcpy, self._copied_event,
-                                    self._copies, blocks[0])
-                if k > 1:
-                    self._copies[-1].extend(blocks[1:k])
+                engine.schedule_batch(engine.now + nic.params.t_memcpy, self._copied_event,
+                                      self._copies, run)
             if k == n:
                 return
         self._blocked.extend(blocks[k:])
@@ -302,12 +302,12 @@ class ClientEndpoint:
         """_take for each of the blocks of a pickup run on host, in order, one
         per item taken from the run's iterator it, with the calls its
         completions issue (start_call) submitted together at the end
-        (_ConnHost._submit_run). That is the copy run their own submits
-        would have built, since the completion hook schedules nothing else
-        (on_complete). When an entry raises, the entries before it and one
-        whose take raised are released, the calls issued before it are
-        still submitted, and an entry whose unpack raised stays delivered at
-        the poll cursor."""
+        (_ConnHost._submit_run). Their copies end back to back, as those of
+        their own submits would, since the completion hook schedules
+        nothing else (on_complete). When an entry raises, the entries before
+        it and one whose take raised are released, the calls issued before
+        it are still submitted, and an entry whose unpack raised stays
+        delivered at the poll cursor."""
         pending, cq = self.pending, self.cq
         now = self.engine.now
         self._issued_run = issued = []

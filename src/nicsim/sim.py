@@ -78,7 +78,9 @@ class LoadGenSpec:
         return errors
 
 
-def _ring_depth_errors(ring_depth: int) -> list[str]:
+def _ring_depth_errors(ring_depth) -> list[str]:
+    if not ic.is_int(ring_depth):
+        return [f"ring_depth must be an integer, got {ring_depth!r}"]
     if ring_depth < 1 or ring_depth & (ring_depth - 1):
         return ["ring_depth must be a power of two"]
     if ring_depth > MAX_RING_DEPTH:
@@ -86,10 +88,11 @@ def _ring_depth_errors(ring_depth: int) -> list[str]:
     return []
 
 
-def _batch_bound(ring_depth: int) -> int:
+def _batch_bound(ring_depth) -> int:
     """The bound of every NIC's batch sizes under ring_depth: the depth, or
-    MAX_RING_DEPTH, the bound under any depth, when the depth is refused.
-    A refused depth is then its own error only, not one per NIC too."""
+    MAX_RING_DEPTH, the bound under any depth, when the depth is refused
+    (a non-integer too). A refused depth is then its own error only, not
+    one per NIC too."""
     return MAX_RING_DEPTH if _ring_depth_errors(ring_depth) else ring_depth
 
 
@@ -278,7 +281,7 @@ class Scenario:
                     out.append((i, row))
             return out
 
-        ring_depth = typed("ring_depth", 64, ic.is_int, "an integer")
+        ring_depth = data.get("ring_depth", 64)  # judged by validate
         bound = _batch_bound(ring_depth)
         nic_configs, refused_nics = {}, set()
         for i, row in rows("nics", ("id",)):

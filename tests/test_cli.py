@@ -193,6 +193,15 @@ def test_a_refused_ring_depth_exits_1_with_its_own_error_only(depth):
     assert proc.stderr == "nicsim: ring_depth must be a power of two\n"
 
 
+def test_a_ring_depth_that_is_no_integer_exits_1_with_its_own_error_only():
+    # B128 is past the default depth (64), not past the bound under any depth
+    proc = subprocess.run([sys.executable, "-m", "nicsim.cli", "sweep", "--modes", "doorbell:B128",
+                           "--loads", "1", "--override", 'ring_depth="x"'],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr == "nicsim: ring_depth must be an integer, got 'x'\n"
+
+
 def test_a_scenario_that_declares_a_nic_id_twice_exits_1(tmp_path):
     data = json.loads((GOLDEN.parent.parent / "scenarios" / "echo_64b.json").read_text())
     data["nics"].append({"id": data["nics"][-1]["id"], "config": {"tx_mode": "mmio"}})

@@ -38,11 +38,8 @@ class NaiveEngine:
 
     def schedule_batch(self, ts_ns, fn, runs, items):
         for item in items:  # one run and one callback per item
-            self.schedule_run(ts_ns, fn, runs, item)
-
-    def schedule_run(self, ts_ns, fn, runs, item):
-        runs.append([item])  # never joined: one callback per item
-        self.schedule(ts_ns, fn)
+            runs.append([item])
+            self.schedule(ts_ns, fn)
 
     def run_until(self, end_ns):
         self.end_ns = end_ns
@@ -69,25 +66,6 @@ class Boom(Exception):
     pass
 
 
-class RunOwner:
-    """A schedule_run user: one run queue whose callback hands each item of
-    its run to handle(item)."""
-
-    def __init__(self, engine, handle):
-        self.engine = engine
-        self.handle = handle
-        self.runs, self.fire = engine.run_queue(self._take)
-        self.dispatched = 0
-
-    def schedule(self, ts_ns, item):
-        self.engine.schedule_run(ts_ns, self.fire, self.runs, item)
-
-    def _take(self, it, n):
-        self.dispatched += 1
-        for item in it:
-            self.handle(item)
-
-
 # offset 0 and repeated values put many events on one timestamp
 OFFSETS = (0.0, 0.0, 0.0, 1.0, 1.0, 2.5, 4.0)
 
@@ -98,11 +76,11 @@ def programs(draw):
     children at now + their offset, then raises if flagged. How it schedules
     them: "plain" one callback each; "batch" those that share an offset as
     one run through schedule_batch on the run queue of that offset, in the
-    place of the first of them; "run" each through
-    schedule_run of the owner of its offset and parity, so that consecutive
-    children of one owner at one timestamp join a run (an owner's runs fall
-    due in the order they are scheduled, as schedule_run requires). Parent
-    -1 is scheduled up front."""
+    place of the first of them; "run" each as a run of one through
+    schedule_batch on the run queue of its offset and parity, so that one
+    queue gets consecutive runs at one timestamp, which share a heap entry
+    (a queue's runs fall due in the order they are queued, as run_queue
+    requires). Parent -1 is scheduled up front."""
     n = draw(st.integers(1, 40))
     nodes = [(draw(st.integers(-1, k - 1)), draw(st.sampled_from(OFFSETS)),
               draw(st.integers(0, 11)) == 0,
@@ -120,14 +98,13 @@ def execute(engine, program):
     fired = []
     log = []
 
-    owners = {(offset, parity): RunOwner(engine, lambda c: node(c)())
-              for offset in OFFSETS for parity in (0, 1)}
-
     def fire_each(it, n):
         for c in it:
             node(c)()
 
     batchers = {offset: engine.run_queue(fire_each) for offset in OFFSETS}
+    owners = {(offset, parity): engine.run_queue(fire_each)
+              for offset in OFFSETS for parity in (0, 1)}
 
     def node(k):
         def fire():
@@ -138,7 +115,8 @@ def execute(engine, program):
                     engine.schedule(engine.now + nodes[c][1], node(c))
             elif how == "run":
                 for c in children[k]:
-                    owners[nodes[c][1], c % 2].schedule(engine.now + nodes[c][1], c)
+                    runs, fn = owners[nodes[c][1], c % 2]
+                    engine.schedule_batch(engine.now + nodes[c][1], fn, runs, [c])
             else:
                 by_offset = defaultdict(list)  # in first-seen order
                 for c in children[k]:
@@ -294,77 +272,3 @@ def test_batch_rejects_no_items_and_a_handler_that_leaves_items():
     engine.schedule_batch(1.0, fn, runs, [0, 1])
     with pytest.raises(ContractViolation, match="left items of its run untaken"):
         engine.run_until(5.0)
-
-
-def test_run_joins_only_what_nothing_was_scheduled_between():
-    engine = Engine()
-    seen = []
-    owner, other = RunOwner(engine, seen.append), RunOwner(engine, seen.append)
-    owner.schedule(1.0, "a")
-    owner.schedule(1.0, "b")  # joins: nothing in between
-    engine.schedule(1.0, lambda: seen.append("x"))
-    owner.schedule(1.0, "c")  # x lies between: a new run
-    other.schedule(1.0, "d")  # another owner's callback: a new run
-    owner.schedule(1.0, "e")  # d lies between: a new run
-    owner.schedule(2.0, "f")  # another timestamp: a new run
-    assert list(owner.runs) == [["a", "b"], ["c"], ["e"], ["f"]]
-    engine.run_until(5.0)
-    assert seen == ["a", "b", "x", "c", "d", "e", "f"]
-    assert owner.dispatched == 4 and engine.events_processed == 7
-
-
-def test_run_does_not_join_a_dispatched_run():
-    engine = Engine()
-    seen = []
-    owner = RunOwner(engine, seen.append)
-    owner.schedule(1.0, "a")
-    engine.schedule(0.5, lambda: owner.schedule(1.0, "b"))  # a's entry is not the tail
-    engine.run_until(0.5)
-    owner.schedule(1.0, "c")  # joins b's run
-    engine.run_until(1.0)
-    assert seen == ["a", "b", "c"] and owner.dispatched == 2
-    owner.schedule(1.0, "late")  # the run at 1.0 has been dispatched
-    engine.run_until(1.0)
-    assert seen == ["a", "b", "c", "late"] and owner.dispatched == 3
-    assert engine.events_processed == 5
-
-
-def test_run_while_steps_through_a_joined_run():
-    engine = Engine()
-    seen = []
-    owner = RunOwner(engine, seen.append)
-    for item in range(4):
-        owner.schedule(1.0, item)
-    assert len(owner.runs) == 1
-    engine.schedule(1.0, lambda: seen.append("after"))
-    assert engine.run_while(lambda: len(seen) < 1, 10.0)
-    assert seen == [0] and engine.events_processed == 1
-    assert engine.run_while(lambda: len(seen) < 3, 10.0)
-    assert seen == [0, 1, 2] and engine.events_processed == 3
-    engine.run_until(10.0)
-    assert seen == [0, 1, 2, 3, "after"] and engine.events_processed == 5
-
-
-def test_raising_run_item_keeps_the_rest_of_its_run_and_entry():
-    engine = Engine()
-    seen = []
-
-    def handle(item):
-        seen.append(item)
-        if item == 2:
-            raise Boom()
-
-    owner = RunOwner(engine, handle)
-    for item in range(1, 6):
-        owner.schedule(1.0, item)
-    engine.schedule(1.0, lambda: seen.append("after"))
-    try:
-        engine.run_until(5.0)
-    except Boom:
-        pass
-    assert seen == [1, 2] and engine.events_processed == 2
-    assert list(owner.runs) == [[3, 4, 5]]
-    owner.schedule(1.0, "new")  # the old entry is no longer the tail: a run of its own
-    engine.run_until(5.0)
-    assert seen == [1, 2, 3, 4, 5, "after", "new"]
-    assert engine.events_processed == 7

@@ -33,8 +33,8 @@ def _diffcheck():
 # frees a slot, which
 # schedules the backlog's next delivery at t + t_dma_write, and then publishes
 # its answer at t + t_memcpy: the same timestamp. Consecutive publishes of one
-# pickup batch therefore have a delivery scheduled between them, and must not
-# be joined into one publish run (Engine.schedule_run).
+# pickup batch therefore have a delivery scheduled between them: each pickup's
+# answer is a copy run of its own, and the delivery fires between two of them.
 EQUAL_DMA_AND_COPY = {
     "scenario": {
         "nics": [{"id": i, "config": {"tx_mode": "doorbell", "batch_B": 8}} for i in (0, 1)],
@@ -61,6 +61,73 @@ EQUAL_DMA_AND_COPY_OUTCOME = {
 
 def test_backlog_deliveries_on_publish_timestamps_keep_their_order():
     assert _diffcheck().outcome(sim, EQUAL_DMA_AND_COPY) == EQUAL_DMA_AND_COPY_OUTCOME
+
+
+# Publishes of one end due at one timestamp with nothing scheduled between
+# them, each from its own _ConnHost._submit_run call: one _pickup per entry
+# (the RX backlog is non-empty, or a delivery is one entry) whose answer or
+# next call starts a copy run of one. Each run shares the heap entry of the
+# one before it and publishes right behind it. Recorded when such publishes
+# were joined into one copy run after the fact (Engine.schedule_run, since
+# deleted): after start-up, 4,299 joins in the first scenario and 23 in the
+# second. Scenario 153 of diffcheck's seed-0 set: coherent B=14, closed loop,
+# slow DMA writes, so RX rings fill and arrivals wait in their backlog.
+BACKLOGGED_COHERENT = {
+    "scenario": {
+        "nics": [{"id": i, "config": {"tx_mode": "coherent", "batch_B": 14}} for i in (0, 1)],
+        "connections": [{"client_nic": 0, "server_nic": 1}] * 7,
+        "loadgen": {"mode": "closed_loop", "window": 30},
+        "duration_us": 400.0,
+        "warmup_us": 0.0,
+        "seed": 508,
+        "ring_depth": 16,
+    },
+    "cost": {"t_dma_write": 4722.023},
+}
+BACKLOGGED_COHERENT_OUTCOME = {
+    "metrics": "RunMetrics(offered_mrps=15.485, achieved_mrps=15.485, "
+               "median_us=12.47378182901896, p99_us=20.49137631448294, saturated=False, "
+               "n_samples=6194)",
+    "samples": "8bdb366e20ea187169fa4275fc239879df2c7d67bda1ea878c97e30c24c754ce",
+    "controller_logs": "[(0, [(100000.0, 'poll_mode', 'inval_driven', 'direct_poll')]), "
+                       "(1, [(100000.0, 'poll_mode', 'inval_driven', 'direct_poll')])]",
+    "engine_events": 79627,
+    "total_completed": 6194,
+    "trace": "eb28b94e1609d4180ae42824d1df8a93d33d53117df6d352ea9492eba63bc8e8",
+}
+# Scenario 38 of the same set: doorbell B=2 under Poisson arrivals, with a DMA
+# write as long as the publish copy and a third NIC as the only server.
+POISSON_EQUAL_DMA_AND_COPY = {
+    "scenario": {
+        "nics": [{"id": i, "config": {"tx_mode": "doorbell", "batch_B": 2}} for i in (0, 1, 2)],
+        "connections": [{"client_nic": 0, "server_nic": 2}],
+        "loadgen": {"mode": "open_loop", "rate_mrps": 3.91, "arrival": "poisson"},
+        "duration_us": 150.0,
+        "warmup_us": 7.5,
+        "seed": 563,
+        "ring_depth": 8,
+    },
+    "cost": {"t_wire": 409.554, "t_memcpy": 1000.0, "t_dma_write": 1000.0},
+}
+POISSON_EQUAL_DMA_AND_COPY_OUTCOME = {
+    "metrics": "RunMetrics(offered_mrps=3.91, achieved_mrps=3.2842105263157895, "
+               "median_us=16.274583893116333, p99_us=19.052405537135144, saturated=True, "
+               "n_samples=441)",
+    "samples": "fce5b17a568e52fcf34572d1f7a13dc758ea6c7d4822b5077f01191bc8a34bde",
+    "controller_logs": "[(0, []), (1, []), (2, [])]",
+    "engine_events": 5011,
+    "total_completed": 468,
+    "trace": "12d242891739dd1cf1dd4978c499fbe2c2bf1d30a6ea9a493f4b92d7f81a171d",
+}
+
+
+@pytest.mark.parametrize("spec,expected", [
+    pytest.param(BACKLOGGED_COHERENT, BACKLOGGED_COHERENT_OUTCOME, id="backlogged_coherent"),
+    pytest.param(POISSON_EQUAL_DMA_AND_COPY, POISSON_EQUAL_DMA_AND_COPY_OUTCOME,
+                 id="poisson_equal_dma_and_copy"),
+])
+def test_copy_runs_of_one_at_one_timestamp_publish_back_to_back(spec, expected):
+    assert _diffcheck().outcome(sim, spec) == expected
 
 
 # A doorbell NIC whose adaptive batching moves from batch_B 6 to 3 at the

@@ -306,8 +306,8 @@ def _picked_up_with_a_bad_entry(end, bad_block, bad_at, exc, as_run):
     def state():
         return (client.conn.rings.tx.snapshot(), client.conn.rings.rx.snapshot(),
                 server.conns[conn].rings.tx.snapshot(), server.conns[conn].rings.rx.snapshot(),
-                [list(run) for run in host._copies], server.served, client.completed,
-                sorted(client.pending), engine.events_processed)
+                [item for run in host._copies for item in run], server.served,
+                client.completed, sorted(client.pending), engine.events_processed)
 
     with pytest.raises(exc) as first:
         engine.run_until(ts)
@@ -374,7 +374,8 @@ def _closed_loop_client_run(bad, bad_at, as_run):
     (batch_B 8) leaves there. Four responses, the one at bad_at replaced by
     bad (None: none), are picked up as one run or by one _pickup each; the
     calls their completions issue find two free TX slots. Returns the state
-    when the pickups have run or one has raised."""
+    when the pickups have run or one has raised, with the blocks whose copies
+    are under way in the order they publish."""
     scenario = default_scenario(tx_mode="doorbell", batch=8, ring_depth=8,
                                 loadgen=LoadGenSpec(mode="closed_loop", window=8),
                                 duration_us=100.0, warmup_us=10.0)
@@ -403,9 +404,9 @@ def _closed_loop_client_run(bad, bad_at, as_run):
         # the untaken entries of a run wait at the head of its run queue
         assert [list(run) for run in host._pickup_runs] == (
             [list(range(bad_at + 1, 4))] if as_run and bad_at < 3 else [])
-    return (host.tx.snapshot(), host.rx.snapshot(), [list(run) for run in host._copies],
-            sorted(client.pending), client.issued, client.completed, list(host._blocked),
-            engine.events_processed)
+    return (host.tx.snapshot(), host.rx.snapshot(),
+            [item for run in host._copies for item in run], sorted(client.pending),
+            client.issued, client.completed, list(host._blocked), engine.events_processed)
 
 
 CLIENT_RUN_BAD = {
@@ -421,8 +422,8 @@ def test_a_closed_loop_client_run_issues_its_calls_as_per_entry_pickups_do():
     assert run == _closed_loop_client_run(None, None, as_run=False)
     tx, rx, copies, pending, issued, completed, blocked, events = run
     assert pending == list(range(4, 14)) and (issued, completed) == (14, 4)
-    # two of the four new calls got the last free slots, one copy run
-    assert [[protocol.rpc_id_of(block)[0] for block in run] for run in copies] == [[10, 11]]
+    # two of the four new calls got the last free slots and are being copied
+    assert [protocol.rpc_id_of(block)[0] for block in copies] == [10, 11]
     assert tx["acquired"] - tx["published"] == 2
     assert [protocol.rpc_id_of(block)[0] for block in blocked] == [12, 13]
 
@@ -436,7 +437,7 @@ def test_a_closed_loop_client_run_that_raises_stops_where_per_entry_pickups_do(c
     tx, rx, copies, pending, issued, completed, blocked, events = run
     # the calls issued before the raise are submitted: two slots, then blocked
     assert issued == 10 + bad_at
-    assert [len(run) for run in copies] == ([min(bad_at, 2)] if bad_at else [])
+    assert len(copies) == min(bad_at, 2)
     assert len(blocked) == max(bad_at - 2, 0)
     assert completed == bad_at + (case == "corrupted_echo")
     assert events == 6 + bad_at + 1  # the six copies, then the pickups up to the bad one
@@ -524,7 +525,7 @@ def _answered_with_a_foreign_request(as_run):
         for _ in range(4):
             engine.schedule(100.0, host._pickup)
     engine.run_until(100.0)
-    queued = [[list(run) for run in server.conns[c]._copies] for c in (0, 1)]
+    queued = [[item for run in server.conns[c]._copies for item in run] for c in (0, 1)]
     engine.run_until(1e6)
     return (queued, [end.conn.rings.rx.snapshot() for end in (client, other)],
             sorted(client.pending), sorted(other.pending), server.served,

@@ -24,8 +24,8 @@ BANNED = {"min", "max", "range", "length_hint", "sorted", "sum"}
 
 # module -> functions that run per event or per entry
 HOT = {
-    "engine": ["Engine.schedule", "Engine.schedule_batch", "Engine.schedule_run",
-               "Engine.run_queue.fn", "Engine.run_until"],
+    "engine": ["Engine.schedule", "Engine.schedule_batch", "Engine.run_queue.fn",
+               "Engine.run_until"],
     "interconnect": ["BusArbiter.request"],
     "rings": [
         "TxRing.tx_acquire_run", "TxRing.tx_publish_run", "TxRing.dirty_run",

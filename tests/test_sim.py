@@ -293,11 +293,15 @@ def test_a_refused_nic_config_is_reported_once():
     (0, "ring_depth must be a power of two"),
     (-4, "ring_depth must be a power of two"),
     (MAX_RING_DEPTH * 2, f"ring_depth must be <= {MAX_RING_DEPTH}, got {MAX_RING_DEPTH * 2}"),
+    ("x", "ring_depth must be an integer, got 'x'"),
+    (1.5, "ring_depth must be an integer, got 1.5"),
+    (None, "ring_depth must be an integer, got None"),
+    (True, "ring_depth must be an integer, got True"),
 ])
 def test_a_refused_ring_depth_is_its_only_error(ring_depth, error):
     # each NIC's batch sizes are judged against the bound under any depth,
-    # not again against the refused one
-    data = {"nics": [{"id": 0, "config": {"batch_B": 4}},
+    # not again against the refused one, nor against the default depth (64)
+    data = {"nics": [{"id": 0, "config": {"batch_B": 128}},
                      {"id": 1, "config": {"adaptive_batching": {"enabled": True, "low_B": 2,
                                                                 "high_B": 8}}}],
             "connections": [{"client_nic": 0, "server_nic": 1}],
@@ -309,6 +313,12 @@ def test_a_refused_ring_depth_is_its_only_error(ring_depth, error):
     with pytest.raises(ConfigInvalid) as exc:
         Scenario.from_dict(data)
     assert exc.value.errors == [f"nics[0]: batch_B must be in 1..{MAX_RING_DEPTH}, got 0", error]
+    data["nics"][0]["config"]["batch_B"] = 128
+    data["ring_depth"] = 256
+    accepted = Scenario.from_dict(data)
+    with pytest.raises(ConfigInvalid) as exc:  # validate judges the depth the same way
+        replace(accepted, ring_depth=ring_depth).validate()
+    assert exc.value.errors == [error]
 
 
 def test_a_nic_id_declared_twice_is_refused_at_its_second_row():
